@@ -18,8 +18,6 @@ import (
 	"reusetool/internal/core"
 	"reusetool/internal/experiments"
 	"reusetool/internal/metrics"
-	"reusetool/internal/ostree"
-	"reusetool/internal/reusedist"
 	"reusetool/internal/trace"
 	"reusetool/internal/workloads"
 )
@@ -220,36 +218,6 @@ func BenchmarkFig11d_TimeVsMicell(b *testing.B) {
 // ---------------------------------------------------------------------
 // Ablations (DESIGN.md section 5).
 // ---------------------------------------------------------------------
-
-// BenchmarkAblation_OSTree compares the three order-statistic structures
-// (the paper's AVL tree, the map-backed Fenwick window, and the default
-// map-free epoch-compacted Fenwick) by replaying the recorded Sweep3D
-// event stream through otherwise identical engines. All three are exact,
-// so the fingerprint is asserted equal across kinds.
-func BenchmarkAblation_OSTree(b *testing.B) {
-	events, err := experiments.HotpathTrace("sweep3d")
-	if err != nil {
-		b.Fatal(err)
-	}
-	grans := hier().Granularities()
-	var want uint64
-	for _, kind := range []ostree.Kind{ostree.KindEpoch, ostree.KindAVL, ostree.KindFenwick} {
-		kind := kind
-		b.Run(kind.String(), func(b *testing.B) {
-			var fp uint64
-			for i := 0; i < b.N; i++ {
-				col := reusedist.NewCollectorWith(grans, reusedist.Config{Tree: kind})
-				trace.ReplayEvents(events, col)
-				fp = col.Fingerprint()
-			}
-			if want == 0 {
-				want = fp
-			} else if fp != want {
-				b.Fatalf("%s fingerprint %#x differs from %#x: tree kinds disagree", kind, fp, want)
-			}
-		})
-	}
-}
 
 // BenchmarkHotpath is the per-workload engine-throughput suite: each
 // sub-benchmark replays one recorded trace through a fresh collector and

@@ -1,6 +1,7 @@
 // Command reuselint runs the reusetool analyzer suite — determinism,
-// hotpathalloc, lockcheck, ctxpropagate, deprecated — over the module
-// containing the current directory, with full type information.
+// hotpathalloc, lockcheck, ctxpropagate, deprecated, resourceleak,
+// unused — over the module containing the current directory, with full
+// type information.
 //
 // Usage:
 //

@@ -476,7 +476,6 @@ func run() int {
 		fmt.Fprintln(os.Stderr, err)
 		return 2
 	}
-	opts.Init = init
 
 	if mode == modeDumpProgram {
 		if err := os.WriteFile(*dumpProg, []byte(lang.Format(prog)), 0o644); err != nil {
@@ -488,7 +487,7 @@ func run() int {
 	}
 
 	if mode == modeValidate {
-		if err := staticValidate(ctx, prog, *level, opts); err != nil {
+		if err := staticValidate(ctx, prog, init, *level, opts); err != nil {
 			return fail(err)
 		}
 		return 0
@@ -501,7 +500,7 @@ func run() int {
 	case modeStatic:
 		res, err = core.Pipeline{Source: core.StaticSource{Prog: prog}, Options: opts}.RunContext(ctx)
 	case modeDynamic:
-		src := core.DynamicSource{Prog: prog}
+		src := core.DynamicSource{Prog: prog, Init: init}
 		finish := func(err error) error { return err }
 		if *dumpTrace != "" {
 			// The trace writer needs the finalized info up front; reuse it
@@ -517,7 +516,7 @@ func run() int {
 				break
 			}
 			opts.Tee = w
-			src = core.DynamicSource{Info: info}
+			src = core.DynamicSource{Info: info, Init: init}
 		}
 		res, err = core.Pipeline{Source: src, Options: opts}.RunContext(ctx)
 		err = finish(err)
@@ -633,16 +632,15 @@ func checkParams(prog *ir.Program, params map[string]int64) error {
 
 // staticValidate runs the dynamic and the static pipeline on one workload
 // and prints a per-reference miss comparison at the selected level.
-func staticValidate(ctx context.Context, prog *ir.Program, level string, opts core.Options) error {
+func staticValidate(ctx context.Context, prog *ir.Program, init func(*interp.Machine) error, level string, opts core.Options) error {
 	info, err := prog.Finalize()
 	if err != nil {
 		return err
 	}
-	dyn, err := core.Pipeline{Source: core.DynamicSource{Info: info}, Options: opts}.RunContext(ctx)
+	dyn, err := core.Pipeline{Source: core.DynamicSource{Info: info, Init: init}, Options: opts}.RunContext(ctx)
 	if err != nil {
 		return err
 	}
-	opts.Init = nil
 	st, err := core.Pipeline{Source: core.StaticSource{Info: info}, Options: opts}.RunContext(ctx)
 	if err != nil {
 		return err

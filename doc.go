@@ -11,7 +11,8 @@
 // table and figure of the paper's evaluation.
 //
 // The codebase's own invariants — deterministic output, an
-// allocation-free per-access path, mutex and context discipline — are
+// allocation-free per-access path, mutex and context discipline, no
+// unused exported identifiers — are
 // enforced by the type-aware analyzer suite in internal/analyzers,
 // driven by cmd/reuselint and gated in CI (DESIGN.md §11).
 package repro

@@ -1,8 +1,9 @@
 // Scaling: the cross-input modeling the paper inherits from Marin &
-// Mellor-Crummey [14]. Collects reuse-distance histograms for a stencil
-// at several training sizes, fits scaling models, predicts the miss count
-// at a larger size never measured, and validates the prediction against a
-// real run at that size.
+// Mellor-Crummey [14]. Collects per-pattern reuse-distance histograms for
+// a stencil at several training sizes, fits one scaling model per reuse
+// pattern (internal/predict), predicts the miss count at a larger size
+// never measured, and validates the prediction against a real run at
+// that size.
 //
 //	go run ./examples/scaling
 package main
@@ -10,67 +11,73 @@ package main
 import (
 	"fmt"
 	"log"
+	"os"
 
 	"reusetool/internal/cache"
 	"reusetool/internal/core"
-	"reusetool/internal/histo"
-	"reusetool/internal/model"
+	"reusetool/internal/ir"
+	"reusetool/internal/predict"
 	"reusetool/internal/workloads"
 )
 
 func main() {
 	hier := cache.ScaledItanium2()
-	level := hier.Levels[1] // L3
+	const level = "L3"
 
 	train := []int64{32, 48, 64}
 	const target = 128
 
 	fmt.Printf("training on stencil sizes %v, predicting N=%d\n\n", train, target)
 
-	// Collect one merged L3-granularity histogram per training size.
-	var ns []float64
-	var hists []*histo.Histogram
-	for _, n := range train {
-		h, accesses := collect(n, hier)
-		ns = append(ns, float64(n))
-		hists = append(hists, h)
-		fmt.Printf("  N=%3d: %9d accesses, %s\n", n, accesses, h)
-	}
-
-	m, err := model.FitHistograms(ns, hists, 128, nil)
+	info, err := workloads.Stencil(train[0], 2).Finalize()
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\nfitted scaling: total %s; cold %s\n", m.TotalFit, m.ColdFit)
+	var runs []*predict.TrainingRun
+	for _, n := range train {
+		res := analyze(info, n, hier)
+		run, err := res.TrainingRun()
+		if err != nil {
+			log.Fatal(err)
+		}
+		runs = append(runs, run)
+		fmt.Printf("  N=%3d: %9d accesses\n", n, res.Run.Accesses)
+	}
 
-	predicted := m.PredictMisses(level, target)
+	m, err := predict.Fit(info, runs, predict.FitOptions{HierName: "scaled"})
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Println()
+	m.WriteSummary(os.Stdout)
+
+	p, err := m.Predict(map[string]int64{"N": target})
+	if err != nil {
+		log.Fatal(err)
+	}
+	var predicted float64
+	for _, lm := range p.LevelMisses(hier) {
+		if lm.Level == level {
+			predicted = lm.Total
+		}
+	}
 
 	// Validate against a real run at the target size.
-	actualHist, _ := collect(target, hier)
-	actual := level.ExpectedMisses(actualHist)
+	actual := analyze(info, target, hier).Report.Level(level).TotalMisses
 
-	fmt.Printf("\npredicted %s misses at N=%d: %.0f\n", level.Name, target, predicted)
-	fmt.Printf("measured  %s misses at N=%d: %.0f\n", level.Name, target, actual)
+	fmt.Printf("\npredicted %s misses at N=%d: %.0f\n", level, target, predicted)
+	fmt.Printf("measured  %s misses at N=%d: %.0f\n", level, target, actual)
 	fmt.Printf("relative error: %+.1f%%\n", 100*(predicted-actual)/actual)
 }
 
-// collect runs the stencil at size n and merges all per-pattern
-// histograms at the cache-line granularity into one.
-func collect(n int64, hier *cache.Hierarchy) (*histo.Histogram, uint64) {
+// analyze runs the stencil at size n.
+func analyze(info *ir.Info, n int64, hier *cache.Hierarchy) *core.Result {
 	res, err := core.Pipeline{
-		Source:  core.DynamicSource{Prog: workloads.Stencil(n, 2)},
-		Options: core.Options{Hierarchy: hier},
+		Source:  core.DynamicSource{Info: info},
+		Options: core.Options{Hierarchy: hier, Params: map[string]int64{"N": n}},
 	}.Run()
 	if err != nil {
 		log.Fatal(err)
 	}
-	eng, _ := res.Collector.Level("L3")
-	merged := histo.New()
-	for _, rd := range eng.Refs() {
-		merged.AddN(histo.Cold, rd.Cold)
-		for _, p := range rd.Patterns {
-			merged.Merge(p.Hist)
-		}
-	}
-	return merged, eng.TotalAccesses()
+	return res
 }

@@ -118,17 +118,12 @@ type Recommendation struct {
 	LegalityNote string
 }
 
-// Advise analyzes one level of a report and returns recommendations for
-// every pattern (and fragmented array) whose misses exceed minShare of the
-// level's total, ranked by descending misses. Legality fields stay
-// unknown; use AdviseWith to gate them on a dependence analysis.
-func Advise(rep *metrics.Report, levelName string, minShare float64) []Recommendation {
-	return AdviseWith(rep, nil, levelName, minShare)
-}
-
-// AdviseWith is Advise with each recommendation's legality decided by
-// the dependence analysis (which must come from the same program the
-// report was measured on). A nil analysis leaves every verdict unknown.
+// AdviseWith analyzes one level of a report and returns recommendations
+// for every pattern (and fragmented array) whose misses exceed minShare
+// of the level's total, ranked by descending misses. Each
+// recommendation's legality is decided by the dependence analysis, which
+// must come from the same program the report was measured on. A nil
+// analysis leaves every verdict unknown.
 func AdviseWith(rep *metrics.Report, deps *depend.Analysis, levelName string, minShare float64) []Recommendation {
 	lr := rep.Level(levelName)
 	if lr == nil || lr.TotalMisses == 0 {

@@ -27,7 +27,7 @@ func report(t *testing.T, p *ir.Program, init func(*interp.Machine) error) *metr
 		t.Fatal(err)
 	}
 	hier := tinyHier()
-	col := reusedist.NewCollector(hier.Granularities(), 0, false)
+	col := reusedist.NewCollectorWith(hier.Granularities(), reusedist.Config{})
 	var opts []interp.Option
 	if init != nil {
 		opts = append(opts, interp.WithInit(init))
@@ -68,7 +68,7 @@ func TestTableI_TimeStepRule(t *testing.T) {
 			ir.For(i, ir.C(0), ir.Sub(ir.Mul(n, ir.C(8)), ir.C(1)), ir.Do(a.Read(i))),
 		).AsTimeStep(),
 	}
-	recs := Advise(report(t, p, nil), "C", 0.05)
+	recs := AdviseWith(report(t, p, nil), nil, "C", 0.05)
 	if len(recs) == 0 {
 		t.Fatal("no recommendations")
 	}
@@ -95,7 +95,7 @@ func TestTableI_InterchangeRule(t *testing.T) {
 			ir.For(j, ir.C(0), ir.Sub(m, ir.C(1)),
 				ir.Do(a.Read(i, j)))),
 	}
-	recs := Advise(report(t, p, nil), "C", 0.05)
+	recs := AdviseWith(report(t, p, nil), nil, "C", 0.05)
 	if len(recs) == 0 {
 		t.Fatal("no recommendations")
 	}
@@ -116,7 +116,7 @@ func TestTableI_FuseRule(t *testing.T) {
 		ir.For(i, ir.C(0), ir.Sub(ir.Mul(n, ir.C(8)), ir.C(1)), ir.Do(a.WriteRef(i))),
 		ir.For(j, ir.C(0), ir.Sub(ir.Mul(n, ir.C(8)), ir.C(1)), ir.Do(a.Read(j))),
 	}
-	recs := Advise(report(t, p, nil), "C", 0.05)
+	recs := AdviseWith(report(t, p, nil), nil, "C", 0.05)
 	ks := kinds(recs)
 	if !ks[KindFuse] {
 		t.Errorf("expected fuse advice, got %+v", recs)
@@ -145,7 +145,7 @@ func TestTableI_StripMineRule(t *testing.T) {
 		ir.For(i, ir.C(0), ir.Sub(ir.Mul(n, ir.C(8)), ir.C(1)), ir.Do(a.WriteRef(i))),
 		ir.CallTo(callee),
 	}
-	recs := Advise(report(t, p, nil), "C", 0.05)
+	recs := AdviseWith(report(t, p, nil), nil, "C", 0.05)
 	ks := kinds(recs)
 	if !ks[KindStripMineFuse] {
 		t.Errorf("expected strip-mine advice, got %+v", recs)
@@ -171,7 +171,7 @@ func TestTableI_ReorderRule(t *testing.T) {
 		m.FillData(idx, func(k int64) int64 { return (k * 8) % nn })
 		return nil
 	})
-	recs := Advise(rep, "C", 0.02)
+	recs := AdviseWith(rep, nil, "C", 0.02)
 	ks := kinds(recs)
 	if !ks[KindReorder] {
 		t.Errorf("expected reorder advice, got %+v", recs)
@@ -190,7 +190,7 @@ func TestTableI_SplitArrayRule(t *testing.T) {
 			ir.For(i, ir.C(0), ir.Sub(n, ir.C(1)),
 				ir.Do(zion.Read(ir.C(2), i)))),
 	}
-	recs := Advise(report(t, p, nil), "C", 0.05)
+	recs := AdviseWith(report(t, p, nil), nil, "C", 0.05)
 	if len(recs) == 0 {
 		t.Fatal("no recommendations")
 	}
@@ -225,7 +225,7 @@ func TestAdviseRankingAndThreshold(t *testing.T) {
 		),
 	}
 	rep := report(t, p, nil)
-	recs := Advise(rep, "C", 0.05)
+	recs := AdviseWith(rep, nil, "C", 0.05)
 	for k := 1; k < len(recs); k++ {
 		if recs[k].Misses > recs[k-1].Misses {
 			t.Fatal("recommendations not ranked by misses")
@@ -237,7 +237,7 @@ func TestAdviseRankingAndThreshold(t *testing.T) {
 		}
 	}
 	// Unknown level yields nothing.
-	if got := Advise(rep, "XX", 0.05); got != nil {
+	if got := AdviseWith(rep, nil, "XX", 0.05); got != nil {
 		t.Errorf("unknown level should return nil, got %v", got)
 	}
 }
@@ -276,7 +276,7 @@ func TestDuplicateRecommendationsMerge(t *testing.T) {
 			ir.For(j, ir.C(0), ir.Sub(m, ir.C(1)),
 				ir.Do(a.Read(i, j), a.WriteRef(i, j)))),
 	}
-	recs := Advise(report(t, p, nil), "C", 0.01)
+	recs := AdviseWith(report(t, p, nil), nil, "C", 0.01)
 	var interchange int
 	for _, r := range recs {
 		if r.Kind == KindInterchange {
@@ -301,7 +301,7 @@ func reportInfo(t *testing.T, p *ir.Program) (*ir.Info, *metrics.Report) {
 		t.Fatal(err)
 	}
 	hier := tinyHier()
-	col := reusedist.NewCollector(hier.Granularities(), 0, false)
+	col := reusedist.NewCollectorWith(hier.Granularities(), reusedist.Config{})
 	run, err := interp.Run(info, nil, col)
 	if err != nil {
 		t.Fatal(err)
@@ -335,7 +335,7 @@ func TestAdviseWithLegality(t *testing.T) {
 	}
 	info, rep := reportInfo(t, p)
 
-	for _, r := range Advise(rep, "C", 0.05) {
+	for _, r := range AdviseWith(rep, nil, "C", 0.05) {
 		if r.Legality != depend.LegalityUnknown || r.LegalityNote != "" {
 			t.Errorf("Advise without analysis set legality %v (%q)", r.Legality, r.LegalityNote)
 		}

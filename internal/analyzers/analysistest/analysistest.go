@@ -13,7 +13,6 @@ package analysistest
 
 import (
 	"fmt"
-	"go/token"
 	"regexp"
 	"strconv"
 	"strings"
@@ -121,10 +120,4 @@ func unquote(q string) (string, error) {
 		return q[1 : len(q)-1], nil
 	}
 	return strconv.Unquote(q)
-}
-
-// Position is a small convenience for tests that assert on diagnostic
-// locations directly.
-func Position(prog *analysis.Program, d analysis.Diagnostic) token.Position {
-	return prog.Fset.Position(d.Pos)
 }

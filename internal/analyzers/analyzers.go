@@ -1,5 +1,5 @@
 // Package analyzers is the repository's type-aware static-analysis
-// suite: five invariant-enforcing passes over the fully type-checked
+// suite: seven invariant-enforcing passes over the fully type-checked
 // module, run by cmd/reuselint and gated in CI. It replaces the old
 // syntax-only tools/lint walker, whose hard-coded receiver/method table
 // silently rotted whenever the hot path was refactored.
@@ -17,7 +17,9 @@
 //   - deprecated: no use of Deprecated: entry points outside their
 //     defining package;
 //   - resourceleak: http.Response bodies are closed and time.NewTicker
-//     tickers stopped in the function that acquired them.
+//     tickers stopped in the function that acquired them;
+//   - unused: no exported package-level identifier that nothing in the
+//     module (tests included) refers to.
 //
 // The //reuse:* directive grammar is documented in DESIGN.md §11.
 package analyzers
@@ -33,5 +35,6 @@ func All() []*analysis.Analyzer {
 		CtxPropagate,
 		Deprecated,
 		ResourceLeak,
+		Unused,
 	}
 }

@@ -17,8 +17,8 @@ func (h *Histogram) Add(d uint64) {
 	}
 }
 
-// Tree mimics ostree.Tree: an interface call on the hot path resolves
-// to every in-module implementation.
+// Tree mimics an interface-typed engine field: an interface call on the
+// hot path resolves to every in-module implementation.
 type Tree interface{ Insert(uint64) }
 
 type Epoch struct{ slots []uint64 }

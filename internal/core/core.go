@@ -12,9 +12,9 @@
 // machine, the miss model, and whether the event stream fans out to the
 // consumers in parallel (see internal/pipeline).
 //
-// The earlier per-mode entry points (Analyze, AnalyzeInfo, AnalyzeSaved,
-// AnalyzeStatic, AnalyzeStaticInfo, Simulate) remain as thin deprecated
-// wrappers over Pipeline so existing callers keep working.
+// Each source runs its own pipeline, and a pointer to a source works as
+// well as the value. A dynamic run's data-array initializer travels in
+// DynamicSource.Init.
 package core
 
 import (
@@ -44,15 +44,11 @@ type Options struct {
 	Hierarchy *cache.Hierarchy
 	// Params override program parameter defaults.
 	Params map[string]int64
-	// Init fills data arrays before execution (see interp.WithInit).
-	Init func(*interp.Machine) error
 	// Model selects the histogram-to-miss conversion (default SetAssoc,
 	// the paper's predictor).
 	Model metrics.Model
 	// HistRes overrides the histogram resolution (0 = default).
 	HistRes int
-	// UseFenwick selects the Fenwick order-statistic structure.
-	UseFenwick bool
 	// Simulate additionally runs the execution-driven cache simulator on
 	// the same trace (for prediction-vs-simulation comparisons).
 	Simulate bool
@@ -112,86 +108,6 @@ type Result struct {
 	// so the summary's static-opportunity section checks the same
 	// program instance that was measured.
 	Params map[string]int64
-}
-
-// Analyze runs the full pipeline on a program.
-//
-// Deprecated: use Pipeline{Source: DynamicSource{Prog: prog}, Options: opts}.Run().
-func Analyze(prog *ir.Program, opts Options) (*Result, error) {
-	return Pipeline{Source: DynamicSource{Prog: prog}, Options: opts}.Run()
-}
-
-// AnalyzeInfo runs the full pipeline on an already finalized program.
-//
-// Deprecated: use Pipeline{Source: DynamicSource{Info: info}, Options: opts}.Run().
-func AnalyzeInfo(info *ir.Info, opts Options) (*Result, error) {
-	return Pipeline{Source: DynamicSource{Info: info}, Options: opts}.Run()
-}
-
-// AnalyzeSaved rebuilds a full report from previously collected
-// reuse-distance data.
-//
-// Deprecated: use Pipeline{Source: SavedSource{Info: info, Collector: col, Trips: trips}, Options: opts}.Run().
-func AnalyzeSaved(info *ir.Info, col *reusedist.Collector,
-	trips staticanalysis.Trips, opts Options) (*Result, error) {
-	return Pipeline{Source: SavedSource{Info: info, Collector: col, Trips: trips}, Options: opts}.Run()
-}
-
-// AnalyzeStatic predicts the full report symbolically from the IR — no
-// interpreter run.
-//
-// Deprecated: use Pipeline{Source: StaticSource{Prog: prog}, Options: opts}.Run().
-func AnalyzeStatic(prog *ir.Program, opts Options) (*Result, error) {
-	return Pipeline{Source: StaticSource{Prog: prog}, Options: opts}.Run()
-}
-
-// AnalyzeStaticInfo is AnalyzeStatic on an already finalized program.
-//
-// Deprecated: use Pipeline{Source: StaticSource{Info: info}, Options: opts}.Run().
-func AnalyzeStaticInfo(info *ir.Info, opts Options) (*Result, error) {
-	return Pipeline{Source: StaticSource{Info: info}, Options: opts}.Run()
-}
-
-// SimResult is the output of Simulate.
-type SimResult struct {
-	Info *ir.Info
-	Hier *cache.Hierarchy
-	Sim  *cachesim.Sim
-	Run  *interp.Result
-	// Accesses counts executed memory references.
-	Accesses uint64
-}
-
-// Misses reports total simulated misses at a level.
-func (s *SimResult) Misses(level string) uint64 { return s.Sim.Misses(level) }
-
-// Cycles evaluates the timing model on the simulated miss counts.
-func (s *SimResult) Cycles(nonStallScale float64) timing.Breakdown {
-	m := timing.New(s.Hier)
-	misses := map[string]float64{}
-	for _, l := range s.Hier.Levels {
-		misses[l.Name] = float64(s.Sim.Misses(l.Name))
-	}
-	return m.Cycles(s.Accesses, misses, nonStallScale)
-}
-
-// Simulate runs only the cache simulator over a program's trace.
-//
-// Deprecated: use Pipeline with Options.SimulateOnly; the simulator and
-// run are in Result.Sim and Result.Run.
-func Simulate(prog *ir.Program, opts Options) (*SimResult, error) {
-	opts.SimulateOnly = true
-	res, err := Pipeline{Source: DynamicSource{Prog: prog}, Options: opts}.Run()
-	if err != nil {
-		return nil, err
-	}
-	return &SimResult{
-		Info:     res.Info,
-		Hier:     res.Hier,
-		Sim:      res.Sim,
-		Run:      res.Run,
-		Accesses: res.Run.Accesses,
-	}, nil
 }
 
 // Misses reports total simulated misses at a level; it requires a

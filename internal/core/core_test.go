@@ -14,8 +14,13 @@ import (
 	"reusetool/internal/workloads"
 )
 
+// runDynamic runs the dynamic pipeline on prog.
+func runDynamic(prog *ir.Program, opts Options) (*Result, error) {
+	return Pipeline{Source: DynamicSource{Prog: prog}, Options: opts}.Run()
+}
+
 func TestAnalyzeFig1EndToEnd(t *testing.T) {
-	res, err := Analyze(workloads.Fig1(false), Options{Simulate: true})
+	res, err := runDynamic(workloads.Fig1(false), Options{Simulate: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,7 +32,7 @@ func TestAnalyzeFig1EndToEnd(t *testing.T) {
 		t.Fatal("no L2 misses for the bad loop order")
 	}
 	// The interchanged version must predict far fewer L2 misses.
-	res2, err := Analyze(workloads.Fig1(true), Options{})
+	res2, err := runDynamic(workloads.Fig1(true), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +63,7 @@ func TestPredictionMatchesSimulationFullyAssoc(t *testing.T) {
 			{Name: "TLB", LineBits: 12, Sets: 1, Assoc: 16, Latency: 30},
 		},
 	}
-	res, err := Analyze(workloads.Stencil(64, 3), Options{
+	res, err := runDynamic(workloads.Stencil(64, 3), Options{
 		Hierarchy: hier, Model: metrics.FullyAssoc, Simulate: true,
 	})
 	if err != nil {
@@ -76,7 +81,7 @@ func TestPredictionMatchesSimulationFullyAssoc(t *testing.T) {
 func TestSetAssocPredictionTracksSimulation(t *testing.T) {
 	// On the real (set-associative) scaled hierarchy, the probabilistic
 	// model must track the simulator within 20% on a non-trivial code.
-	res, err := Analyze(workloads.Stencil(96, 3), Options{Simulate: true})
+	res, err := runDynamic(workloads.Stencil(96, 3), Options{Simulate: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,34 +99,37 @@ func TestSetAssocPredictionTracksSimulation(t *testing.T) {
 }
 
 func TestSimulateLightPath(t *testing.T) {
-	sr, err := Simulate(workloads.Stream(4096, 3), Options{})
+	res, err := runDynamic(workloads.Stream(4096, 3), Options{SimulateOnly: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sr.Accesses != 3*4096 {
-		t.Errorf("accesses = %d, want %d", sr.Accesses, 3*4096)
+	if res.Report != nil || res.Collector != nil {
+		t.Error("SimulateOnly should skip reuse-distance collection and the report")
 	}
-	if sr.Misses("L2") == 0 {
+	if res.Run.Accesses != 3*4096 {
+		t.Errorf("accesses = %d, want %d", res.Run.Accesses, 3*4096)
+	}
+	if res.Misses("L2") == 0 {
 		t.Error("streaming 32KB through a 16KB L2 should miss")
 	}
-	b := sr.Cycles(1)
+	b := res.Cycles(1)
 	if b.Total <= b.NonStall {
 		t.Error("cycles should include stall time")
 	}
 }
 
 func TestParamOverrides(t *testing.T) {
-	sr, err := Simulate(workloads.Stream(4096, 3), Options{Params: map[string]int64{"T": 1}})
+	res, err := runDynamic(workloads.Stream(4096, 3), Options{SimulateOnly: true, Params: map[string]int64{"T": 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sr.Accesses != 4096 {
-		t.Errorf("accesses = %d, want 4096", sr.Accesses)
+	if res.Run.Accesses != 4096 {
+		t.Errorf("accesses = %d, want 4096", res.Run.Accesses)
 	}
 }
 
 func TestWriteXMLAndSummary(t *testing.T) {
-	res, err := Analyze(workloads.Fig2(), Options{Params: map[string]int64{"N": 64, "M": 16}})
+	res, err := runDynamic(workloads.Fig2(), Options{Params: map[string]int64{"N": 64, "M": 16}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,25 +158,8 @@ func TestWriteXMLAndSummary(t *testing.T) {
 func TestAnalyzeErrors(t *testing.T) {
 	// Unfinalizable program.
 	p := workloads.Fig1(false)
-	if _, err := Analyze(p, Options{Params: map[string]int64{"BOGUS": 1}}); err == nil {
+	if _, err := runDynamic(p, Options{Params: map[string]int64{"BOGUS": 1}}); err == nil {
 		t.Error("bogus parameter should fail")
-	}
-}
-
-func TestFenwickBackendAgrees(t *testing.T) {
-	a, err := Analyze(workloads.Stencil(48, 2), Options{Model: metrics.FullyAssoc})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Analyze(workloads.Stencil(48, 2), Options{Model: metrics.FullyAssoc, UseFenwick: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, lvl := range []string{"L2", "L3", "TLB"} {
-		if a.Report.Level(lvl).TotalMisses != b.Report.Level(lvl).TotalMisses {
-			t.Errorf("%s: AVL %v vs Fenwick %v", lvl,
-				a.Report.Level(lvl).TotalMisses, b.Report.Level(lvl).TotalMisses)
-		}
 	}
 }
 
@@ -176,12 +167,12 @@ func TestTrackContextSplitsPatterns(t *testing.T) {
 	// A callee touching the same array is invoked from two call sites;
 	// context tracking must separate the patterns per call path.
 	p := irProgramWithTwoCallers(t)
-	plain, err := Analyze(p, Options{Model: metrics.FullyAssoc})
+	plain, err := runDynamic(p, Options{Model: metrics.FullyAssoc})
 	if err != nil {
 		t.Fatal(err)
 	}
 	p2 := irProgramWithTwoCallers(t)
-	ctx, err := Analyze(p2, Options{Model: metrics.FullyAssoc, TrackContext: true})
+	ctx, err := runDynamic(p2, Options{Model: metrics.FullyAssoc, TrackContext: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +217,7 @@ func irProgramWithTwoCallers(t *testing.T) *ir.Program {
 
 func TestAnalyzeSavedRebuildsReport(t *testing.T) {
 	// Live analysis of fig2.
-	live, err := Analyze(workloads.Fig2(), Options{Params: map[string]int64{"N": 64, "M": 16}})
+	live, err := runDynamic(workloads.Fig2(), Options{Params: map[string]int64{"N": 64, "M": 16}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +227,10 @@ func TestAnalyzeSavedRebuildsReport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	saved, err := AnalyzeSaved(info2, live.Collector, nil, Options{Params: map[string]int64{"N": 64, "M": 16}})
+	saved, err := Pipeline{
+		Source:  SavedSource{Info: info2, Collector: live.Collector},
+		Options: Options{Params: map[string]int64{"N": 64, "M": 16}},
+	}.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +243,7 @@ func TestAnalyzeSavedRebuildsReport(t *testing.T) {
 	// Static analysis ran with default trips and still found fig2's
 	// fragmentation.
 	if saved.Report.Level("L2").FragMissesByArray["A"] <= 0 {
-		t.Error("AnalyzeSaved lost fragmentation attribution")
+		t.Error("the saved source lost fragmentation attribution")
 	}
 }
 

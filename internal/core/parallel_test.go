@@ -45,7 +45,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				xml, err := xmlout.Marshal(res.Report)
+				xml, err := xmlout.MarshalWith(res.Report, nil, 0)
 				if err != nil {
 					t.Fatal(err)
 				}

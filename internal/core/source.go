@@ -10,7 +10,6 @@ import (
 	"reusetool/internal/interp"
 	"reusetool/internal/ir"
 	"reusetool/internal/metrics"
-	"reusetool/internal/ostree"
 	"reusetool/internal/pipeline"
 	"reusetool/internal/reusedist"
 	"reusetool/internal/scope"
@@ -31,10 +30,10 @@ import (
 //   - TraceSource: a recorded event trace in the tracefile format (the
 //     seam for traces produced outside this library).
 //
-// The interface is sealed: the Pipeline's behaviour is defined by which
-// of these four it receives.
+// The interface is sealed: each source's unexported run method is the
+// pipeline for that mode. A pointer to any of the four is a Source too.
 type Source interface {
-	sourceKind() string
+	run(ctx context.Context, p Pipeline) (*Result, error)
 }
 
 // DynamicSource executes a program under instrumentation. Exactly one of
@@ -42,12 +41,9 @@ type Source interface {
 type DynamicSource struct {
 	Prog *ir.Program
 	Info *ir.Info
-	// Init fills data arrays before execution (see interp.WithInit). If
-	// nil, Options.Init is used.
+	// Init fills data arrays before execution (see interp.WithInit).
 	Init func(*interp.Machine) error
 }
-
-func (DynamicSource) sourceKind() string { return "dynamic" }
 
 // StaticSource predicts reuse symbolically from the IR without running
 // the interpreter (internal/staticreuse). Exactly one of Prog and Info
@@ -56,8 +52,6 @@ type StaticSource struct {
 	Prog *ir.Program
 	Info *ir.Info
 }
-
-func (StaticSource) sourceKind() string { return "static" }
 
 // SavedSource rebuilds a report from previously collected reuse-distance
 // data (see internal/persist): no instrumented run happens; the static
@@ -74,8 +68,6 @@ type SavedSource struct {
 	Trips staticanalysis.Trips
 }
 
-func (SavedSource) sourceKind() string { return "saved" }
-
 // TraceSource replays a recorded trace in the tracefile text format. The
 // report is built against the scope tree recovered from the trace
 // header; there is no IR, so the fragmentation analysis is skipped and
@@ -84,12 +76,9 @@ type TraceSource struct {
 	R io.Reader
 }
 
-func (TraceSource) sourceKind() string { return "trace" }
-
 // Pipeline is the single entry point of the toolkit: a Source feeding
 // the reuse-distance engines, the cache models and the report builder,
-// configured by Options. The legacy Analyze*/Simulate functions are thin
-// wrappers over it.
+// configured by Options.
 //
 //	res, err := core.Pipeline{
 //	    Source:  core.DynamicSource{Prog: prog},
@@ -118,27 +107,10 @@ func (p Pipeline) RunContext(ctx context.Context) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	switch s := p.Source.(type) {
-	case DynamicSource:
-		return p.runDynamic(ctx, s)
-	case *DynamicSource:
-		return p.runDynamic(ctx, *s)
-	case StaticSource:
-		return p.runStatic(ctx, s)
-	case *StaticSource:
-		return p.runStatic(ctx, *s)
-	case SavedSource:
-		return p.runSaved(ctx, s)
-	case *SavedSource:
-		return p.runSaved(ctx, *s)
-	case TraceSource:
-		return p.runTrace(ctx, s)
-	case *TraceSource:
-		return p.runTrace(ctx, *s)
-	case nil:
+	if p.Source == nil {
 		return nil, fmt.Errorf("core: pipeline has no source")
 	}
-	return nil, fmt.Errorf("core: unknown source type %T", p.Source)
+	return p.Source.run(ctx, p)
 }
 
 // finalized resolves the prog-or-info pair every IR-backed source
@@ -166,9 +138,6 @@ func finalized(prog *ir.Program, info *ir.Info) (*ir.Info, error) {
 // up front instead of growing on the per-access path.
 func (p Pipeline) newCollector(info *ir.Info, footprint uint64) *reusedist.Collector {
 	base := reusedist.Config{HistRes: p.HistRes, Sampling: p.Sampling}
-	if p.UseFenwick {
-		base.Tree = ostree.KindFenwick
-	}
 	base.Hints.FootprintBytes = footprint
 	if info != nil {
 		base.Hints.Refs = len(info.Refs)
@@ -232,7 +201,7 @@ func checkpoint(ctx context.Context) error {
 	return nil
 }
 
-func (p Pipeline) runDynamic(ctx context.Context, s DynamicSource) (*Result, error) {
+func (s DynamicSource) run(ctx context.Context, p Pipeline) (*Result, error) {
 	info, err := finalized(s.Prog, s.Info)
 	if err != nil {
 		return nil, err
@@ -266,13 +235,9 @@ func (p Pipeline) runDynamic(ctx context.Context, s DynamicSource) (*Result, err
 	}
 	handler, join := p.fanOut(consumers...)
 
-	init := s.Init
-	if init == nil {
-		init = p.Init
-	}
 	var runOpts []interp.Option
-	if init != nil {
-		runOpts = append(runOpts, interp.WithInit(init))
+	if s.Init != nil {
+		runOpts = append(runOpts, interp.WithInit(s.Init))
 	}
 	run, runErr := interp.RunContext(ctx, info, p.Params, handler, runOpts...)
 	if err := join(); runErr == nil {
@@ -302,7 +267,7 @@ func (p Pipeline) runDynamic(ctx context.Context, s DynamicSource) (*Result, err
 	return res, nil
 }
 
-func (p Pipeline) runStatic(ctx context.Context, s StaticSource) (*Result, error) {
+func (s StaticSource) run(ctx context.Context, p Pipeline) (*Result, error) {
 	info, err := finalized(s.Prog, s.Info)
 	if err != nil {
 		return nil, err
@@ -336,7 +301,7 @@ func (p Pipeline) runStatic(ctx context.Context, s StaticSource) (*Result, error
 	}, nil
 }
 
-func (p Pipeline) runSaved(ctx context.Context, s SavedSource) (*Result, error) {
+func (s SavedSource) run(ctx context.Context, p Pipeline) (*Result, error) {
 	info, err := finalized(s.Prog, s.Info)
 	if err != nil {
 		return nil, err
@@ -375,7 +340,7 @@ func (p Pipeline) runSaved(ctx context.Context, s SavedSource) (*Result, error) 
 	}, nil
 }
 
-func (p Pipeline) runTrace(ctx context.Context, s TraceSource) (*Result, error) {
+func (s TraceSource) run(ctx context.Context, p Pipeline) (*Result, error) {
 	if s.R == nil {
 		return nil, fmt.Errorf("core: trace source has no reader")
 	}

@@ -46,7 +46,10 @@ func Fig9(cfg workloads.GTCConfig, hier *cache.Hierarchy) (*Fig9Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := analyze(prog, core.Options{Hierarchy: hier, Init: init})
+	res, err := core.Pipeline{
+		Source:  core.DynamicSource{Prog: prog, Init: init},
+		Options: core.Options{Hierarchy: hier},
+	}.Run()
 	if err != nil {
 		return nil, err
 	}
@@ -112,7 +115,10 @@ func Fig10(cfg workloads.GTCConfig, hier *cache.Hierarchy) (*Fig10Result, error)
 	if err != nil {
 		return nil, err
 	}
-	res, err := analyze(prog, core.Options{Hierarchy: hier, Init: init})
+	res, err := core.Pipeline{
+		Source:  core.DynamicSource{Prog: prog, Init: init},
+		Options: core.Options{Hierarchy: hier},
+	}.Run()
 	if err != nil {
 		return nil, err
 	}

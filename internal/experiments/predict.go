@@ -6,8 +6,8 @@ import (
 	"reusetool/internal/cache"
 	"reusetool/internal/core"
 	"reusetool/internal/histo"
-	"reusetool/internal/model"
-	"reusetool/internal/trace"
+	"reusetool/internal/ir"
+	"reusetool/internal/predict"
 	"reusetool/internal/workloads"
 )
 
@@ -26,167 +26,91 @@ func (r PredictRow) RelErr() float64 {
 	return (r.Predicted - r.Measured) / r.Measured
 }
 
-// patKey identifies a reuse pattern across runs of the same program at
-// different sizes: program structure (and hence scope and reference IDs)
-// is identical, so the triple is stable.
-type patKey struct {
-	ref      trace.RefID
-	source   trace.ScopeID
-	carrying trace.ScopeID
-}
-
-// collection holds one training run's data at one level granularity.
-type collection struct {
-	mesh     int64
-	patterns map[patKey]*histo.Histogram
-	cold     float64
-}
-
 // PredictSweep3D implements the paper's cross-input modeling (Section II,
-// ref [14]): reuse-distance histograms collected for Sweep3D at the
-// training mesh sizes are fitted with scaling models — per reuse pattern
-// when perPattern is true, on one merged histogram otherwise — and used to
-// predict the miss count at unmeasured target sizes, which is then
-// validated against an actual run. The paper argues the finer per-pattern
-// granularity yields more accurate models.
+// ref [14]) with internal/predict: Sweep3D runs at the training mesh
+// sizes (it = jt = kt = n) are fitted — per reuse pattern when perPattern
+// is true, or with each granularity's patterns merged into one histogram
+// otherwise — and the model predicts the miss count at unmeasured target
+// sizes, which is then validated against an actual run. The paper argues
+// the finer per-pattern granularity yields more accurate models.
 func PredictSweep3D(train, targets []int64, levelName string, hier *cache.Hierarchy, perPattern bool) ([]PredictRow, error) {
 	if len(train) < 2 {
 		return nil, fmt.Errorf("need at least 2 training sizes")
 	}
-	level := hier.Level(levelName)
-	if level == nil {
+	if hier.Level(levelName) == nil {
 		return nil, fmt.Errorf("unknown level %q", levelName)
 	}
-
-	collect := func(n int64) (*collection, error) {
-		cfg := workloads.DefaultSweep3D()
-		cfg.N = n
-		prog, err := workloads.Sweep3D(cfg)
-		if err != nil {
-			return nil, err
-		}
-		res, err := analyze(prog, core.Options{Hierarchy: hier})
-		if err != nil {
-			return nil, err
-		}
-		eng, _ := res.Collector.Level(levelName)
-		c := &collection{mesh: n, patterns: map[patKey]*histo.Histogram{}}
-		for _, rd := range eng.Refs() {
-			c.cold += float64(rd.Cold)
-			for _, p := range rd.Patterns {
-				k := patKey{ref: rd.Ref, source: p.Key.Source, carrying: p.Key.Carrying}
-				if h, ok := c.patterns[k]; ok {
-					h.Merge(p.Hist)
-				} else {
-					c.patterns[k] = p.Hist.Clone()
-				}
-			}
-		}
-		return c, nil
+	prog, err := workloads.Sweep3D(workloads.DefaultSweep3D())
+	if err != nil {
+		return nil, err
 	}
-
-	var cols []*collection
-	ns := make([]float64, 0, len(train))
-	for _, n := range train {
-		c, err := collect(n)
-		if err != nil {
-			return nil, err
-		}
-		cols = append(cols, c)
-		ns = append(ns, float64(n))
-	}
-
-	// Fit the cold (compulsory) series once.
-	colds := make([]float64, len(cols))
-	for i, c := range cols {
-		colds[i] = c.cold
-	}
-	coldFit, err := model.FitBest(ns, colds, nil)
+	info, err := prog.Finalize()
 	if err != nil {
 		return nil, err
 	}
 
-	type predictor func(n float64) float64
-
-	var predictCapacity predictor
-	if perPattern {
-		// One model per reuse pattern seen in every training run.
-		keys := map[patKey]bool{}
-		for k := range cols[0].patterns {
-			keys[k] = true
-		}
-		var fits []*model.HistModel
-		for k := range keys {
-			hists := make([]*histo.Histogram, 0, len(cols))
-			for _, c := range cols {
-				h := c.patterns[k]
-				if h == nil {
-					h = histo.New()
-				}
-				hists = append(hists, h)
-			}
-			m, err := model.FitHistograms(ns, hists, 32, nil)
-			if err != nil {
-				return nil, err
-			}
-			fits = append(fits, m)
-		}
-		predictCapacity = func(n float64) float64 {
-			var sum float64
-			for _, m := range fits {
-				sum += m.PredictMisses(*level, n)
-			}
-			return sum
-		}
-	} else {
-		// One model for the whole program's merged histogram.
-		hists := make([]*histo.Histogram, len(cols))
-		for i, c := range cols {
-			merged := histo.New()
-			for _, h := range c.patterns {
-				merged.Merge(h)
-			}
-			hists[i] = merged
-		}
-		m, err := model.FitHistograms(ns, hists, 128, nil)
+	runs := make([]*predict.TrainingRun, len(train))
+	for i, n := range train {
+		res, err := runSweep3D(info, n, hier)
 		if err != nil {
 			return nil, err
 		}
-		predictCapacity = func(n float64) float64 { return m.PredictMisses(*level, n) }
+		if runs[i], err = res.TrainingRun(); err != nil {
+			return nil, err
+		}
+		if !perPattern {
+			mergePatterns(runs[i])
+		}
+	}
+	m, err := predict.Fit(info, runs, predict.FitOptions{})
+	if err != nil {
+		return nil, err
 	}
 
 	var rows []PredictRow
 	for _, n := range targets {
-		measured, err := measureSweep3D(n, levelName, hier)
+		p, err := m.Predict(meshParams(n))
 		if err != nil {
 			return nil, err
 		}
-		pred := predictCapacity(float64(n)) + clampNonNeg(coldFit.Eval(float64(n)))
-		rows = append(rows, PredictRow{Mesh: n, Predicted: pred, Measured: measured})
+		row := PredictRow{Mesh: n}
+		for _, lm := range p.LevelMisses(hier) {
+			if lm.Level == levelName {
+				row.Predicted = lm.Total
+			}
+		}
+		res, err := runSweep3D(info, n, hier)
+		if err != nil {
+			return nil, err
+		}
+		row.Measured = res.Report.Level(levelName).TotalMisses
+		rows = append(rows, row)
 	}
 	return rows, nil
 }
 
-func clampNonNeg(v float64) float64 {
-	if v < 0 {
-		return 0
-	}
-	return v
+// meshParams binds Sweep3D's cubic mesh it = jt = kt = n.
+func meshParams(n int64) map[string]int64 {
+	return map[string]int64{"it": n, "jt": n, "kt": n}
 }
 
-// measureSweep3D runs the workload at mesh n and returns the predicted
-// misses from its own (measured) histograms — the ground truth the scaled
-// models are judged against.
-func measureSweep3D(n int64, levelName string, hier *cache.Hierarchy) (float64, error) {
-	cfg := workloads.DefaultSweep3D()
-	cfg.N = n
-	prog, err := workloads.Sweep3D(cfg)
-	if err != nil {
-		return 0, err
+func runSweep3D(info *ir.Info, n int64, hier *cache.Hierarchy) (*core.Result, error) {
+	return core.Pipeline{
+		Source:  core.DynamicSource{Info: info},
+		Options: core.Options{Hierarchy: hier, Params: meshParams(n)},
+	}.Run()
+}
+
+// mergePatterns collapses every granularity's patterns into one
+// histogram under a single key, so the fit models the whole program's
+// reuse-distance distribution at once.
+func mergePatterns(run *predict.TrainingRun) {
+	for gi := range run.Grans {
+		g := &run.Grans[gi]
+		merged := histo.NewRes(g.Res)
+		for _, h := range g.Patterns {
+			merged.Merge(h)
+		}
+		g.Patterns = map[predict.Key]*histo.Histogram{{}: merged}
 	}
-	res, err := analyze(prog, core.Options{Hierarchy: hier})
-	if err != nil {
-		return 0, err
-	}
-	return res.Report.Level(levelName).TotalMisses, nil
 }

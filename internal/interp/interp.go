@@ -85,8 +85,6 @@ type Option func(*config)
 
 type config struct {
 	init        func(*Machine) error
-	baseAddr    uint64
-	arrayPad    uint64
 	maxAccesses uint64
 }
 
@@ -95,11 +93,6 @@ type config struct {
 // arrays.
 func WithInit(f func(*Machine) error) Option {
 	return func(c *config) { c.init = f }
-}
-
-// WithBaseAddress sets the address of the first array (default 1<<20).
-func WithBaseAddress(a uint64) Option {
-	return func(c *config) { c.baseAddr = a }
 }
 
 // WithMaxAccesses aborts execution with an error once the program has
@@ -145,7 +138,7 @@ func Run(info *ir.Info, params map[string]int64, h trace.Handler, opts ...Option
 // (interruptStride accesses) and the context's error is returned. A
 // background context adds no per-access overhead beyond one nil check.
 func RunContext(ctx context.Context, info *ir.Info, params map[string]int64, h trace.Handler, opts ...Option) (*Result, error) {
-	cfg := config{baseAddr: 1 << 20, arrayPad: 256}
+	var cfg config
 	for _, o := range opts {
 		o(&cfg)
 	}
@@ -157,7 +150,7 @@ func RunContext(ctx context.Context, info *ir.Info, params map[string]int64, h t
 	m.maxAccesses = cfg.maxAccesses
 	m.ctx = ctx
 	m.done = ctx.Done()
-	if err := m.layout(cfg.baseAddr, cfg.arrayPad); err != nil {
+	if err := m.layout(); err != nil {
 		return nil, err
 	}
 	if cfg.init != nil {
@@ -183,7 +176,7 @@ func Layout(info *ir.Info, params map[string]int64) (*Machine, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := m.layout(1<<20, 256); err != nil {
+	if err := m.layout(); err != nil {
 		return nil, err
 	}
 	return m, nil
@@ -217,10 +210,17 @@ func newMachine(info *ir.Info, params map[string]int64) (*Machine, error) {
 	return m, nil
 }
 
+// The first array starts at baseAddress; arrays are separated by
+// arrayPad bytes before line alignment.
+const (
+	baseAddress = 1 << 20
+	arrayPad    = 256
+)
+
 // layout resolves array extents and assigns base addresses.
-func (m *Machine) layout(base, pad uint64) error {
+func (m *Machine) layout() error {
 	m.arrays = make([]arrayState, len(m.info.Prog.Arrays))
-	addr := base
+	addr := uint64(baseAddress)
 	for i, a := range m.info.Prog.Arrays {
 		st := arrayState{arr: a}
 		st.dims = make([]int64, a.Rank())
@@ -244,7 +244,7 @@ func (m *Machine) layout(base, pad uint64) error {
 		// Align to 128-byte lines so layouts are reproducible.
 		addr = (addr + 127) &^ 127
 		st.base = addr
-		addr += uint64(total)*uint64(a.Elem) + pad
+		addr += uint64(total)*uint64(a.Elem) + arrayPad
 		if a.Data {
 			st.data = make([]int64, total)
 		}

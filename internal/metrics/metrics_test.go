@@ -31,7 +31,7 @@ func analyze(t *testing.T, p *ir.Program, hier *cache.Hierarchy, model Model) (*
 	if err != nil {
 		t.Fatal(err)
 	}
-	col := reusedist.NewCollector(hier.Granularities(), 0, false)
+	col := reusedist.NewCollectorWith(hier.Granularities(), reusedist.Config{})
 	run, err := interp.Run(info, nil, col)
 	if err != nil {
 		t.Fatal(err)
@@ -199,7 +199,7 @@ func TestIrregularMissClassification(t *testing.T) {
 		t.Fatal(err)
 	}
 	hier := smallHier()
-	col := reusedist.NewCollector(hier.Granularities(), 0, false)
+	col := reusedist.NewCollectorWith(hier.Granularities(), reusedist.Config{})
 	run, err := interp.Run(info, nil, col, interp.WithInit(func(m *interp.Machine) error {
 		nn := m.Param("N")
 		// A permutation that revisits lines within the same i-loop pass:
@@ -322,7 +322,7 @@ func TestBuildErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	hier := smallHier()
-	col := reusedist.NewCollector(nil, 0, false) // empty collector
+	col := reusedist.NewCollectorWith(nil, reusedist.Config{}) // empty collector
 	if _, err := Build(info, col, nil, hier, FullyAssoc); err == nil {
 		t.Error("Build with missing level data should fail")
 	}

@@ -2,13 +2,12 @@ package ostree
 
 import "sort"
 
-// Epoch is the engine's default order-statistic structure: a binary
-// indexed tree over a bounded, periodically compacted slot window, with no
-// per-operation hashing.
+// Epoch is the engine's order-statistic structure: a binary indexed
+// (Fenwick) tree over a bounded, periodically compacted slot window, with
+// no per-operation hashing.
 //
-// Like Fenwick, it exploits the engine's access pattern — timestamps are
-// inserted in strictly increasing order — but it drops Fenwick's
-// timestamp-to-slot map entirely:
+// It exploits the engine's access pattern — timestamps are inserted in
+// strictly increasing order — so it needs no timestamp-to-slot map:
 //
 //   - Slots are assigned in insertion order, so slot times are strictly
 //     increasing and any timestamp can be located by binary search.

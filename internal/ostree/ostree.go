@@ -7,80 +7,19 @@
 // last-access times of live memory blocks; they are unique (one access per
 // clock tick) and new keys are always larger than all existing keys.
 //
-// Three implementations are provided:
+// Two implementations are provided:
 //
+//   - Epoch: a binary indexed tree over a periodically compacted slot
+//     window. Slots are located arithmetically within the current affine
+//     run of consecutive timestamps, or by binary search in the compacted
+//     prefix, so no operation hashes. The engine uses it.
 //   - AVL: a size-augmented AVL tree, the paper's "balanced binary tree with
 //     a node for each memory block ... sorting key is the logical time of the
-//     last access" (Section II). O(log M) per operation.
-//   - Fenwick: a binary indexed tree over a compacted time window with a
-//     timestamp-to-slot hash map, a classic alternative used by other
-//     reuse-distance tools. Amortized O(log M), but every operation hashes.
-//   - Epoch: the Fenwick idea without the hash map — slots are located
-//     arithmetically within the current affine run of consecutive
-//     timestamps, or by binary search in the compacted prefix. This is the
-//     engine default.
+//     last access" (Section II). O(log M) per operation. It is the reference
+//     the epoch tree is tested against.
 //
-// All satisfy Tree and are compared in the ablation benchmarks.
+// Both offer Insert, Delete, CountGreater and Len with the same contract.
 package ostree
-
-// Tree counts, inserts and deletes last-access timestamps.
-//
-// Insert adds a timestamp strictly greater than every timestamp ever
-// inserted before. Delete removes a present timestamp. CountGreater reports
-// how many live timestamps are strictly greater than t.
-type Tree interface {
-	Insert(t uint64)
-	Delete(t uint64)
-	CountGreater(t uint64) uint64
-	Len() int
-}
-
-// Kind selects a Tree implementation.
-type Kind uint8
-
-const (
-	// KindEpoch is the epoch-compacted binary indexed tree (the default).
-	KindEpoch Kind = iota
-	// KindAVL is the paper's size-augmented balanced binary tree.
-	KindAVL
-	// KindFenwick is the map-backed compacted binary indexed tree.
-	KindFenwick
-)
-
-// String names the kind for ablation tables.
-func (k Kind) String() string {
-	switch k {
-	case KindEpoch:
-		return "epoch"
-	case KindAVL:
-		return "avl"
-	case KindFenwick:
-		return "fenwick"
-	}
-	return "unknown"
-}
-
-// NewTree constructs a tree of the given kind. capHint is the expected peak
-// number of live timestamps (distinct memory blocks); every implementation
-// grows past it as needed.
-func NewTree(k Kind, capHint int) Tree {
-	switch k {
-	case KindAVL:
-		return NewAVL(capHint)
-	case KindFenwick:
-		window := 1 << 16
-		if capHint > window/2 {
-			window = 2 * capHint
-		}
-		return NewFenwick(window)
-	default:
-		window := 1 << 12
-		if capHint > window/2 {
-			window = 2 * capHint
-		}
-		return NewEpoch(window)
-	}
-}
 
 const nilNode int32 = -1
 

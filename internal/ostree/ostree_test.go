@@ -6,6 +6,18 @@ import (
 	"testing/quick"
 )
 
+// Tree is the contract AVL, Epoch and the brute-force oracle share.
+//
+// Insert adds a timestamp strictly greater than every timestamp ever
+// inserted before. Delete removes a present timestamp. CountGreater reports
+// how many live timestamps are strictly greater than t.
+type Tree interface {
+	Insert(t uint64)
+	Delete(t uint64)
+	CountGreater(t uint64) uint64
+	Len() int
+}
+
 // brute is an O(n) reference implementation backed by a slice.
 type brute struct {
 	keys []uint64
@@ -37,9 +49,8 @@ func (b *brute) Len() int { return len(b.keys) }
 
 func implementations() map[string]func() Tree {
 	return map[string]func() Tree{
-		"AVL":     func() Tree { return NewAVL(0) },
-		"Fenwick": func() Tree { return NewFenwick(16) },
-		"Epoch":   func() Tree { return NewEpoch(16) },
+		"AVL":   func() Tree { return NewAVL(0) },
+		"Epoch": func() Tree { return NewEpoch(16) },
 	}
 }
 
@@ -223,47 +234,15 @@ func TestAVLNodeReuse(t *testing.T) {
 	}
 }
 
-func TestFenwickCompaction(t *testing.T) {
-	f := NewFenwick(16)
-	ref := &brute{}
-	// Insert/delete far more than the window size to force many compactions.
-	live := []uint64{}
-	now := uint64(0)
-	rng := rand.New(rand.NewSource(3))
-	for i := 0; i < 10000; i++ {
-		now++
-		f.Insert(now)
-		ref.Insert(now)
-		live = append(live, now)
-		if len(live) > 24 {
-			j := rng.Intn(len(live))
-			f.Delete(live[j])
-			ref.Delete(live[j])
-			live[j] = live[len(live)-1]
-			live = live[:len(live)-1]
-		}
-		if i%97 == 0 && len(live) > 0 {
-			k := live[rng.Intn(len(live))]
-			if got, want := f.CountGreater(k), ref.CountGreater(k); got != want {
-				t.Fatalf("after %d ops: CountGreater(%d) = %d, want %d", i, k, got, want)
-			}
-		}
-	}
-}
-
-// TestAllKindsAgreeWithOracle drives AVL, the map-backed Fenwick and the
-// epoch-compacted Fenwick through the same random insert/delete/count
-// interleavings and checks every query against the brute-force oracle. The
-// three structures are interchangeable inside the engine (Config.Tree), so
-// any divergence here would silently change reported reuse distances.
+// TestAllKindsAgreeWithOracle drives the epoch tree and the paper's AVL
+// tree through the same random insert/delete/count interleavings and
+// checks every query against the brute-force oracle. The engine counts
+// every reuse distance with the epoch tree, so any divergence here would
+// silently change reported reuse distances.
 func TestAllKindsAgreeWithOracle(t *testing.T) {
-	kinds := []Kind{KindEpoch, KindAVL, KindFenwick}
 	f := func(seed int64, nOps uint16) bool {
 		rng := rand.New(rand.NewSource(seed))
-		trees := make([]Tree, len(kinds))
-		for i, k := range kinds {
-			trees[i] = NewTree(k, 0)
-		}
+		trees := []Tree{NewEpoch(0), NewAVL(0)}
 		ref := &brute{}
 		now := uint64(0)
 		inserted := []uint64{}
@@ -308,45 +287,42 @@ func TestAllKindsAgreeWithOracle(t *testing.T) {
 	}
 }
 
-// TestFenwickWindowBoundaryGrowth pushes the live set past the historical
-// 1<<16 default window so compaction must grow the slot space. Before growth
-// was made explicit this was the regime where a full window of live slots
-// could recycle slots incorrectly.
+// TestFenwickWindowBoundaryGrowth pushes the epoch tree's live set past a
+// 1<<16 window so compaction must grow the binary indexed tree's slot
+// space. Before growth was made explicit this was the regime where a full
+// window of live slots could recycle slots incorrectly.
 func TestFenwickWindowBoundaryGrowth(t *testing.T) {
 	if testing.Short() {
 		t.Skip("large live set; skipped in -short")
 	}
 	const n = 1<<16 + 5000
-	for name, tr := range map[string]Tree{
-		"Fenwick": NewFenwick(1 << 16),
-		"Epoch":   NewEpoch(1 << 16),
-	} {
-		for i := uint64(1); i <= n; i++ {
-			tr.Insert(i)
+	tr := NewEpoch(1 << 16)
+	for i := uint64(1); i <= n; i++ {
+		tr.Insert(i)
+	}
+	if tr.Len() != n {
+		t.Fatalf("Len = %d, want %d", tr.Len(), n)
+	}
+	for _, q := range []uint64{1, 255, 1 << 15, 1 << 16, 1<<16 + 1, n - 1, n} {
+		if got, want := tr.CountGreater(q), uint64(n-q); got != want {
+			t.Errorf("CountGreater(%d) = %d, want %d", q, got, want)
 		}
-		if tr.Len() != n {
-			t.Fatalf("%s: Len = %d, want %d", name, tr.Len(), n)
-		}
-		for _, q := range []uint64{1, 255, 1 << 15, 1 << 16, 1<<16 + 1, n - 1, n} {
-			if got, want := tr.CountGreater(q), uint64(n-q); got != want {
-				t.Errorf("%s: CountGreater(%d) = %d, want %d", name, q, got, want)
-			}
-		}
-		// Churn across the boundary: delete the older half, keep counting.
-		for i := uint64(1); i <= n/2; i++ {
-			tr.Delete(i)
-		}
-		if got, want := tr.CountGreater(n/2), uint64(n-n/2); got != want {
-			t.Errorf("%s: after deletes CountGreater(%d) = %d, want %d", name, n/2, got, want)
-		}
-		if got, want := tr.CountGreater(0), uint64(n-n/2); got != want {
-			t.Errorf("%s: after deletes CountGreater(0) = %d, want %d", name, got, want)
-		}
+	}
+	// Churn across the boundary: delete the older half, keep counting.
+	for i := uint64(1); i <= n/2; i++ {
+		tr.Delete(i)
+	}
+	if got, want := tr.CountGreater(n/2), uint64(n-n/2); got != want {
+		t.Errorf("after deletes CountGreater(%d) = %d, want %d", n/2, got, want)
+	}
+	if got, want := tr.CountGreater(0), uint64(n-n/2); got != want {
+		t.Errorf("after deletes CountGreater(0) = %d, want %d", got, want)
 	}
 }
 
-// TestEpochCompactionChurn mirrors TestFenwickCompaction for the epoch tree,
-// with clock gaps mixed in so compaction interacts with broken affine runs.
+// TestEpochCompactionChurn forces many compactions of a small window
+// under random deletes, with clock gaps mixed in so compaction interacts
+// with broken affine runs.
 func TestEpochCompactionChurn(t *testing.T) {
 	e := NewEpoch(16)
 	ref := &brute{}
@@ -374,13 +350,14 @@ func TestEpochCompactionChurn(t *testing.T) {
 	}
 }
 
+// TestFenwickAbsentKeyQuery queries the epoch tree at timestamps that
+// were never inserted or were deleted.
 func TestFenwickAbsentKeyQuery(t *testing.T) {
-	f := NewFenwick(16)
+	e := NewEpoch(16)
 	for _, k := range []uint64{10, 20, 30, 40} {
-		f.Insert(k)
+		e.Insert(k)
 	}
-	f.Delete(20)
-	// Query timestamps that were never inserted or were deleted.
+	e.Delete(20)
 	cases := []struct {
 		t    uint64
 		want uint64
@@ -394,7 +371,7 @@ func TestFenwickAbsentKeyQuery(t *testing.T) {
 		{50, 0}, // above all keys
 	}
 	for _, c := range cases {
-		if got := f.CountGreater(c.t); got != c.want {
+		if got := e.CountGreater(c.t); got != c.want {
 			t.Errorf("CountGreater(%d) = %d, want %d", c.t, got, c.want)
 		}
 	}
@@ -424,9 +401,6 @@ func benchTree(b *testing.B, mk func() Tree, blocks int) {
 }
 
 func BenchmarkAVL64KBlocks(b *testing.B) { benchTree(b, func() Tree { return NewAVL(0) }, 65536) }
-func BenchmarkFenwick64KBlocks(b *testing.B) {
-	benchTree(b, func() Tree { return NewFenwick(0) }, 65536)
-}
 func BenchmarkEpoch64KBlocks(b *testing.B) {
 	benchTree(b, func() Tree { return NewEpoch(0) }, 65536)
 }

@@ -21,14 +21,10 @@ type Collector struct {
 	Engines []*Engine
 }
 
-// NewCollector builds a Collector with one engine per granularity.
-func NewCollector(grans []Granularity, histRes int, useFenwick bool) *Collector {
-	return NewCollectorWith(grans, Config{HistRes: histRes, UseFenwick: useFenwick})
-}
-
-// NewCollectorWith builds a Collector whose engines share base's
-// histogram resolution, tree selection and context filter; block sizes
-// and thresholds come from the granularities.
+// NewCollectorWith builds a Collector with one engine per granularity.
+// The engines share base's histogram resolution, sampling, capacity
+// hints and context filter; block sizes and thresholds come from the
+// granularities.
 func NewCollectorWith(grans []Granularity, base Config) *Collector {
 	c := &Collector{Grans: grans}
 	for _, g := range grans {

@@ -6,9 +6,10 @@
 //   - a logical clock incremented on every memory access;
 //   - a hierarchical block table associating each memory block with the
 //     logical time, reference and scope of its last access;
-//   - an order-statistic balanced tree keyed by last-access time that
-//     answers "how many distinct blocks were accessed since time t" in
-//     O(log M);
+//   - an order-statistic tree keyed by last-access time that answers "how
+//     many distinct blocks were accessed since time t" in O(log M) (the
+//     paper uses a balanced binary tree; the engine uses ostree.Epoch,
+//     which gives the same counts);
 //   - the dynamic stack of scopes used to determine the scope carrying each
 //     reuse.
 //
@@ -129,15 +130,6 @@ type Config struct {
 	// HistRes is the histogram resolution (sub-buckets per octave);
 	// 0 means histo.DefaultResolution.
 	HistRes int
-	// Tree selects the order-statistic structure. The zero value is
-	// ostree.KindEpoch, the map-free epoch-compacted binary indexed tree;
-	// KindAVL (the paper's structure) and KindFenwick remain available for
-	// ablation. All three are exact, so the choice never changes results.
-	Tree ostree.Kind
-	// UseFenwick selects the Fenwick order-statistic structure.
-	// Deprecated: set Tree to ostree.KindFenwick instead; kept for
-	// existing callers and overrides Tree when set.
-	UseFenwick bool
 	// Hints presizes the engine's data structures; zero values mean
 	// unknown and never affect results, only allocation behaviour.
 	Hints CapacityHints
@@ -178,7 +170,7 @@ type Engine struct {
 	cfg   Config
 	clock uint64
 	table *blocktable.Radix
-	tree  ostree.Tree
+	tree  *ostree.Epoch
 	stack scope.Stack
 	refs  []*RefData // indexed by RefID, nil until first access
 	res   int
@@ -236,10 +228,6 @@ func New(cfg Config) *Engine {
 	if res == 0 {
 		res = histo.DefaultResolution
 	}
-	kind := cfg.Tree
-	if cfg.UseFenwick {
-		kind = ostree.KindFenwick
-	}
 	blocks := 0
 	if cfg.Hints.FootprintBytes > 0 {
 		blocks = int(cfg.Hints.FootprintBytes >> cfg.BlockBits)
@@ -248,10 +236,16 @@ func New(cfg Config) *Engine {
 	// most the adaptive cap), so size the block table and tree window
 	// from the admitted estimate, not the full footprint.
 	blocks = cfg.Sampling.CapBlocks(blocks)
+	// The tree window holds at least 4096 slots, and twice the expected
+	// live set when that is larger, so compaction stays amortized O(1).
+	window := 1 << 12
+	if blocks > window/2 {
+		window = 2 * blocks
+	}
 	e := &Engine{
 		cfg:   cfg,
 		table: blocktable.NewRadixHint(blocks),
-		tree:  ostree.NewTree(kind, blocks),
+		tree:  ostree.NewEpoch(window),
 		res:   res,
 		scale: 1,
 		minTh: histo.Cold, // MaxUint64: no threshold ever reached

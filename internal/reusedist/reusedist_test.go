@@ -268,33 +268,31 @@ func patternsEqual(t *testing.T, a, b *RefData) bool {
 
 // TestEngineMatchesNaive is the central differential test: the O(log M)
 // engine must agree exactly with the O(N·M) reference implementation,
-// pattern by pattern, for both tree implementations.
+// pattern by pattern.
 func TestEngineMatchesNaive(t *testing.T) {
-	for _, useFenwick := range []bool{false, true} {
-		f := func(seed int64) bool {
-			thresholds := []uint64{4, 16, 64}
-			e := New(Config{BlockBits: 6, Thresholds: thresholds, UseFenwick: useFenwick})
-			n := NewNaive(6, thresholds)
-			randomTrace(seed, 2000, trace.Multi{e, n})
-			for _, rd := range e.Refs() {
-				nd := n.Ref(rd.Ref)
-				if nd == nil || !patternsEqual(t, rd, nd) {
-					return false
-				}
+	f := func(seed int64) bool {
+		thresholds := []uint64{4, 16, 64}
+		e := New(Config{BlockBits: 6, Thresholds: thresholds})
+		n := NewNaive(6, thresholds)
+		randomTrace(seed, 2000, trace.Multi{e, n})
+		for _, rd := range e.Refs() {
+			nd := n.Ref(rd.Ref)
+			if nd == nil || !patternsEqual(t, rd, nd) {
+				return false
 			}
-			return len(e.Refs()) == len(n.Refs())
 		}
-		if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
-			t.Errorf("useFenwick=%v: %v", useFenwick, err)
-		}
+		return len(e.Refs()) == len(n.Refs())
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
+		t.Error(err)
 	}
 }
 
 func TestCollectorLevelsAndEngines(t *testing.T) {
-	c := NewCollector([]Granularity{
+	c := NewCollectorWith([]Granularity{
 		{Name: "line", BlockBits: 7, Thresholds: []uint64{2048, 12288}, LevelNames: []string{"L2", "L3"}},
 		{Name: "page", BlockBits: 14, Thresholds: []uint64{128}, LevelNames: []string{"TLB"}},
-	}, 0, false)
+	}, Config{})
 	c.EnterScope(0)
 	for i := 0; i < 1000; i++ {
 		c.Access(1, uint64(i%100)*128, 8, false)
@@ -356,11 +354,8 @@ func TestTotalsConsistency(t *testing.T) {
 	}
 }
 
-func BenchmarkEngineAVL(b *testing.B)     { benchEngine(b, false) }
-func BenchmarkEngineFenwick(b *testing.B) { benchEngine(b, true) }
-
-func benchEngine(b *testing.B, fenwick bool) {
-	e := New(Config{BlockBits: 7, Thresholds: []uint64{2048, 12288}, UseFenwick: fenwick})
+func BenchmarkEngine(b *testing.B) {
+	e := New(Config{BlockBits: 7, Thresholds: []uint64{2048, 12288}})
 	rng := rand.New(rand.NewSource(1))
 	addrs := make([]uint64, 1<<16)
 	for i := range addrs {

@@ -233,7 +233,6 @@ func (r *resolved) execute(ctx context.Context) (*CacheEntry, error) {
 		Hierarchy: r.hier,
 		Params:    r.req.Params,
 		HistRes:   r.req.HistRes,
-		Init:      r.init,
 		Sampling:  r.sample,
 	}
 	var src core.Source
@@ -247,7 +246,7 @@ func (r *resolved) execute(ctx context.Context) (*CacheEntry, error) {
 	case r.mode == "static":
 		src = core.StaticSource{Prog: r.prog}
 	default:
-		src = core.DynamicSource{Prog: r.prog}
+		src = core.DynamicSource{Prog: r.prog, Init: r.init}
 	}
 	res, err := core.Pipeline{Source: src, Options: opts}.RunContext(ctx)
 	if err != nil {

@@ -13,9 +13,6 @@ package trace
 // IDs are dense small integers assigned by the program representation.
 type RefID int32
 
-// NoRef marks the absence of a reference (e.g. "no previous access").
-const NoRef RefID = -1
-
 // ScopeID identifies a static program scope (program, file, routine, loop).
 // IDs are dense small integers assigned by the scope tree.
 type ScopeID int32

@@ -111,7 +111,7 @@ func TestRoundTripThroughIRWorkload(t *testing.T) {
 	hier := cache.ScaledItanium2()
 
 	// Live analysis.
-	liveCol := reusedist.NewCollector(hier.Granularities(), 0, false)
+	liveCol := reusedist.NewCollectorWith(hier.Granularities(), reusedist.Config{})
 	if _, err := interp.Run(info, nil, liveCol); err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestRoundTripThroughIRWorkload(t *testing.T) {
 	}
 
 	// Read back into a fresh collector.
-	col := reusedist.NewCollector(hier.Granularities(), 0, false)
+	col := reusedist.NewCollectorWith(hier.Granularities(), reusedist.Config{})
 	meta, err := Read(&buf, col)
 	if err != nil {
 		t.Fatal(err)

@@ -136,14 +136,9 @@ func FragTable(w io.Writer, rep *metrics.Report, level string, top int) error {
 	return tw.Flush()
 }
 
-// Advice prints ranked Table I recommendations for one level.
-func Advice(w io.Writer, rep *metrics.Report, level string, minShare float64) error {
-	return AdviceWith(w, rep, nil, level, minShare)
-}
-
-// AdviceWith is Advice with legality verdicts from a dependence
-// analysis: each recommendation is tagged [kind, legality] and followed
-// by the verdict's rationale. A nil analysis reproduces Advice.
+// AdviceWith prints ranked Table I recommendations for one level. With a
+// dependence analysis each recommendation is tagged [kind, legality] and
+// followed by the verdict's rationale; a nil analysis prints [kind] only.
 func AdviceWith(w io.Writer, rep *metrics.Report, deps *depend.Analysis, level string, minShare float64) error {
 	recs := advise.AdviseWith(rep, deps, level, minShare)
 	return AdviceRecs(w, recs, deps != nil, level, minShare)
@@ -199,13 +194,9 @@ func ArrayTable(w io.Writer, rep *metrics.Report, level string, top int) error {
 	return tw.Flush()
 }
 
-// Summary renders the standard report set for one level: scope tree,
-// carried misses, pattern database, fragmentation, and advice.
-func Summary(w io.Writer, rep *metrics.Report, level string, minShare float64) error {
-	return SummaryWith(w, rep, nil, level, minShare)
-}
-
-// SummaryWith is Summary with legality-gated advice (see AdviceWith).
+// SummaryWith renders the standard report set for one level: scope
+// tree, carried misses, pattern database, fragmentation, and advice,
+// legality-gated when deps is non-nil (see AdviceWith).
 func SummaryWith(w io.Writer, rep *metrics.Report, deps *depend.Analysis, level string, minShare float64) error {
 	if err := ScopeTree(w, rep, level, minShare); err != nil {
 		return err

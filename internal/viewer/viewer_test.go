@@ -23,7 +23,7 @@ func buildReport(t *testing.T, prog *ir.Program, params map[string]int64) *metri
 		t.Fatal(err)
 	}
 	hier := cache.ScaledItanium2()
-	col := reusedist.NewCollector(hier.Granularities(), 0, false)
+	col := reusedist.NewCollectorWith(hier.Granularities(), reusedist.Config{})
 	run, err := interp.Run(info, params, col)
 	if err != nil {
 		t.Fatal(err)
@@ -137,7 +137,7 @@ func TestFragAndArrayTables(t *testing.T) {
 func TestAdviceOutput(t *testing.T) {
 	res := sampleResult(t)
 	var buf bytes.Buffer
-	if err := Advice(&buf, res.Report, "L2", 0.05); err != nil {
+	if err := AdviceWith(&buf, res.Report, nil, "L2", 0.05); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -147,7 +147,7 @@ func TestAdviceOutput(t *testing.T) {
 	}
 	// No recommendations above an absurd threshold.
 	buf.Reset()
-	if err := Advice(&buf, res.Report, "L2", 1.5); err != nil {
+	if err := AdviceWith(&buf, res.Report, nil, "L2", 1.5); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "No recommendations") {

@@ -106,14 +106,9 @@ type XArray struct {
 	Misses     float64 `xml:"misses,attr"`
 }
 
-// Build converts a report into the XML document model.
-func Build(rep *metrics.Report) *Experiment {
-	return BuildWith(rep, nil, 0)
-}
-
-// BuildWith is Build plus an Advice section: per level, the ranked
-// recommendations above minShare, with legality verdicts when a
-// dependence analysis is supplied.
+// BuildWith converts a report into the XML document model. With a
+// dependence analysis it adds an Advice section: per level, the ranked
+// recommendations above minShare with their legality verdicts.
 func BuildWith(rep *metrics.Report, deps *depend.Analysis, minShare float64) *Experiment {
 	exp := build(rep)
 	if deps == nil {
@@ -222,13 +217,8 @@ func build(rep *metrics.Report) *Experiment {
 	return exp
 }
 
-// Marshal renders a report as indented XML.
-func Marshal(rep *metrics.Report) ([]byte, error) {
-	return MarshalWith(rep, nil, 0)
-}
-
-// MarshalWith renders a report as indented XML including the Advice
-// section (see BuildWith).
+// MarshalWith renders a report as indented XML, including the Advice
+// section when deps is non-nil (see BuildWith).
 func MarshalWith(rep *metrics.Report, deps *depend.Analysis, minShare float64) ([]byte, error) {
 	exp := BuildWith(rep, deps, minShare)
 	out, err := xml.MarshalIndent(exp, "", "  ")
@@ -238,7 +228,7 @@ func MarshalWith(rep *metrics.Report, deps *depend.Analysis, minShare float64) (
 	return append([]byte(xml.Header), out...), nil
 }
 
-// Unmarshal parses a document produced by Marshal (round-trip support for
+// Unmarshal parses a document produced by MarshalWith (round-trip support for
 // downstream tools and tests).
 func Unmarshal(data []byte) (*Experiment, error) {
 	var exp Experiment

@@ -29,7 +29,7 @@ func sampleReport(t *testing.T) *sample {
 	}
 	params := map[string]int64{"N": 64, "M": 16}
 	hier := cache.ScaledItanium2()
-	col := reusedist.NewCollector(hier.Granularities(), 0, false)
+	col := reusedist.NewCollectorWith(hier.Granularities(), reusedist.Config{})
 	run, err := interp.Run(info, params, col)
 	if err != nil {
 		t.Fatal(err)
@@ -48,7 +48,7 @@ func sampleReport(t *testing.T) *sample {
 
 func TestMarshalStructure(t *testing.T) {
 	res := sampleReport(t)
-	data, err := Marshal(res.Report)
+	data, err := MarshalWith(res.Report, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestMarshalStructure(t *testing.T) {
 
 func TestRoundTrip(t *testing.T) {
 	res := sampleReport(t)
-	data, err := Marshal(res.Report)
+	data, err := MarshalWith(res.Report, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestRoundTrip(t *testing.T) {
 
 func TestScopeMetricValues(t *testing.T) {
 	res := sampleReport(t)
-	exp := Build(res.Report)
+	exp := BuildWith(res.Report, nil, 0)
 	// The root's inclusive misses must equal the level total.
 	var rootIncl float64
 	for _, v := range exp.Root.Values {
