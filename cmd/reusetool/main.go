@@ -376,16 +376,6 @@ func run() int {
 		ctx, cancel = context.WithTimeout(ctx, *timeout)
 		defer cancel()
 	}
-	// fail renders an analysis error and picks the exit status: 3 when
-	// the -timeout deadline killed the run, 1 for everything else.
-	fail := func(err error) int {
-		fmt.Fprintln(os.Stderr, err)
-		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-			return 3
-		}
-		return 1
-	}
-
 	if mode == modeFit || mode == modePredict {
 		cfg := fitCLI{
 			workload:  *workload,
@@ -400,11 +390,7 @@ func run() int {
 		}
 		if *remote != "" {
 			if err := runRemoteFitPredict(ctx, *remote, os.Stdout, os.Stderr, cfg, timeout.Milliseconds()); err != nil {
-				fmt.Fprintln(os.Stderr, describeRemoteError(err))
-				if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-					return 3
-				}
-				return 1
+				return fail(os.Stderr, err)
 			}
 			return 0
 		}
@@ -435,13 +421,7 @@ func run() int {
 			req.Workload, req.Program = "", string(data)
 		}
 		if err := runRemote(ctx, *remote, req, os.Stdout, os.Stderr); err != nil {
-			// Typed API errors print their machine-readable code so
-			// scripted callers can branch on stderr.
-			fmt.Fprintln(os.Stderr, describeRemoteError(err))
-			if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-				return 3
-			}
-			return 1
+			return fail(os.Stderr, err)
 		}
 		return 0
 	}
@@ -454,7 +434,7 @@ func run() int {
 
 	if mode == modeTrace {
 		if err := analyzeTraceFile(ctx, *fromTrace, *level, *share, *xmlOut, opts); err != nil {
-			return fail(err)
+			return fail(os.Stderr, err)
 		}
 		return 0
 	}
@@ -488,7 +468,7 @@ func run() int {
 
 	if mode == modeValidate {
 		if err := staticValidate(ctx, prog, init, *level, opts); err != nil {
-			return fail(err)
+			return fail(os.Stderr, err)
 		}
 		return 0
 	}
@@ -522,7 +502,7 @@ func run() int {
 		err = finish(err)
 	}
 	if err != nil {
-		return fail(err)
+		return fail(os.Stderr, err)
 	}
 
 	if *saveTo != "" {
@@ -553,7 +533,7 @@ func run() int {
 	if *cctOut {
 		fmt.Println()
 		if err := printCCT(ctx, *workload, *progFile, hier, *level, *share, params); err != nil {
-			return fail(err)
+			return fail(os.Stderr, err)
 		}
 	}
 	if *compareTo != "" {
@@ -568,7 +548,7 @@ func run() int {
 			Options: core.Options{Hierarchy: hier, Params: params, Parallel: *parallel},
 		}.RunContext(ctx)
 		if err != nil {
-			return fail(err)
+			return fail(os.Stderr, err)
 		}
 		if err := viewer.Compare(os.Stdout, res.Report, otherRes.Report); err != nil {
 			fmt.Fprintln(os.Stderr, err)
@@ -576,6 +556,18 @@ func run() int {
 		}
 	}
 	return 0
+}
+
+// fail renders an analysis error on errw and picks the exit status: 3
+// when the -timeout deadline killed the run, 1 for everything else.
+// Typed API errors from -remote print their machine-readable code so
+// scripted callers can branch on stderr.
+func fail(errw io.Writer, err error) int {
+	fmt.Fprintln(errw, describeRemoteError(err))
+	if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
+		return 3
+	}
+	return 1
 }
 
 // traceRecorder opens the -dump-trace tee. finish flushes and closes it,

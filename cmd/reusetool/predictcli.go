@@ -159,7 +159,7 @@ func runFitPredict(ctx context.Context, out, errw io.Writer, cfg fitCLI) int {
 		fmt.Fprintln(errw, err)
 		return 2
 	}
-	hier, err := hierFor(m.Hierarchy)
+	hier, err := cache.ByName(m.Hierarchy)
 	if err != nil {
 		fmt.Fprintln(errw, err)
 		return 1
@@ -229,20 +229,6 @@ func fitFromRuns(ctx context.Context, errw io.Writer, cfg fitCLI) (*predict.Mode
 	return m, 0
 }
 
-// hierFor maps a model's hierarchy name back to the machine model (the
-// same names the v1 API uses).
-func hierFor(name string) (*cache.Hierarchy, error) {
-	switch name {
-	case "", "scaled":
-		return cache.ScaledItanium2(), nil
-	case "full":
-		return cache.Itanium2(), nil
-	case "opteron":
-		return cache.Opteron(), nil
-	}
-	return nil, fmt.Errorf("unknown hierarchy %q in model", name)
-}
-
 // runRemoteFitPredict submits -fit/-predict to a daemon or coordinator.
 // Fits go through the async job API; predictions are synchronous and
 // answered from the daemon's cached model in microseconds.
@@ -275,24 +261,7 @@ func runRemoteFitPredict(ctx context.Context, base string, out, errw io.Writer, 
 		if err != nil {
 			return err
 		}
-		if !job.CacheHit && !job.Status.Terminal() {
-			fmt.Fprintf(errw, "fit job %s queued on %s\n", job.ID, cl.BaseURL())
-			if job, err = cl.Wait(ctx, job.ID); err != nil {
-				return err
-			}
-		}
-		if job.CacheHit {
-			fmt.Fprintf(errw, "model served from daemon cache (key %.12s…)\n", job.Key)
-		}
-		switch job.Status {
-		case client.JobDone:
-			_, err := io.WriteString(out, job.Report)
-			return err
-		case client.JobCanceled:
-			return fmt.Errorf("fit job %s canceled (%s): %w", job.ID, job.Error, context.DeadlineExceeded)
-		default:
-			return fmt.Errorf("fit job %s %s: %s", job.ID, job.Status, job.Error)
-		}
+		return awaitRemote(ctx, cl, job, "fit job", "model ", out, errw)
 	}
 
 	resp, err := cl.Predict(ctx, client.PredictRequest{

@@ -23,8 +23,18 @@ func runRemote(ctx context.Context, base string, req client.AnalyzeRequest, out,
 	if err != nil {
 		return err
 	}
+	return awaitRemote(ctx, cl, job, "job", "", out, errw)
+}
+
+// awaitRemote waits for a submitted job and prints the daemon-rendered
+// report. what names the job on stderr ("job", "fit job") and served
+// what a cache hit returns ("", "model "). A canceled job maps onto
+// DeadlineExceeded: the job deadline is the -timeout flag's
+// server-side half, so it exits like a local deadline.
+func awaitRemote(ctx context.Context, cl *client.Client, job *client.Job, what, served string, out, errw io.Writer) error {
 	if !job.CacheHit && !job.Status.Terminal() {
-		fmt.Fprintf(errw, "job %s queued on %s\n", job.ID, cl.BaseURL())
+		fmt.Fprintf(errw, "%s %s queued on %s\n", what, job.ID, cl.BaseURL())
+		var err error
 		if job, err = cl.Wait(ctx, job.ID); err != nil {
 			return err
 		}
@@ -32,19 +42,16 @@ func runRemote(ctx context.Context, base string, req client.AnalyzeRequest, out,
 	// Against a coordinator the hit surfaces on the polled document, not
 	// the 202 — check after the wait so both paths report it.
 	if job.CacheHit {
-		fmt.Fprintf(errw, "served from daemon cache (key %.12s…)\n", job.Key)
+		fmt.Fprintf(errw, "%sserved from daemon cache (key %.12s…)\n", served, job.Key)
 	}
-
 	switch job.Status {
 	case client.JobDone:
 		_, err := io.WriteString(out, job.Report)
 		return err
 	case client.JobCanceled:
-		// The job deadline is the -timeout flag's server-side half; map
-		// it onto the same exit status as a local deadline.
-		return fmt.Errorf("job %s canceled (%s): %w", job.ID, job.Error, context.DeadlineExceeded)
+		return fmt.Errorf("%s %s canceled (%s): %w", what, job.ID, job.Error, context.DeadlineExceeded)
 	default:
-		return fmt.Errorf("job %s %s: %s", job.ID, job.Status, job.Error)
+		return fmt.Errorf("%s %s %s: %s", what, job.ID, job.Status, job.Error)
 	}
 }
 

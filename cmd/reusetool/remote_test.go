@@ -89,6 +89,59 @@ func TestRunRemoteCanceledJobMapsToDeadline(t *testing.T) {
 	}
 }
 
+// TestRunRemoteFitPredict drives -remote -fit and -remote -predict
+// against an in-process daemon: a predict before any fit exits 1 with
+// the typed not_found code, the fit prints the model summary, a refit
+// is served from the daemon cache, and a predict prints the report.
+func TestRunRemoteFitPredict(t *testing.T) {
+	srv, err := server.New(server.Config{Workers: 1, QueueDepth: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Drain(context.Background())
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	ctx := context.Background()
+	fit := fitCLI{workload: "fig2", train: bindings(64, 96, 128), params: map[string]int64{"N": 2048}, level: "L2"}
+	predict := fit
+	predict.predict = true
+
+	var out, errw bytes.Buffer
+	err = runRemoteFitPredict(ctx, ts.URL, &out, &errw, predict, 0)
+	var msg bytes.Buffer
+	if code := fail(&msg, err); code != 1 || !strings.HasPrefix(msg.String(), "not_found: ") {
+		t.Fatalf("predict before fit: exit %d, stderr %q; want exit 1 with not_found:", code, msg.String())
+	}
+
+	// The daemon's model summary matches a local fit of the same spec.
+	var local bytes.Buffer
+	if code := runFitPredict(ctx, &local, &errw, fit); code != 0 {
+		t.Fatalf("local fit: exit %d: %s", code, errw.String())
+	}
+	for _, want := range []string{"fit job ", "model served from daemon cache"} {
+		out.Reset()
+		errw.Reset()
+		if err := runRemoteFitPredict(ctx, ts.URL, &out, &errw, fit, 0); err != nil {
+			t.Fatalf("remote fit: %v (%s)", err, errw.String())
+		}
+		if out.String() != local.String() {
+			t.Fatalf("remote fit summary:\n%s\nlocal fit summary:\n%s", out.String(), local.String())
+		}
+		if !strings.HasPrefix(errw.String(), want) {
+			t.Fatalf("remote fit stderr %q, want prefix %q", errw.String(), want)
+		}
+	}
+
+	out.Reset()
+	errw.Reset()
+	if err := runRemoteFitPredict(ctx, ts.URL, &out, &errw, predict, 0); err != nil {
+		t.Fatalf("remote predict: %v (%s)", err, errw.String())
+	}
+	if !strings.Contains(out.String(), "N=2048") || !strings.HasPrefix(errw.String(), "predicted in ") {
+		t.Fatalf("remote predict: stdout %q, stderr %q", out.String(), errw.String())
+	}
+}
+
 // TestTimeoutExitStatus builds the real binary and checks the contract
 // stated in the docs: a -timeout deadline that fires mid-analysis exits
 // with status 3, distinct from failures (1) and usage errors (2).

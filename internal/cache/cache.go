@@ -206,6 +206,21 @@ func Opteron() *Hierarchy {
 	}
 }
 
+// ByName maps a hierarchy name, as the v1 API and saved models spell
+// it, to the machine model: "" and "scaled" select ScaledItanium2,
+// "full" Itanium2 and "opteron" Opteron.
+func ByName(name string) (*Hierarchy, error) {
+	switch name {
+	case "", "scaled":
+		return ScaledItanium2(), nil
+	case "full":
+		return Itanium2(), nil
+	case "opteron":
+		return Opteron(), nil
+	}
+	return nil, fmt.Errorf("unknown hierarchy %q (want scaled, full, or opteron)", name)
+}
+
 // UnionGranularities merges the collection granularities of several
 // hierarchies, so one instrumented run can serve predictions for all of
 // them (levels sharing a block size share an engine; their thresholds

@@ -254,3 +254,21 @@ func TestOpteronGeometry(t *testing.T) {
 		t.Errorf("Opteron TLB = %d entries, want 512", h.Level("TLB").CapacityBlocks())
 	}
 }
+
+func TestByName(t *testing.T) {
+	for name, want := range map[string]string{
+		"":        "ScaledItanium2",
+		"scaled":  "ScaledItanium2",
+		"full":    "Itanium2",
+		"opteron": "Opteron",
+	} {
+		h, err := ByName(name)
+		if err != nil || h.Name != want {
+			t.Errorf("ByName(%q) = %v, %v; want %s", name, h, err, want)
+		}
+	}
+	_, err := ByName("pentium")
+	if err == nil || err.Error() != `unknown hierarchy "pentium" (want scaled, full, or opteron)` {
+		t.Errorf("ByName(pentium) error = %v", err)
+	}
+}

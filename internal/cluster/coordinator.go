@@ -1,12 +1,9 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math/rand"
 	"net/http"
 	"sort"
@@ -21,9 +18,6 @@ import (
 type Config struct {
 	// Peers are the worker daemon base URLs (e.g. "http://127.0.0.1:8375").
 	Peers []string
-	// VNodes is the consistent-hash virtual-node count per worker
-	// (default DefaultVNodes).
-	VNodes int
 	// ProbeInterval paces the health prober (default 2s); ProbeTimeout
 	// bounds one probe (default 1s).
 	ProbeInterval time.Duration
@@ -40,17 +34,9 @@ type Config struct {
 	RetryMax  time.Duration
 	// PollInterval paces job polling on the workers (default 50ms).
 	PollInterval time.Duration
-	// MaxBodyBytes bounds analyze request bodies (default 16 MiB).
-	MaxBodyBytes int64
-	// HTTPClient substitutes the transport used for all worker traffic
-	// (default a fresh http.Client).
-	HTTPClient *http.Client
 }
 
 func (cfg *Config) fill() {
-	if cfg.VNodes <= 0 {
-		cfg.VNodes = DefaultVNodes
-	}
 	if cfg.ProbeInterval <= 0 {
 		cfg.ProbeInterval = 2 * time.Second
 	}
@@ -72,12 +58,6 @@ func (cfg *Config) fill() {
 	if cfg.PollInterval <= 0 {
 		cfg.PollInterval = 50 * time.Millisecond
 	}
-	if cfg.MaxBodyBytes <= 0 {
-		cfg.MaxBodyBytes = 16 << 20
-	}
-	if cfg.HTTPClient == nil {
-		cfg.HTTPClient = &http.Client{}
-	}
 }
 
 // nodeState is one worker's bookkeeping. All mutable fields are
@@ -85,6 +65,9 @@ func (cfg *Config) fill() {
 type nodeState struct {
 	url string
 	cli *client.Client
+	// cache reaches the worker's GET/PUT /v1/cache/{key} routes with the
+	// client workers use for their own shared tier.
+	cache *server.RemoteCache
 
 	healthy  bool
 	failures int
@@ -145,6 +128,7 @@ type Coordinator struct {
 	nodes    map[string]*nodeState // guarded by mu
 	jobs     map[string]*proxyJob  // guarded by mu
 	order    []string              // guarded by mu
+	maxJobs  int                   // guarded by mu; server.PruneJobs bound on jobs
 	nextID   int                   // guarded by mu
 	draining bool                  // guarded by mu
 
@@ -160,16 +144,15 @@ func New(cfg Config) (*Coordinator, error) {
 		return nil, errors.New("cluster: coordinator needs at least one peer")
 	}
 	nodes := map[string]*nodeState{}
-	ring := NewRing(cfg.VNodes)
+	ring := NewRing(DefaultVNodes)
 	for _, p := range cfg.Peers {
+		cli := client.New(p, client.WithRetry(client.Retry{Attempts: 2, Base: cfg.RetryBase, Max: cfg.RetryMax}))
 		ns := &nodeState{
-			url: p,
-			cli: client.New(p,
-				client.WithHTTPClient(cfg.HTTPClient),
-				client.WithRetry(client.Retry{Attempts: 2, Base: cfg.RetryBase, Max: cfg.RetryMax})),
+			url:     cli.BaseURL(),
+			cli:     cli,
+			cache:   server.NewRemoteCache(cli.BaseURL(), nil),
 			healthy: true,
 		}
-		ns.url = ns.cli.BaseURL()
 		if _, dup := nodes[ns.url]; dup {
 			return nil, fmt.Errorf("cluster: duplicate peer %s", p)
 		}
@@ -182,12 +165,13 @@ func New(cfg Config) (*Coordinator, error) {
 		metrics: NewMetrics(),
 		nodes:   nodes,
 		jobs:    map[string]*proxyJob{},
+		maxJobs: server.MaxJobs,
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/analyze", c.handleAnalyze)
 	// Checks are stateless and cheap: the coordinator runs them in
 	// place rather than proxying, with the same handler workers mount.
-	mux.HandleFunc("POST /v1/check", server.CheckHandler(cfg.MaxBodyBytes))
+	mux.HandleFunc("POST /v1/check", server.HandleCheck)
 	mux.HandleFunc("POST /v1/fit", c.handleFit)
 	mux.HandleFunc("POST /v1/predict", c.handlePredict)
 	mux.HandleFunc("GET /v1/jobs", c.handleJobList)
@@ -512,65 +496,18 @@ func (c *Coordinator) finishLocal(j *proxyJob, status client.JobStatus, msg stri
 	}
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
-}
-
-func writeError(w http.ResponseWriter, status int, code client.ErrorCode, format string, args ...any) {
-	writeJSON(w, status, client.ErrorEnvelope{
-		APIVersion: client.APIVersion,
-		Err:        client.ErrorBody{Code: code, Message: fmt.Sprintf(format, args...)},
-	})
-}
-
-func (c *Coordinator) handleAnalyze(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, c.cfg.MaxBodyBytes+1))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, client.CodeInvalidRequest, "read body: %v", err)
-		return
-	}
-	if int64(len(body)) > c.cfg.MaxBodyBytes {
-		writeError(w, http.StatusRequestEntityTooLarge, client.CodeTooLarge, "body exceeds %d bytes", c.cfg.MaxBodyBytes)
-		return
-	}
-	var req client.AnalyzeRequest
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, client.CodeInvalidRequest, "decode request: %v", err)
-		return
-	}
-	// The coordinator computes the same content-addressed key the
-	// workers cache under — the shard function IS the cache key, which
-	// is what routes a repeated analysis back to its warm node.
-	key, err := server.CacheKeyFor(req)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, client.CodeInvalidRequest, "%v", err)
-		return
-	}
-
-	c.mu.Lock()
-	if c.draining {
-		c.mu.Unlock()
-		writeError(w, http.StatusServiceUnavailable, client.CodeDraining, "coordinator is draining")
-		return
-	}
-	if c.ring.Len() == 0 {
-		c.mu.Unlock()
-		writeError(w, http.StatusServiceUnavailable, client.CodeUnavailable, "no healthy workers")
-		return
-	}
-	c.nextID++
-	id := fmt.Sprintf("c-%06d", c.nextID)
+// register records a queued job for key under id, prunes the registry
+// with server.PruneJobs, and counts the job's watcher, which the caller
+// starts. Caller holds c.mu.
+//
+//reuse:locked(mu)
+func (c *Coordinator) register(id, key string, req client.AnalyzeRequest, fitReq *client.FitRequest) *proxyJob {
 	j := &proxyJob{
-		id:   id,
-		key:  key,
-		req:  req,
-		done: make(chan struct{}),
+		id:     id,
+		key:    key,
+		req:    req,
+		fitReq: fitReq,
+		done:   make(chan struct{}),
 		doc: client.Job{
 			APIVersion: client.APIVersion,
 			ID:         id,
@@ -579,14 +516,57 @@ func (c *Coordinator) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 			Submitted:  time.Now().UTC().Format(time.RFC3339Nano),
 		},
 	}
-	c.jobs[j.id] = j
-	c.order = append(c.order, j.id)
+	c.jobs[id] = j
+	c.order = append(c.order, id)
+	c.order = server.PruneJobs(c.jobs, c.order, c.maxJobs, func(p *proxyJob) bool {
+		return p.snapshot().Status.Terminal()
+	})
 	c.watchers.Add(1)
-	c.mu.Unlock()
+	return j
+}
 
+// admit accepts a submission for key: it refuses with 503 while the
+// coordinator drains or while no worker is in the ring, and otherwise
+// registers the job under a fresh c-%06d ID. It returns nil once it
+// has written the refusal.
+func (c *Coordinator) admit(w http.ResponseWriter, key string, req client.AnalyzeRequest, fitReq *client.FitRequest) *proxyJob {
+	c.mu.Lock()
+	draining, empty := c.draining, c.ring.Len() == 0
+	var j *proxyJob
+	if !draining && !empty {
+		c.nextID++
+		j = c.register(fmt.Sprintf("c-%06d", c.nextID), key, req, fitReq)
+	}
+	c.mu.Unlock()
+	switch {
+	case draining:
+		server.WriteError(w, http.StatusServiceUnavailable, client.CodeDraining, "coordinator is draining")
+	case empty:
+		server.WriteError(w, http.StatusServiceUnavailable, client.CodeUnavailable, "no healthy workers")
+	}
+	return j
+}
+
+func (c *Coordinator) handleAnalyze(w http.ResponseWriter, r *http.Request) {
+	var req client.AnalyzeRequest
+	if !server.DecodeRequest(w, r, &req) {
+		return
+	}
+	// The coordinator computes the same content-addressed key the
+	// workers cache under — the shard function IS the cache key, which
+	// is what routes a repeated analysis back to its warm node.
+	key, err := server.CacheKeyFor(req)
+	if err != nil {
+		server.WriteInvalid(w, err)
+		return
+	}
+	j := c.admit(w, key, req, nil)
+	if j == nil {
+		return
+	}
 	c.metrics.JobsProxied.Add(1)
 	go c.watch(j)
-	writeJSON(w, http.StatusAccepted, j.snapshot())
+	server.WriteJSON(w, http.StatusAccepted, j.snapshot())
 }
 
 func (c *Coordinator) job(id string) (*proxyJob, bool) {
@@ -599,29 +579,30 @@ func (c *Coordinator) job(id string) (*proxyJob, bool) {
 func (c *Coordinator) handleJobGet(w http.ResponseWriter, r *http.Request) {
 	j, ok := c.job(r.PathValue("id"))
 	if !ok {
-		writeError(w, http.StatusNotFound, client.CodeNotFound, "unknown job %q", r.PathValue("id"))
+		server.WriteError(w, http.StatusNotFound, client.CodeNotFound, "unknown job %q", r.PathValue("id"))
 		return
 	}
-	writeJSON(w, http.StatusOK, j.snapshot())
+	server.WriteJSON(w, http.StatusOK, j.snapshot())
+}
+
+// jobList snapshots the registry in submission order.
+func (c *Coordinator) jobList() []*proxyJob {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	out := make([]*proxyJob, len(c.order))
+	for i, id := range c.order {
+		out[i] = c.jobs[id]
+	}
+	return out
 }
 
 func (c *Coordinator) handleJobList(w http.ResponseWriter, r *http.Request) {
-	state := client.JobStatus(r.URL.Query().Get("state"))
-	switch state {
-	case "", client.JobQueued, client.JobRunning, client.JobDone, client.JobFailed, client.JobCanceled:
-	default:
-		writeError(w, http.StatusBadRequest, client.CodeInvalidRequest, "unknown state %q", state)
+	state, ok := server.StateFilter(w, r)
+	if !ok {
 		return
 	}
-	c.mu.Lock()
-	ids := append([]string(nil), c.order...)
-	c.mu.Unlock()
 	list := client.JobList{APIVersion: client.APIVersion, Jobs: []client.Job{}}
-	for _, id := range ids {
-		j, ok := c.job(id)
-		if !ok {
-			continue
-		}
+	for _, j := range c.jobList() {
 		doc := j.snapshot()
 		if state != "" && doc.Status != state {
 			continue
@@ -629,26 +610,26 @@ func (c *Coordinator) handleJobList(w http.ResponseWriter, r *http.Request) {
 		doc.Report, doc.Result = "", nil
 		list.Jobs = append(list.Jobs, doc)
 	}
-	writeJSON(w, http.StatusOK, list)
+	server.WriteJSON(w, http.StatusOK, list)
 }
 
 func (c *Coordinator) handleJobCancel(w http.ResponseWriter, r *http.Request) {
 	j, ok := c.job(r.PathValue("id"))
 	if !ok {
-		writeError(w, http.StatusNotFound, client.CodeNotFound, "unknown job %q", r.PathValue("id"))
+		server.WriteError(w, http.StatusNotFound, client.CodeNotFound, "unknown job %q", r.PathValue("id"))
 		return
 	}
 	j.mu.Lock()
 	if j.doc.Status.Terminal() {
 		j.mu.Unlock()
-		writeError(w, http.StatusConflict, client.CodeConflict, "job %s is not cancelable", j.id)
+		server.WriteError(w, http.StatusConflict, client.CodeConflict, "job %s is not cancelable", j.id)
 		return
 	}
 	j.canceled = true
 	j.mu.Unlock()
 	// The watcher proxies the cancel to whichever worker holds the job
 	// and folds the terminal state back in; report the current view.
-	writeJSON(w, http.StatusOK, j.snapshot())
+	server.WriteJSON(w, http.StatusOK, j.snapshot())
 }
 
 func (c *Coordinator) handleNodes(w http.ResponseWriter, _ *http.Request) {
@@ -664,7 +645,7 @@ func (c *Coordinator) handleNodes(w http.ResponseWriter, _ *http.Request) {
 	}
 	c.mu.Unlock()
 	sort.Slice(list.Nodes, func(i, j int) bool { return list.Nodes[i].URL < list.Nodes[j].URL })
-	writeJSON(w, http.StatusOK, list)
+	server.WriteJSON(w, http.StatusOK, list)
 }
 
 func (c *Coordinator) handleHealth(w http.ResponseWriter, _ *http.Request) {
@@ -679,10 +660,9 @@ func (c *Coordinator) handleHealth(w http.ResponseWriter, _ *http.Request) {
 		}
 		inflight += ns.inflight
 	}
-	ids := append([]string(nil), c.order...)
 	c.mu.Unlock()
-	for _, id := range ids {
-		if j, ok := c.job(id); ok && j.snapshot().Status == client.JobQueued {
+	for _, j := range c.jobList() {
+		if j.snapshot().Status == client.JobQueued {
 			queued++
 		}
 	}
@@ -692,7 +672,7 @@ func (c *Coordinator) handleHealth(w http.ResponseWriter, _ *http.Request) {
 		status = "draining"
 		code = http.StatusServiceUnavailable
 	}
-	writeJSON(w, code, client.Health{
+	server.WriteJSON(w, code, client.Health{
 		APIVersion:   client.APIVersion,
 		Status:       status,
 		Role:         "coordinator",

@@ -1,16 +1,12 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"time"
 
-	"reusetool/internal/predict"
 	"reusetool/internal/server"
 	"reusetool/pkg/client"
 )
@@ -23,73 +19,29 @@ import (
 // POST /v1/predict proxies synchronously to the model's ring owner.
 
 func (c *Coordinator) handleFit(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, c.cfg.MaxBodyBytes+1))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, client.CodeInvalidRequest, "read body: %v", err)
-		return
-	}
-	if int64(len(body)) > c.cfg.MaxBodyBytes {
-		writeError(w, http.StatusRequestEntityTooLarge, client.CodeTooLarge, "body exceeds %d bytes", c.cfg.MaxBodyBytes)
-		return
-	}
 	var req client.FitRequest
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, client.CodeInvalidRequest, "decode request: %v", err)
+	if !server.DecodeRequest(w, r, &req) {
 		return
 	}
 	// The model key is the shard address AND the early soundness gate:
 	// unsound sampling never reaches a worker.
 	key, err := server.ModelKeyFor(req)
 	if err != nil {
-		code := client.CodeInvalidRequest
-		if errors.Is(err, predict.ErrUnsoundTraining) {
-			code = client.CodeUnsoundTrainingInput
-		}
-		writeError(w, http.StatusBadRequest, code, "%v", err)
+		server.WriteInvalid(w, err)
 		return
 	}
 	trainReqs, err := server.TrainingRequests(req)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, client.CodeInvalidRequest, "%v", err)
+		server.WriteInvalid(w, err)
 		return
 	}
-
-	c.mu.Lock()
-	if c.draining {
-		c.mu.Unlock()
-		writeError(w, http.StatusServiceUnavailable, client.CodeDraining, "coordinator is draining")
+	j := c.admit(w, key, client.AnalyzeRequest{}, &req)
+	if j == nil {
 		return
 	}
-	if c.ring.Len() == 0 {
-		c.mu.Unlock()
-		writeError(w, http.StatusServiceUnavailable, client.CodeUnavailable, "no healthy workers")
-		return
-	}
-	c.nextID++
-	id := fmt.Sprintf("c-%06d", c.nextID)
-	j := &proxyJob{
-		id:     id,
-		key:    key,
-		fitReq: &req,
-		done:   make(chan struct{}),
-		doc: client.Job{
-			APIVersion: client.APIVersion,
-			ID:         id,
-			Status:     client.JobQueued,
-			Key:        key,
-			Submitted:  time.Now().UTC().Format(time.RFC3339Nano),
-		},
-	}
-	c.jobs[j.id] = j
-	c.order = append(c.order, j.id)
-	c.watchers.Add(1)
-	c.mu.Unlock()
-
 	c.metrics.FitsProxied.Add(1)
 	go c.watchFit(j, trainReqs)
-	writeJSON(w, http.StatusAccepted, j.snapshot())
+	server.WriteJSON(w, http.StatusAccepted, j.snapshot())
 }
 
 // watchFit drives one fit end to end: schedule the training analyses as
@@ -109,23 +61,8 @@ func (c *Coordinator) watchFit(j *proxyJob, trainReqs []client.AnalyzeRequest) {
 			c.finishLocal(j, client.JobFailed, fmt.Sprintf("training run %d: %v", i, err))
 			return
 		}
-		child := &proxyJob{
-			id:   fmt.Sprintf("%s-t%d", j.id, i),
-			key:  key,
-			req:  tr,
-			done: make(chan struct{}),
-			doc: client.Job{
-				APIVersion: client.APIVersion,
-				ID:         fmt.Sprintf("%s-t%d", j.id, i),
-				Status:     client.JobQueued,
-				Key:        key,
-				Submitted:  time.Now().UTC().Format(time.RFC3339Nano),
-			},
-		}
 		c.mu.Lock()
-		c.jobs[child.id] = child
-		c.order = append(c.order, child.id)
-		c.watchers.Add(1)
+		child := c.register(fmt.Sprintf("%s-t%d", j.id, i), key, tr, nil)
 		c.mu.Unlock()
 		c.metrics.TrainingJobsScheduled.Add(1)
 		children = append(children, child)
@@ -153,104 +90,52 @@ func (c *Coordinator) watchFit(j *proxyJob, trainReqs []client.AnalyzeRequest) {
 
 // seedFitOwner copies each training run's cache entry from the node
 // that ran it to the model key's ring owner, so the fit job — routed by
-// that same key — finds every training input warm. Best-effort: a
-// failed copy only costs the owner a re-run of one small input.
+// that same key — finds every training input warm. The copies go
+// through the workers' peer-cache client, which verifies each entry's
+// fingerprint before the PUT. Best-effort: a failed copy only costs the
+// owner a re-run of one small input. Runs on the watcher goroutine, so
+// its contexts are rooted here.
+//
+//reuse:ctx-root
 func (c *Coordinator) seedFitOwner(modelKey string, children []*proxyJob) {
 	owners := c.ring.Successors(modelKey, 1)
 	if len(owners) == 0 {
 		return
 	}
-	owner := owners[0]
+	owner, ok := c.healthyNode(owners[0])
+	if !ok {
+		return
+	}
 	for _, child := range children {
 		doc := child.snapshot()
-		if doc.Node == "" || doc.Node == owner {
+		if doc.Node == owner.url {
 			continue
 		}
-		entry, err := c.fetchCacheEntry(doc.Node, doc.Key)
-		if err != nil {
+		from, ok := c.healthyNode(doc.Node)
+		if !ok {
 			continue
 		}
-		_ = c.pushCacheEntry(owner, doc.Key, entry)
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		if entry, ok := from.cache.Get(ctx, doc.Key); ok {
+			_ = owner.cache.Put(ctx, entry)
+		}
+		cancel()
 	}
-}
-
-// fetchCacheEntry GETs one gob cache entry from a worker's peer
-// protocol. Runs on the watcher goroutine; contexts root here.
-//
-//reuse:ctx-root
-func (c *Coordinator) fetchCacheEntry(node, key string) ([]byte, error) {
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, node+"/v1/cache/"+key, nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.cfg.HTTPClient.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("cluster: cache get %s from %s: status %d", key, node, resp.StatusCode)
-	}
-	return io.ReadAll(io.LimitReader(resp.Body, maxEntryTransferBytes))
-}
-
-// maxEntryTransferBytes bounds one cache-entry copy between workers.
-const maxEntryTransferBytes int64 = 256 << 20
-
-// pushCacheEntry PUTs a gob cache entry onto a worker. Runs on the
-// watcher goroutine; contexts root here.
-//
-//reuse:ctx-root
-func (c *Coordinator) pushCacheEntry(node, key string, entry []byte) error {
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPut, node+"/v1/cache/"+key, bytes.NewReader(entry))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/octet-stream")
-	resp, err := c.cfg.HTTPClient.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusNoContent {
-		return fmt.Errorf("cluster: cache put %s to %s: status %d", key, node, resp.StatusCode)
-	}
-	return nil
 }
 
 // handlePredict proxies a what-if query synchronously to the model
 // key's ring owner, walking successors on transport failure. The reply
 // is the worker's own — microsecond-latency from its cached model.
 func (c *Coordinator) handlePredict(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, c.cfg.MaxBodyBytes+1))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, client.CodeInvalidRequest, "read body: %v", err)
-		return
-	}
-	if int64(len(body)) > c.cfg.MaxBodyBytes {
-		writeError(w, http.StatusRequestEntityTooLarge, client.CodeTooLarge, "body exceeds %d bytes", c.cfg.MaxBodyBytes)
-		return
-	}
 	var req client.PredictRequest
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, client.CodeInvalidRequest, "decode request: %v", err)
+	if !server.DecodeRequest(w, r, &req) {
 		return
 	}
 	key := req.Model
 	if key == "" {
-		key, err = server.ModelKeyFor(server.FitSpec(req))
-		if err != nil {
-			code := client.CodeInvalidRequest
-			if errors.Is(err, predict.ErrUnsoundTraining) {
-				code = client.CodeUnsoundTrainingInput
-			}
-			writeError(w, http.StatusBadRequest, code, "%v", err)
+		var err error
+		if key, err = server.ModelKeyFor(server.FitSpec(req)); err != nil {
+			server.WriteInvalid(w, err)
 			return
 		}
 	}
@@ -266,7 +151,7 @@ func (c *Coordinator) handlePredict(w http.ResponseWriter, r *http.Request) {
 		resp, err := ns.cli.Predict(ctx, req)
 		cancel()
 		if err == nil {
-			writeJSON(w, http.StatusOK, resp)
+			server.WriteJSON(w, http.StatusOK, resp)
 			return
 		}
 		lastErr = err
@@ -274,14 +159,14 @@ func (c *Coordinator) handlePredict(w http.ResponseWriter, r *http.Request) {
 		if errors.As(err, &apiErr) && !apiErr.Temporary() {
 			// The worker answered conclusively (no model, bad binding):
 			// forward its verdict rather than asking another node.
-			writeError(w, apiErr.Status, apiErr.Code, "%s", apiErr.Message)
+			server.WriteError(w, apiErr.Status, apiErr.Code, "%s", apiErr.Message)
 			return
 		}
 		c.noteDead(ns, true)
 	}
 	if lastErr != nil {
-		writeError(w, http.StatusServiceUnavailable, client.CodeUnavailable, "no worker answered: %v", lastErr)
+		server.WriteError(w, http.StatusServiceUnavailable, client.CodeUnavailable, "no worker answered: %v", lastErr)
 		return
 	}
-	writeError(w, http.StatusServiceUnavailable, client.CodeUnavailable, "no healthy workers")
+	server.WriteError(w, http.StatusServiceUnavailable, client.CodeUnavailable, "no healthy workers")
 }

@@ -23,7 +23,7 @@ func fig2FitReq() client.FitRequest {
 // cache, and completes the fit; /v1/predict then answers from the
 // cached model through the coordinator.
 func TestCoordinatorFitSchedulesTrainingAcrossRing(t *testing.T) {
-	c, _, cl := newCluster(t, 2, server.Config{Workers: 2}, Config{})
+	c, workers, cl := newCluster(t, 2, server.Config{Workers: 2}, Config{})
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 
@@ -48,7 +48,7 @@ func TestCoordinatorFitSchedulesTrainingAcrossRing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	related := 0
+	related, elsewhere := 0, 0
 	for _, j := range list {
 		if !strings.HasPrefix(j.ID, job.ID+"-t") {
 			continue
@@ -60,9 +60,30 @@ func TestCoordinatorFitSchedulesTrainingAcrossRing(t *testing.T) {
 		if owner := c.Ring().Owner(j.Key); j.Node != owner {
 			t.Fatalf("training job %s on %s, ring owner is %s", j.ID, j.Node, owner)
 		}
+		if j.Node != done.Node {
+			elsewhere++
+		}
 	}
 	if related != 3 {
 		t.Fatalf("found %d related training jobs, want 3", related)
+	}
+
+	// Seeding copied every training entry that ran elsewhere onto the fit
+	// owner, which then served all three training inputs from its cache.
+	var fitOwner *server.Server
+	for _, w := range workers {
+		if w.url() == done.Node {
+			fitOwner = w.srv
+		}
+	}
+	if fitOwner == nil {
+		t.Fatalf("fit node %s is not a worker", done.Node)
+	}
+	if got := fitOwner.Metrics().PeerPuts.Load(); got != uint64(elsewhere) {
+		t.Fatalf("fit owner peer puts = %d, want %d (training jobs on other nodes)", got, elsewhere)
+	}
+	if got := fitOwner.Metrics().FitWarmHits.Load(); got != 3 {
+		t.Fatalf("fit owner warm training hits = %d, want 3", got)
 	}
 	if got := c.Metrics().TrainingJobsScheduled.Load(); got != 3 {
 		t.Fatalf("training_jobs_total = %d, want 3", got)
@@ -138,5 +159,64 @@ func TestCoordinatorFitRejectsUnsoundSampling(t *testing.T) {
 	})
 	if !errors.As(err, &apiErr) || apiErr.Code != client.CodeNotFound {
 		t.Fatalf("predict without model: %v, want not_found", err)
+	}
+}
+
+// TestCoordinatorPrunesTerminalJobs: past its cap the coordinator's
+// registry drops its oldest terminal jobs, which then answer 404, while
+// a live fit and its in-flight training children stay listed.
+func TestCoordinatorPrunesTerminalJobs(t *testing.T) {
+	c, _, cl := newCluster(t, 1, server.Config{Workers: 1, SimulateLatency: 200 * time.Millisecond}, Config{})
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	c.mu.Lock()
+	c.maxJobs = 3
+	c.mu.Unlock()
+
+	var finished []string
+	for i := int64(0); i < 3; i++ {
+		job, err := cl.Analyze(ctx, streamReq(3000+i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := cl.Wait(ctx, job.ID); err != nil {
+			t.Fatal(err)
+		}
+		finished = append(finished, job.ID)
+	}
+
+	// The fit and its three training children join three terminal jobs:
+	// each registration past the cap drops the oldest terminal one.
+	fit, err := cl.Fit(ctx, fig2FitReq())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{fit.ID, fit.ID + "-t0", fit.ID + "-t1", fit.ID + "-t2"}
+	waitFor(t, 10*time.Second, "training jobs to register", func() bool {
+		list, err := cl.Jobs(ctx, "")
+		return err == nil && len(list) == len(want) && list[len(want)-1].ID == want[len(want)-1]
+	})
+	list, err := cl.Jobs(ctx, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, j := range list {
+		if j.ID != want[i] {
+			t.Fatalf("registry holds %s at %d, want %s", j.ID, i, want[i])
+		}
+	}
+	for _, id := range finished {
+		_, err := cl.Job(ctx, id)
+		var apiErr *client.Error
+		if !errors.As(err, &apiErr) || apiErr.Code != client.CodeNotFound {
+			t.Errorf("pruned job %s: %v, want not_found", id, err)
+		}
+	}
+	done, err := cl.Wait(ctx, fit.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if done.Status != client.JobDone {
+		t.Fatalf("fit: %s (%s)", done.Status, done.Error)
 	}
 }

@@ -163,3 +163,34 @@ func TestHealthAliasesAgree(t *testing.T) {
 		t.Fatalf("health = %+v", v1)
 	}
 }
+
+// TestPrunedJobsAnswerNotFound: a terminal job pruned from the registry
+// past its cap answers GET /v1/jobs/{id} with 404, like any unknown ID.
+func TestPrunedJobsAnswerNotFound(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	s.sched.mu.Lock()
+	s.sched.maxJobs = 2
+	s.sched.mu.Unlock()
+
+	first, status := postAnalyze(t, ts, AnalyzeRequest{Workload: "fig2"})
+	if status != http.StatusAccepted {
+		t.Fatalf("cold analyze status %d", status)
+	}
+	pollDone(t, ts, first.ID)
+	var last *JobJSON
+	for i := 0; i < 2; i++ {
+		if last, status = postAnalyze(t, ts, AnalyzeRequest{Workload: "fig2"}); status != http.StatusOK {
+			t.Fatalf("warm analyze status %d", status)
+		}
+	}
+	for id, want := range map[string]int{first.ID: http.StatusNotFound, last.ID: http.StatusOK} {
+		resp, err := http.Get(ts.URL + "/v1/jobs/" + id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != want {
+			t.Errorf("GET job %s: status %d, want %d", id, resp.StatusCode, want)
+		}
+	}
+}

@@ -1,10 +1,7 @@
 package server
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 
 	"reusetool/internal/cache"
@@ -15,40 +12,22 @@ import (
 	"reusetool/pkg/client"
 )
 
-// CheckHandler serves POST /v1/check: the static reuse checker run
-// synchronously over one program. It is a free function — checks need
-// no scheduler, cache or other daemon state — so the cluster
-// coordinator mounts the identical handler and the v1 surface stays
-// uniform across worker and coordinator. maxBodyBytes <= 0 selects the
-// default request cap (16 MiB).
-func CheckHandler(maxBodyBytes int64) http.HandlerFunc {
-	if maxBodyBytes <= 0 {
-		maxBodyBytes = 16 << 20
+// HandleCheck serves POST /v1/check: the static reuse checker run
+// synchronously over one program. Checks need no scheduler, cache or
+// other daemon state, so the cluster coordinator mounts this same
+// handler and the v1 surface stays uniform across worker and
+// coordinator.
+func HandleCheck(w http.ResponseWriter, r *http.Request) {
+	var req client.CheckRequest
+	if !DecodeRequest(w, r, &req) {
+		return
 	}
-	return func(w http.ResponseWriter, r *http.Request) {
-		body, err := io.ReadAll(io.LimitReader(r.Body, maxBodyBytes+1))
-		if err != nil {
-			writeError(w, http.StatusBadRequest, client.CodeInvalidRequest, "read body: %v", err)
-			return
-		}
-		if int64(len(body)) > maxBodyBytes {
-			writeError(w, http.StatusRequestEntityTooLarge, client.CodeTooLarge, "body exceeds %d bytes", maxBodyBytes)
-			return
-		}
-		var req client.CheckRequest
-		dec := json.NewDecoder(bytes.NewReader(body))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&req); err != nil {
-			writeError(w, http.StatusBadRequest, client.CodeInvalidRequest, "decode request: %v", err)
-			return
-		}
-		resp, err := runCheckRequest(req)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, client.CodeInvalidRequest, "%v", err)
-			return
-		}
-		writeJSON(w, http.StatusOK, resp)
+	resp, err := runCheckRequest(req)
+	if err != nil {
+		WriteInvalid(w, err)
+		return
 	}
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 // runCheckRequest validates a check request and runs the checker. It
@@ -87,20 +66,11 @@ func runCheckRequest(req client.CheckRequest) (*client.CheckResponse, error) {
 		opts.File = "program.loop"
 	}
 
-	hierName := req.Hierarchy
-	if hierName == "" {
-		hierName = "scaled"
+	hier, err := cache.ByName(req.Hierarchy)
+	if err != nil {
+		return nil, err
 	}
-	switch hierName {
-	case "scaled":
-		opts.Hier = cache.ScaledItanium2()
-	case "full":
-		opts.Hier = cache.Itanium2()
-	case "opteron":
-		opts.Hier = cache.Opteron()
-	default:
-		return nil, fmt.Errorf("unknown hierarchy %q (want scaled, full, or opteron)", req.Hierarchy)
-	}
+	opts.Hier = hier
 
 	for name := range req.Params {
 		if _, ok := prog.Defaults[name]; !ok {

@@ -6,9 +6,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"sort"
 	"strconv"
@@ -219,19 +217,6 @@ func FitSpec(req client.PredictRequest) client.FitRequest {
 	}
 }
 
-// hierByName maps a v1 hierarchy name to the machine model.
-func hierByName(name string) (*cache.Hierarchy, error) {
-	switch name {
-	case "", "scaled":
-		return cache.ScaledItanium2(), nil
-	case "full":
-		return cache.Itanium2(), nil
-	case "opteron":
-		return cache.Opteron(), nil
-	}
-	return nil, fmt.Errorf("unknown hierarchy %q (want scaled, full, or opteron)", name)
-}
-
 // fit executes the training runs (warm training inputs come straight
 // from the result cache) and fits the model. Runs before it in the
 // worker pool give it their cache entries for free — the coordinator
@@ -308,54 +293,25 @@ func (s *Server) fit(ctx context.Context, rf *resolvedFit) (*CacheEntry, error) 
 }
 
 func (s *Server) handleFit(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, s.cfg.MaxBodyBytes+1))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, client.CodeInvalidRequest, "read body: %v", err)
-		return
-	}
-	if int64(len(body)) > s.cfg.MaxBodyBytes {
-		writeError(w, http.StatusRequestEntityTooLarge, client.CodeTooLarge, "body exceeds %d bytes", s.cfg.MaxBodyBytes)
-		return
-	}
 	var req client.FitRequest
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, client.CodeInvalidRequest, "decode request: %v", err)
+	if !DecodeRequest(w, r, &req) {
 		return
 	}
 	rf, err := resolveFit(req, s.cfg.MaxJobTimeout)
 	if err != nil {
-		code := client.CodeInvalidRequest
-		if errors.Is(err, predict.ErrUnsoundTraining) {
-			code = client.CodeUnsoundTrainingInput
-		}
-		writeError(w, http.StatusBadRequest, code, "%v", err)
+		WriteInvalid(w, err)
 		return
 	}
 	key := rf.modelKey()
-
-	// Warm path: the model is already fitted and cached.
-	if entry, ok := s.cache.Get(r.Context(), key); ok && len(entry.Model) > 0 {
-		j := s.sched.NewJob(key, rf.timeout, nil)
-		s.sched.Complete(j, entry, true)
-		writeJSON(w, http.StatusOK, jobJSON(j))
-		return
+	// One job covers the training runs plus the fit; a cached entry only
+	// counts as a hit when it holds a fitted model.
+	hit, _ := s.cache.Get(r.Context(), key)
+	if hit != nil && len(hit.Model) == 0 {
+		hit = nil
 	}
-
-	// Cold path: one job covers the training runs plus the fit.
-	j := s.sched.NewJob(key, rf.timeout, func(ctx context.Context) (*CacheEntry, error) {
+	s.serve(w, key, rf.timeout, hit, func(ctx context.Context) (*CacheEntry, error) {
 		return s.fit(ctx, rf)
 	})
-	if err := s.sched.Submit(j); err != nil {
-		status, code := http.StatusServiceUnavailable, client.CodeDraining
-		if err == ErrQueueFull {
-			status, code = http.StatusTooManyRequests, client.CodeQueueFull
-		}
-		writeError(w, status, code, "%v", err)
-		return
-	}
-	writeJSON(w, http.StatusAccepted, jobJSON(j))
 }
 
 // modelCacheEntries bounds the per-daemon decoded-model cache. Decoded
@@ -409,35 +365,19 @@ func (s *Server) lookupModel(ctx context.Context, key string) (*predict.Model, e
 }
 
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, s.cfg.MaxBodyBytes+1))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, client.CodeInvalidRequest, "read body: %v", err)
-		return
-	}
-	if int64(len(body)) > s.cfg.MaxBodyBytes {
-		writeError(w, http.StatusRequestEntityTooLarge, client.CodeTooLarge, "body exceeds %d bytes", s.cfg.MaxBodyBytes)
-		return
-	}
 	var req client.PredictRequest
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, client.CodeInvalidRequest, "decode request: %v", err)
+	if !DecodeRequest(w, r, &req) {
 		return
 	}
 	key := req.Model
 	if key == "" {
-		key, err = ModelKeyFor(FitSpec(req))
-		if err != nil {
-			code := client.CodeInvalidRequest
-			if errors.Is(err, predict.ErrUnsoundTraining) {
-				code = client.CodeUnsoundTrainingInput
-			}
-			writeError(w, http.StatusBadRequest, code, "%v", err)
+		var err error
+		if key, err = ModelKeyFor(FitSpec(req)); err != nil {
+			WriteInvalid(w, err)
 			return
 		}
 	} else if !validCacheKey(key) {
-		writeError(w, http.StatusBadRequest, client.CodeInvalidRequest, "malformed model key %q", key)
+		WriteError(w, http.StatusBadRequest, client.CodeInvalidRequest, "malformed model key %q", key)
 		return
 	}
 
@@ -447,23 +387,23 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	m, err := s.lookupModel(r.Context(), key)
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, client.CodeInternal, "%v", err)
+		WriteError(w, http.StatusInternalServerError, client.CodeInternal, "%v", err)
 		return
 	}
 	if m == nil {
 		s.metrics.PredictNoModel.Add(1)
-		writeError(w, http.StatusNotFound, client.CodeNotFound,
+		WriteError(w, http.StatusNotFound, client.CodeNotFound,
 			"no fitted model %s; POST /v1/fit first", key)
 		return
 	}
 	pred, err := m.Predict(req.Params)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, client.CodeInvalidRequest, "%v", err)
+		WriteError(w, http.StatusBadRequest, client.CodeInvalidRequest, "%v", err)
 		return
 	}
-	hier, err := hierByName(m.Hierarchy)
+	hier, err := cache.ByName(m.Hierarchy)
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, client.CodeInternal, "model hierarchy: %v", err)
+		WriteError(w, http.StatusInternalServerError, client.CodeInternal, "model hierarchy: %v", err)
 		return
 	}
 	levels := pred.LevelMisses(hier)
@@ -476,7 +416,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		level = "L2"
 	}
 	if hier.Level(level) == nil {
-		writeError(w, http.StatusBadRequest, client.CodeInvalidRequest,
+		WriteError(w, http.StatusBadRequest, client.CodeInvalidRequest,
 			"hierarchy %s has no level %q", hier.Name, level)
 		return
 	}
@@ -501,5 +441,5 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 			CapacityMisses: lm.Capacity,
 		})
 	}
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }

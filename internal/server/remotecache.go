@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/gob"
 	"fmt"
+	"io"
 	"net/http"
 	"strings"
 	"sync"
@@ -23,7 +24,8 @@ import (
 // cannot wedge the queue.
 const remotePutTimeout = 15 * time.Second
 
-// maxCacheEntryBytes bounds a peer-supplied entry body.
+// maxCacheEntryBytes bounds a peer-supplied entry body, in both
+// directions: the PUT handler and RemoteCache.Get stop reading there.
 const maxCacheEntryBytes int64 = 256 << 20
 
 // RemoteCache is the client side of the shared tier.
@@ -31,6 +33,10 @@ type RemoteCache struct {
 	base    string
 	hc      *http.Client
 	metrics *Metrics
+	// maxEntryBytes caps the entry body Get reads: maxCacheEntryBytes,
+	// held per client so a test can lower it instead of streaming
+	// 256 MiB.
+	maxEntryBytes int64
 }
 
 // NewRemoteCache targets the daemon at base (e.g. "http://cache:8375").
@@ -40,9 +46,10 @@ func NewRemoteCache(base string, m *Metrics) *RemoteCache {
 		m = NewMetrics()
 	}
 	return &RemoteCache{
-		base:    strings.TrimRight(base, "/"),
-		hc:      &http.Client{},
-		metrics: m,
+		base:          strings.TrimRight(base, "/"),
+		hc:            &http.Client{},
+		metrics:       m,
+		maxEntryBytes: maxCacheEntryBytes,
 	}
 }
 
@@ -73,7 +80,7 @@ func (r *RemoteCache) Get(ctx context.Context, key string) (*CacheEntry, bool) {
 		return nil, false
 	}
 	var e CacheEntry
-	if err := gob.NewDecoder(resp.Body).Decode(&e); err != nil || e.Key != key {
+	if err := gob.NewDecoder(io.LimitReader(resp.Body, r.maxEntryBytes)).Decode(&e); err != nil || e.Key != key {
 		r.metrics.RemoteErrors.Add(1)
 		return nil, false
 	}

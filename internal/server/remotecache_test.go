@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/gob"
 	"net/http"
 	"net/http/httptest"
@@ -232,6 +233,61 @@ func TestRemoteGetRejectsCorruptEntries(t *testing.T) {
 	}
 	if m.RemoteHits.Load() != 0 {
 		t.Fatal("corrupt entries counted as hits")
+	}
+}
+
+// TestRemoteGetCapsEntryBody: a peer announcing an entry past the cap
+// and streaming it is cut off there — a miss counted as one remote
+// error, with the client reading no further than the cap plus
+// transport buffering.
+func TestRemoteGetCapsEntryBody(t *testing.T) {
+	if got := NewRemoteCache("http://peer", nil).maxEntryBytes; got != maxCacheEntryBytes {
+		t.Fatalf("default cap %d, want %d", got, maxCacheEntryBytes)
+	}
+	// The production cap is 256 MiB; the test lowers it to 4 MiB so the
+	// client buffers little, and keeps the margins: the peer announces
+	// a message 64 MiB past the cap, and a client that honours the cap
+	// stops more than 20 MiB short of the announced size.
+	const limit = 4 << 20
+	const announced = limit + 64<<20
+	written := make(chan int64, 1)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		// A gob message opens with its byte count: one byte holding the
+		// negated width of the count, then the count big-endian.
+		hdr := []byte{0xfc, 0, 0, 0, 0}
+		binary.BigEndian.PutUint32(hdr[1:], announced)
+		var n int64
+		if _, err := w.Write(hdr); err == nil {
+			zeros := make([]byte, 1<<20)
+			for n < announced {
+				k, err := w.Write(zeros)
+				n += int64(k)
+				if err != nil {
+					break
+				}
+			}
+		}
+		written <- n
+	}))
+	t.Cleanup(ts.Close)
+
+	m := NewMetrics()
+	rc := NewRemoteCache(ts.URL, m)
+	rc.maxEntryBytes = limit
+	if _, ok := rc.Get(t.Context(), key(71)); ok {
+		t.Fatal("oversized entry served")
+	}
+	if m.RemoteErrors.Load() != 1 || m.RemoteMisses.Load() != 0 || m.RemoteHits.Load() != 0 {
+		t.Fatalf("errors=%d misses=%d hits=%d, want 1/0/0",
+			m.RemoteErrors.Load(), m.RemoteMisses.Load(), m.RemoteHits.Load())
+	}
+	select {
+	case n := <-written:
+		if n >= limit+44<<20 {
+			t.Fatalf("peer streamed %d MiB before the client stopped; the cap is %d MiB", n>>20, limit>>20)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("peer still streaming 30s after Get returned")
 	}
 }
 

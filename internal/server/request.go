@@ -132,16 +132,11 @@ func resolve(req AnalyzeRequest, maxTimeout time.Duration) (*resolved, error) {
 	if r.hierName == "" {
 		r.hierName = "scaled"
 	}
-	switch r.hierName {
-	case "scaled":
-		r.hier = cache.ScaledItanium2()
-	case "full":
-		r.hier = cache.Itanium2()
-	case "opteron":
-		r.hier = cache.Opteron()
-	default:
-		return nil, fmt.Errorf("unknown hierarchy %q (want scaled, full, or opteron)", req.Hierarchy)
+	hier, err := cache.ByName(r.hierName)
+	if err != nil {
+		return nil, err
 	}
+	r.hier = hier
 
 	for name := range req.Params {
 		if _, ok := r.prog.Defaults[name]; !ok {

@@ -133,7 +133,7 @@ func NewScheduler(workers, queueDepth int, defaultTimeout time.Duration, m *Metr
 		metrics:        m,
 		jobs:           map[string]*Job{},
 		defaultTimeout: defaultTimeout,
-		maxJobs:        4096,
+		maxJobs:        MaxJobs,
 	}
 	for i := 0; i < workers; i++ {
 		s.running.Add(1)
@@ -168,32 +168,42 @@ func (s *Scheduler) NewJob(key string, timeout time.Duration, run func(ctx conte
 	return j
 }
 
-// prune drops the oldest terminal jobs once the registry exceeds
-// maxJobs, bounding memory under sustained traffic. Caller holds s.mu.
+// prune applies PruneJobs to the registry. Caller holds s.mu.
 //
 //reuse:locked(mu)
 func (s *Scheduler) prune() {
-	for len(s.jobs) > s.maxJobs {
-		pruned := false
-		for i, id := range s.order {
-			j, ok := s.jobs[id]
-			if !ok {
-				continue
+	s.order = PruneJobs(s.jobs, s.order, s.maxJobs, func(j *Job) bool {
+		j.mu.Lock()
+		defer j.mu.Unlock()
+		return j.status == JobDone || j.status == JobFailed || j.status == JobCanceled
+	})
+}
+
+// MaxJobs bounds a job registry: past it, PruneJobs drops the oldest
+// terminal jobs, so memory stays bounded under sustained traffic.
+const MaxJobs = 4096
+
+// PruneJobs drops the oldest terminal jobs from a registry — jobs keyed
+// by ID, order holding the IDs in submission order — until it holds at
+// most max jobs, and returns the new order. Live jobs are never dropped:
+// when too few jobs are terminal, the registry stays above max. order
+// is compacted in place; when only its oldest IDs go, it is resliced.
+func PruneJobs[J any](jobs map[string]J, order []string, max int, terminal func(J) bool) []string {
+	kept := order[:0]
+	for i, id := range order {
+		if len(jobs) <= max {
+			if len(kept) == 0 {
+				return order[i:]
 			}
-			j.mu.Lock()
-			terminal := j.status == JobDone || j.status == JobFailed || j.status == JobCanceled
-			j.mu.Unlock()
-			if terminal {
-				delete(s.jobs, id)
-				s.order = append(s.order[:i:i], s.order[i+1:]...)
-				pruned = true
-				break
-			}
+			return append(kept, order[i:]...)
 		}
-		if !pruned {
-			return // everything live; let the registry grow
+		if terminal(jobs[id]) {
+			delete(jobs, id)
+			continue
 		}
+		kept = append(kept, id)
 	}
+	return kept
 }
 
 // Complete marks a job done without scheduling it (cache-hit path).

@@ -198,3 +198,51 @@ func TestSchedulerDrainDeadlineCancelsStragglers(t *testing.T) {
 		t.Fatalf("straggler status %s", snap.Status)
 	}
 }
+
+// TestSchedulerPrunesOldestTerminalJobs: past its cap the registry drops
+// its oldest terminal jobs first, and never a live one — with every job
+// live it grows past the cap instead.
+func TestSchedulerPrunesOldestTerminalJobs(t *testing.T) {
+	s := NewScheduler(1, 8, time.Minute, NewMetrics())
+	defer s.Drain(context.Background())
+	release := make(chan struct{})
+	defer close(release) // runs before Drain
+	s.maxJobs = 3
+
+	done := func() *Job {
+		j := s.NewJob("done", 0, nil)
+		s.Complete(j, &CacheEntry{}, true)
+		return j
+	}
+	live := func() *Job {
+		j := s.NewJob("live", 0, func(ctx context.Context) (*CacheEntry, error) {
+			<-release
+			return &CacheEntry{}, nil
+		})
+		if err := s.Submit(j); err != nil {
+			t.Fatal(err)
+		}
+		return j
+	}
+	d1, l1, d2, d3 := done(), live(), done(), done()
+	l2, l3, l4 := live(), live(), live()
+
+	for _, j := range []*Job{d1, d2, d3} {
+		if _, ok := s.Job(j.ID); ok {
+			t.Errorf("terminal job %s survived pruning", j.ID)
+		}
+	}
+	var got []string
+	for _, j := range s.Jobs() {
+		got = append(got, j.ID)
+	}
+	want := []string{l1.ID, l2.ID, l3.ID, l4.ID}
+	if len(got) != len(want) {
+		t.Fatalf("registry = %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("registry = %v, want %v", got, want)
+		}
+	}
+}

@@ -31,11 +31,8 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"encoding/gob"
-	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"runtime"
@@ -66,8 +63,6 @@ type Config struct {
 	// WriteBehindDepth bounds the async queue feeding the remote tier
 	// (default 64).
 	WriteBehindDepth int
-	// MaxBodyBytes bounds request bodies (default 16 MiB).
-	MaxBodyBytes int64
 	// SimulateLatency adds a synthetic per-job delay before the
 	// analysis runs (cache misses only). It exists for load drills and
 	// the cluster throughput tests, where job cost must dominate
@@ -100,9 +95,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.MaxJobTimeout <= 0 {
 		cfg.MaxJobTimeout = cfg.JobTimeout
 	}
-	if cfg.MaxBodyBytes <= 0 {
-		cfg.MaxBodyBytes = 16 << 20
-	}
 	m := NewMetrics()
 	var rc *RemoteCache
 	if cfg.RemoteCache != "" {
@@ -125,7 +117,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/analyze", s.handleAnalyze)
-	mux.HandleFunc("POST /v1/check", CheckHandler(cfg.MaxBodyBytes))
+	mux.HandleFunc("POST /v1/check", HandleCheck)
 	mux.HandleFunc("POST /v1/fit", s.handleFit)
 	mux.HandleFunc("POST /v1/predict", s.handlePredict)
 	mux.HandleFunc("GET /v1/jobs", s.handleJobList)
@@ -191,59 +183,21 @@ func jobJSON(j *Job) *JobJSON {
 	return out
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
-}
-
-// writeError emits the structured v1 error envelope:
-// {"api_version":"v1","error":{"code":"...","message":"..."}}.
-func writeError(w http.ResponseWriter, status int, code client.ErrorCode, format string, args ...any) {
-	writeJSON(w, status, client.ErrorEnvelope{
-		APIVersion: client.APIVersion,
-		Err:        client.ErrorBody{Code: code, Message: fmt.Sprintf(format, args...)},
-	})
-}
-
 func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, s.cfg.MaxBodyBytes+1))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, client.CodeInvalidRequest, "read body: %v", err)
-		return
-	}
-	if int64(len(body)) > s.cfg.MaxBodyBytes {
-		writeError(w, http.StatusRequestEntityTooLarge, client.CodeTooLarge, "body exceeds %d bytes", s.cfg.MaxBodyBytes)
-		return
-	}
 	var req AnalyzeRequest
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, client.CodeInvalidRequest, "decode request: %v", err)
+	if !DecodeRequest(w, r, &req) {
 		return
 	}
 	rr, err := resolve(req, s.cfg.MaxJobTimeout)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, client.CodeInvalidRequest, "%v", err)
+		WriteInvalid(w, err)
 		return
 	}
 	key := rr.cacheKey()
-
-	// Warm path: serve the content-addressed result without scheduling.
-	// The request context bounds the remote-tier lookup, so a sick
-	// cache peer delays this submission only, not the daemon.
-	if entry, ok := s.cache.Get(r.Context(), key); ok {
-		j := s.sched.NewJob(key, rr.timeout, nil)
-		s.sched.Complete(j, entry, true)
-		writeJSON(w, http.StatusOK, jobJSON(j))
-		return
-	}
-
-	// Cold path: queue the analysis.
-	j := s.sched.NewJob(key, rr.timeout, func(ctx context.Context) (*CacheEntry, error) {
+	// The request context bounds the remote-tier lookup, so a sick cache
+	// peer delays this submission only, not the daemon.
+	hit, _ := s.cache.Get(r.Context(), key)
+	s.serve(w, key, rr.timeout, hit, func(ctx context.Context) (*CacheEntry, error) {
 		if s.cfg.SimulateLatency > 0 {
 			select {
 			case <-time.After(s.cfg.SimulateLatency):
@@ -263,24 +217,38 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		s.cache.Put(entry)
 		return entry, nil
 	})
+}
+
+// serve admits a /v1/analyze or /v1/fit submission. A cache hit is
+// recorded as a finished job and answered 200 without scheduling;
+// otherwise run is queued as a job and answered 202, or refused with
+// 429 when the queue is full and 503 while the daemon drains.
+func (s *Server) serve(w http.ResponseWriter, key string, timeout time.Duration, hit *CacheEntry, run func(context.Context) (*CacheEntry, error)) {
+	if hit != nil {
+		j := s.sched.NewJob(key, timeout, nil)
+		s.sched.Complete(j, hit, true)
+		WriteJSON(w, http.StatusOK, jobJSON(j))
+		return
+	}
+	j := s.sched.NewJob(key, timeout, run)
 	if err := s.sched.Submit(j); err != nil {
 		status, code := http.StatusServiceUnavailable, client.CodeDraining
 		if err == ErrQueueFull {
 			status, code = http.StatusTooManyRequests, client.CodeQueueFull
 		}
-		writeError(w, status, code, "%v", err)
+		WriteError(w, status, code, "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusAccepted, jobJSON(j))
+	WriteJSON(w, http.StatusAccepted, jobJSON(j))
 }
 
 func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.sched.Job(r.PathValue("id"))
 	if !ok {
-		writeError(w, http.StatusNotFound, client.CodeNotFound, "unknown job %q", r.PathValue("id"))
+		WriteError(w, http.StatusNotFound, client.CodeNotFound, "unknown job %q", r.PathValue("id"))
 		return
 	}
-	writeJSON(w, http.StatusOK, jobJSON(j))
+	WriteJSON(w, http.StatusOK, jobJSON(j))
 }
 
 // handleJobList serves GET /v1/jobs: job summaries in submission
@@ -288,11 +256,8 @@ func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) {
 // Summaries omit the report and result payloads — fetch a job by ID
 // for those.
 func (s *Server) handleJobList(w http.ResponseWriter, r *http.Request) {
-	state := JobStatus(r.URL.Query().Get("state"))
-	switch state {
-	case "", JobQueued, JobRunning, JobDone, JobFailed, JobCanceled:
-	default:
-		writeError(w, http.StatusBadRequest, client.CodeInvalidRequest, "unknown state %q", state)
+	state, ok := StateFilter(w, r)
+	if !ok {
 		return
 	}
 	list := client.JobList{APIVersion: client.APIVersion, Jobs: []client.Job{}}
@@ -304,21 +269,21 @@ func (s *Server) handleJobList(w http.ResponseWriter, r *http.Request) {
 		doc.Report, doc.Result = "", nil
 		list.Jobs = append(list.Jobs, *doc)
 	}
-	writeJSON(w, http.StatusOK, list)
+	WriteJSON(w, http.StatusOK, list)
 }
 
 func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	if _, ok := s.sched.Job(id); !ok {
-		writeError(w, http.StatusNotFound, client.CodeNotFound, "unknown job %q", id)
+		WriteError(w, http.StatusNotFound, client.CodeNotFound, "unknown job %q", id)
 		return
 	}
 	if !s.sched.Cancel(id) {
-		writeError(w, http.StatusConflict, client.CodeConflict, "job %s is not cancelable", id)
+		WriteError(w, http.StatusConflict, client.CodeConflict, "job %s is not cancelable", id)
 		return
 	}
 	j, _ := s.sched.Job(id)
-	writeJSON(w, http.StatusOK, jobJSON(j))
+	WriteJSON(w, http.StatusOK, jobJSON(j))
 }
 
 // handleCacheGet serves the shared-tier peer protocol: a verified
@@ -327,13 +292,13 @@ func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleCacheGet(w http.ResponseWriter, r *http.Request) {
 	key := r.PathValue("key")
 	if !validCacheKey(key) {
-		writeError(w, http.StatusBadRequest, client.CodeInvalidRequest, "malformed cache key %q", key)
+		WriteError(w, http.StatusBadRequest, client.CodeInvalidRequest, "malformed cache key %q", key)
 		return
 	}
 	e, _ := s.cache.lookupLocal(key)
 	if e == nil {
 		s.metrics.PeerMisses.Add(1)
-		writeError(w, http.StatusNotFound, client.CodeNotFound, "no cache entry %s", key)
+		WriteError(w, http.StatusNotFound, client.CodeNotFound, "no cache entry %s", key)
 		return
 	}
 	s.metrics.PeerHits.Add(1)
@@ -347,20 +312,20 @@ func (s *Server) handleCacheGet(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleCachePut(w http.ResponseWriter, r *http.Request) {
 	key := r.PathValue("key")
 	if !validCacheKey(key) {
-		writeError(w, http.StatusBadRequest, client.CodeInvalidRequest, "malformed cache key %q", key)
+		WriteError(w, http.StatusBadRequest, client.CodeInvalidRequest, "malformed cache key %q", key)
 		return
 	}
 	var e CacheEntry
 	if err := gob.NewDecoder(io.LimitReader(r.Body, maxCacheEntryBytes)).Decode(&e); err != nil {
-		writeError(w, http.StatusBadRequest, client.CodeInvalidRequest, "decode entry: %v", err)
+		WriteError(w, http.StatusBadRequest, client.CodeInvalidRequest, "decode entry: %v", err)
 		return
 	}
 	if e.Key != key {
-		writeError(w, http.StatusBadRequest, client.CodeInvalidRequest, "entry key %s does not match path %s", e.Key, key)
+		WriteError(w, http.StatusBadRequest, client.CodeInvalidRequest, "entry key %s does not match path %s", e.Key, key)
 		return
 	}
 	if err := e.verify(); err != nil {
-		writeError(w, http.StatusBadRequest, client.CodeInvalidRequest, "verify: %v", err)
+		WriteError(w, http.StatusBadRequest, client.CodeInvalidRequest, "verify: %v", err)
 		return
 	}
 	s.cache.PutLocal(&e)
@@ -375,7 +340,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 		status = "draining"
 		code = http.StatusServiceUnavailable
 	}
-	writeJSON(w, code, client.Health{
+	WriteJSON(w, code, client.Health{
 		APIVersion: client.APIVersion,
 		Status:     status,
 		Role:       "worker",
