@@ -221,14 +221,16 @@ func BenchmarkFig11d_TimeVsMicell(b *testing.B) {
 
 // BenchmarkHotpath is the per-workload engine-throughput suite: each
 // sub-benchmark replays one recorded trace through a fresh collector and
-// reports ns per reference access. BENCH_hotpath.json records measured
-// before/after numbers for the hot-path overhaul; CI replays every
-// workload once (-bench=Hotpath -benchtime=1x) as a smoke test.
+// reports ns per reference access, with B/op and allocs/op beside it.
+// BENCH_hotpath.json records measured before/after numbers for the
+// hot-path overhaul; CI replays every workload once (-bench=Hotpath
+// -benchtime=1x) as a smoke test.
 func BenchmarkHotpath(b *testing.B) {
 	h := hier()
 	for _, name := range experiments.HotpathWorkloads() {
 		name := name
 		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
 			events, err := experiments.HotpathTrace(name)
 			if err != nil {
 				b.Fatal(err)

@@ -51,11 +51,16 @@ func (h *Histogram) GobEncode() ([]byte, error) {
 }
 
 // GobDecode implements gob.GobDecoder. It accepts both the sorted-pair
-// wire format and the legacy map format.
+// wire format and the legacy map format, and refuses a resolution NewRes
+// would refuse or a bin no finite distance maps to, so a crafted stream
+// cannot make the flat bin store allocate past the largest real bin.
 func (h *Histogram) GobDecode(data []byte) error {
 	var w histogramWire
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&w); err != nil {
 		return err
+	}
+	if !validRes(w.Sub) {
+		return fmt.Errorf("histo: corrupt wire data: resolution %d", w.Sub)
 	}
 	h.sub = w.Sub
 	h.counts = nil
@@ -67,18 +72,26 @@ func (h *Histogram) GobDecode(data []byte) error {
 		return fmt.Errorf("histo: corrupt wire data: %d bin indices, %d counts", len(w.BinIdx), len(w.BinCnt))
 	}
 	for i, idx := range w.BinIdx {
-		h.setBin(idx, w.BinCnt[i])
+		if err := h.setBin(idx, w.BinCnt[i]); err != nil {
+			return err
+		}
 	}
 	for idx, c := range w.Counts { // legacy map format
-		h.setBin(idx, c)
+		if err := h.setBin(idx, c); err != nil {
+			return err
+		}
 	}
 	return nil
 }
 
-// setBin installs a decoded (bin, count) pair into the flat store.
-func (h *Histogram) setBin(idx uint32, c uint64) {
+// setBin installs a decoded (bin, count) pair into the flat store,
+// refusing a bin past the one the largest finite distance maps to.
+func (h *Histogram) setBin(idx uint32, c uint64) error {
+	if last := h.binIndex(Cold - 1); idx > last {
+		return fmt.Errorf("histo: corrupt wire data: bin %d past the last bin %d", idx, last)
+	}
 	if c == 0 {
-		return
+		return nil
 	}
 	if int(idx) >= len(h.counts) {
 		h.grow(int(idx))
@@ -87,4 +100,5 @@ func (h *Histogram) setBin(idx uint32, c uint64) {
 		h.occ++
 	}
 	h.counts[idx] += c
+	return nil
 }

@@ -1,6 +1,8 @@
 package histo
 
 import (
+	"bytes"
+	"encoding/gob"
 	"math/rand"
 	"strings"
 	"testing"
@@ -291,6 +293,41 @@ func TestGobRoundTrip(t *testing.T) {
 	var bad Histogram
 	if err := bad.GobDecode([]byte("junk")); err == nil {
 		t.Error("garbage should fail to decode")
+	}
+}
+
+// TestGobDecodeRejectsCorruptWire checks that decoding refuses a
+// resolution NewRes would refuse and a bin past the one the largest
+// finite distance maps to, in both wire formats, so a crafted stream
+// cannot size the flat bin store; the last real bin still decodes.
+func TestGobDecodeRejectsCorruptWire(t *testing.T) {
+	encode := func(w histogramWire) []byte {
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(w); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	last := NewRes(256).binIndex(Cold - 1)
+	for name, w := range map[string]histogramWire{
+		"resolution 0":     {Sub: 0},
+		"resolution 3":     {Sub: 3, BinIdx: []uint32{5}, BinCnt: []uint64{1}},
+		"resolution 512":   {Sub: 512},
+		"bin past the end": {Sub: 256, BinIdx: []uint32{last + 1}, BinCnt: []uint64{1}},
+		"bin 1<<31":        {Sub: 8, BinIdx: []uint32{1 << 31}, BinCnt: []uint64{1}},
+		"legacy bin 1<<31": {Sub: 8, Counts: map[uint32]uint64{1 << 31: 1}},
+	} {
+		var h Histogram
+		if err := h.GobDecode(encode(w)); err == nil {
+			t.Errorf("%s: decoded without error", name)
+		}
+	}
+	var h Histogram
+	if err := h.GobDecode(encode(histogramWire{Sub: 256, BinIdx: []uint32{last}, BinCnt: []uint64{1}, Total: 1})); err != nil {
+		t.Fatalf("last bin: %v", err)
+	}
+	if lo, hi := h.binBounds(last); Cold-1 < lo || Cold-1 > hi {
+		t.Errorf("last bin covers [%d, %d], not %d", lo, hi, uint64(Cold-1))
 	}
 }
 

@@ -136,6 +136,11 @@ func (r *Report) Level(name string) *LevelReport {
 	return nil
 }
 
+// inTree reports whether id is a scope of tree or trace.NoScope.
+func inTree(tree *scope.Tree, id trace.ScopeID) bool {
+	return id == trace.NoScope || tree.Valid(id)
+}
+
 // Build computes a Report from the collected reuse-distance data, the
 // static analysis, and a hierarchy. static may be nil (no fragmentation or
 // irregularity attribution — e.g. for externally recorded traces).
@@ -174,6 +179,12 @@ func Build(src Source, col *reusedist.Collector, static *staticanalysis.Result,
 			if !ok {
 				return nil, fmt.Errorf("metrics: unknown reference %d", rd.Ref)
 			}
+			// Restored data (a persisted artifact) may name scopes the
+			// program does not have; the report labels every scope it
+			// names, so refuse it here rather than index past the tree.
+			if !inTree(tree, rd.Scope) {
+				return nil, fmt.Errorf("metrics: reference %d: unknown scope %d", rd.Ref, rd.Scope)
+			}
 			frag := -1.0
 			if static != nil {
 				frag = static.FragOf(rd.Ref)
@@ -193,6 +204,10 @@ func Build(src Source, col *reusedist.Collector, static *staticanalysis.Result,
 			// SortedPatterns (not the Patterns map) so the report — and
 			// its serialized XML — is byte-identical across runs.
 			for _, p := range rd.SortedPatterns(thIdx) {
+				if !inTree(tree, p.Key.Source) || !inTree(tree, p.Key.Carrying) {
+					return nil, fmt.Errorf("metrics: reference %d: pattern %d -> %d names an unknown scope",
+						rd.Ref, p.Key.Source, p.Key.Carrying)
+				}
 				fa := float64(p.MissAt[thIdx])
 				var misses float64
 				switch model {

@@ -17,18 +17,20 @@ import "sort"
 //     recent epoch, which is where stencil and streaming reuses
 //     overwhelmingly land — are located in O(1) with one subtraction.
 //
-// When the window fills, live slots are re-packed to the front (an epoch
-// boundary): the re-packed prefix stays binary-searchable, a fresh affine
-// run starts, and the window doubles only when more than half of it is
-// live. Compaction is O(window) and triggered at most once per window/2
-// inserts, so it amortizes to O(1); the BIT stays sized to the live set
-// (cache-resident) instead of growing with total trace length.
+// When the window fills, live slots are re-packed in place to the front
+// (an epoch boundary): the re-packed prefix stays binary-searchable, a
+// fresh affine run starts, and the window doubles only when more than half
+// of it is live. Compaction is O(window) and triggered at most once per
+// window/2 inserts, so it amortizes to O(1); it allocates only when the
+// window doubles, so a steady live set runs allocation-free, and the BIT
+// stays sized to the live set (cache-resident) instead of growing with
+// total trace length.
 type Epoch struct {
 	bit      []uint32 // 1-based BIT; bit tree over live-slot indicators
 	slotTime []uint64 // slotTime[slot]; strictly increasing over [0, next)
-	live     []bool
-	next     int32 // next slot to assign
-	runStart int32 // first slot of the current affine run
+	live     []bool   // live[slot]; false for every slot at or past next
+	next     int32    // next slot to assign
+	runStart int32    // first slot of the current affine run
 	n        int
 }
 
@@ -151,36 +153,42 @@ func (e *Epoch) CountGreater(t uint64) uint64 {
 	return uint64(e.n) - uint64(e.prefix(pos-1))
 }
 
-// compact re-packs live slots to the front and starts a new epoch. The
-// window grows (doubles) only when more than half of it is live, so the
-// slot space stays proportional to the peak live set and compaction cost
-// amortizes to O(1) per insert. Growth is explicit and unbounded: a trace
+// compact re-packs live slots to the front of the window in place and
+// starts a new epoch. The window grows (doubles) only when more than half
+// of it is live, so the slot space stays proportional to the peak live set
+// and compaction cost amortizes to O(1) per insert. Growth is the only
+// time compaction allocates, and it is explicit and unbounded: a trace
 // with any number of live blocks is handled without mis-counting.
 func (e *Epoch) compact() {
+	// One forward pass: the write index j never passes the read index i,
+	// so no live slot is overwritten before it is read.
+	var j int32
+	for i := int32(0); i < e.next; i++ {
+		if e.live[i] {
+			e.live[j] = true
+			e.slotTime[j] = e.slotTime[i]
+			j++
+		}
+	}
 	window := len(e.live)
 	for e.n*2 > window {
 		window *= 2
 	}
-	newLive := make([]bool, window)
-	newTime := make([]uint64, window)
-	var j int32
-	for i := int32(0); i < e.next; i++ {
-		if e.live[i] {
-			newLive[j] = true
-			newTime[j] = e.slotTime[i]
-			j++
-		}
+	if window == len(e.live) {
+		clear(e.live[j:e.next])
+	} else {
+		live := make([]bool, window)
+		copy(live, e.live[:j])
+		slotTime := make([]uint64, window)
+		copy(slotTime, e.slotTime[:j])
+		e.live, e.slotTime = live, slotTime
 	}
-	e.live = newLive
-	e.slotTime = newTime
 	e.next = j
 	e.runStart = j // compacted prefix is not affine; next insert starts a run
 	if len(e.bit) != window+1 {
 		e.bit = make([]uint32, window+1)
 	} else {
-		for i := range e.bit {
-			e.bit[i] = 0
-		}
+		clear(e.bit)
 	}
 	// Build the BIT in O(window): seed each live slot, then push partial
 	// sums to parents.

@@ -1,7 +1,9 @@
 package ostree
 
 import (
+	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -16,6 +18,39 @@ type Tree interface {
 	Delete(t uint64)
 	CountGreater(t uint64) uint64
 	Len() int
+}
+
+// checkInvariants verifies the epoch tree's slot window, as
+// AVL.checkInvariants does the AVL tree's shape: slot times strictly
+// increase over [0, next), no slot at or past next is live, the BIT counts
+// exactly n live slots, and [runStart, next) is an affine run.
+func (e *Epoch) checkInvariants() error {
+	for s := int32(1); s < e.next; s++ {
+		if e.slotTime[s] <= e.slotTime[s-1] {
+			return fmt.Errorf("slotTime[%d] = %d not above slotTime[%d] = %d", s, e.slotTime[s], s-1, e.slotTime[s-1])
+		}
+	}
+	for s := int(e.next); s < len(e.live); s++ {
+		if e.live[s] {
+			return fmt.Errorf("slot %d live at or past next = %d", s, e.next)
+		}
+	}
+	if e.next > 0 {
+		if got := e.prefix(e.next - 1); int(got) != e.n {
+			return fmt.Errorf("BIT prefix(%d) = %d, want n = %d", e.next-1, got, e.n)
+		}
+	} else if e.n != 0 {
+		return fmt.Errorf("n = %d with no slots assigned", e.n)
+	}
+	if e.runStart > e.next {
+		return fmt.Errorf("runStart %d past next %d", e.runStart, e.next)
+	}
+	for s := e.runStart; s < e.next; s++ {
+		if e.slotTime[s] != e.slotTime[e.runStart]+uint64(s-e.runStart) {
+			return fmt.Errorf("affine run broken at slot %d: %d != %d + %d", s, e.slotTime[s], e.slotTime[e.runStart], s-e.runStart)
+		}
+	}
+	return nil
 }
 
 // brute is an O(n) reference implementation backed by a slice.
@@ -242,7 +277,8 @@ func TestAVLNodeReuse(t *testing.T) {
 func TestAllKindsAgreeWithOracle(t *testing.T) {
 	f := func(seed int64, nOps uint16) bool {
 		rng := rand.New(rand.NewSource(seed))
-		trees := []Tree{NewEpoch(0), NewAVL(0)}
+		ep := NewEpoch(0)
+		trees := []Tree{ep, NewAVL(0)}
 		ref := &brute{}
 		now := uint64(0)
 		inserted := []uint64{}
@@ -278,6 +314,10 @@ func TestAllKindsAgreeWithOracle(t *testing.T) {
 				if tr.Len() != ref.Len() {
 					return false
 				}
+			}
+			if err := ep.checkInvariants(); err != nil {
+				t.Logf("seed %d op %d: %v", seed, i, err)
+				return false
 			}
 		}
 		return true
@@ -329,24 +369,106 @@ func TestEpochCompactionChurn(t *testing.T) {
 	live := []uint64{}
 	now := uint64(0)
 	rng := rand.New(rand.NewSource(5))
+	check := func(i int, op string) {
+		t.Helper()
+		if err := e.checkInvariants(); err != nil {
+			t.Fatalf("after %d ops (%s): %v", i, op, err)
+		}
+	}
 	for i := 0; i < 10000; i++ {
 		now += uint64(rng.Intn(2) + 1)
 		e.Insert(now)
 		ref.Insert(now)
 		live = append(live, now)
+		check(i, "insert")
 		if len(live) > 24 {
 			j := rng.Intn(len(live))
 			e.Delete(live[j])
 			ref.Delete(live[j])
 			live[j] = live[len(live)-1]
 			live = live[:len(live)-1]
+			check(i, "delete")
 		}
 		if i%53 == 0 && len(live) > 0 {
 			k := live[rng.Intn(len(live))]
 			if got, want := e.CountGreater(k), ref.CountGreater(k); got != want {
 				t.Fatalf("after %d ops: CountGreater(%d) = %d, want %d", i, k, got, want)
 			}
+			check(i, "count")
 		}
+	}
+}
+
+// TestEpochCompactionAllocatesNothing pins the steady state: a live set
+// that fits in half the window is re-packed in place, so compaction
+// allocates nothing however often it runs, and a growing live set
+// reallocates only at the inserts where the window doubles.
+func TestEpochCompactionAllocatesNothing(t *testing.T) {
+	const window, liveSet = 64, 16
+	e := NewEpoch(window)
+	ring := make([]uint64, liveSet)
+	now := uint64(0)
+	for i := range ring {
+		now++
+		e.Insert(now)
+		ring[i] = now
+	}
+	compactions := 0
+	allocs := testing.AllocsPerRun(5, func() {
+		compactions = 0
+		for i := 0; i < 12*window; i++ {
+			slot := i % liveSet
+			next := e.next
+			now++
+			e.CountGreater(ring[slot])
+			e.Delete(ring[slot])
+			e.Insert(now)
+			ring[slot] = now
+			if e.next <= next {
+				compactions++
+			}
+		}
+	})
+	if compactions < 10 {
+		t.Fatalf("a pass ran %d compactions, want at least 10", compactions)
+	}
+	if allocs != 0 {
+		t.Errorf("steady live set: %v allocations per %d compactions, want 0", allocs, compactions)
+	}
+	if len(e.live) != window {
+		t.Errorf("window grew to %d for a live set of %d", len(e.live), liveSet)
+	}
+	if err := e.checkInvariants(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Growth: with no deletes every compaction finds the window full, so
+	// each one doubles it, and only those inserts allocate.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	g := NewEpoch(16)
+	var before, after runtime.MemStats
+	doublings := 0
+	for ts := uint64(1); ts <= 4096; ts++ {
+		w := len(g.live)
+		runtime.ReadMemStats(&before)
+		g.Insert(ts)
+		runtime.ReadMemStats(&after)
+		grew := len(g.live) != w
+		if grew {
+			doublings++
+			if len(g.live) != 2*w {
+				t.Fatalf("insert %d: window %d -> %d, want a doubling", ts, w, len(g.live))
+			}
+		}
+		if allocated := after.Mallocs > before.Mallocs; allocated != grew {
+			t.Fatalf("insert %d: allocated %d objects, window %d -> %d", ts, after.Mallocs-before.Mallocs, w, len(g.live))
+		}
+	}
+	if doublings != 8 { // 16 -> 4096
+		t.Errorf("window doubled %d times, want 8", doublings)
+	}
+	if err := g.checkInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }
 

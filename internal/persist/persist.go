@@ -188,8 +188,19 @@ func LoadFile(path string) (*Dataset, error) {
 	return Load(f)
 }
 
+// maxRefs bounds the reference IDs an artifact may carry: reusedist.Restore
+// sizes a dense table by the largest one, so the bound caps what a small
+// artifact can make its reader allocate. No program that fits in a 16 MiB
+// request has that many references; each spends at least four bytes of
+// source, as in a[i].
+const maxRefs = 1 << 22
+
 // Load reads a dataset written by Save, accepting both the current
-// deterministic format and version-1 streams.
+// deterministic format and version-1 streams. It is where the shape of an
+// untrusted artifact is checked: a stream whose granularities, reference
+// sets and clocks disagree, or that names a block size, reference ID,
+// pattern or histogram no engine could have produced, is refused before
+// anything indexes it.
 func Load(r io.Reader) (*Dataset, error) {
 	var w datasetWire
 	if err := gob.NewDecoder(r).Decode(&w); err != nil {
@@ -220,6 +231,9 @@ func Load(r io.Reader) (*Dataset, error) {
 				Cold:     r.Cold,
 			}
 			for _, p := range r.Pats {
+				if p == nil {
+					return nil, fmt.Errorf("persist: corrupt stream: reference %d has a nil pattern", r.Ref)
+				}
 				rd.Patterns[p.Key] = p
 			}
 			refs = append(refs, rd)
@@ -232,5 +246,71 @@ func Load(r io.Reader) (*Dataset, error) {
 			d.Trips[id] = w.TripVals[i]
 		}
 	}
+	if err := d.validate(); err != nil {
+		return nil, fmt.Errorf("persist: corrupt stream: %w", err)
+	}
 	return d, nil
+}
+
+// validate checks that every index a reader derives from the dataset is in
+// range: one reference set and one clock per granularity, block sizes an
+// engine accepts, level names with a threshold each, and per granularity
+// unique reference IDs in [0, maxRefs) whose patterns each carry a
+// histogram and one miss count per threshold.
+func (d *Dataset) validate() error {
+	if len(d.Refs) != len(d.Grans) || len(d.Clocks) != len(d.Grans) {
+		return fmt.Errorf("%d granularities, %d reference sets, %d clocks", len(d.Grans), len(d.Refs), len(d.Clocks))
+	}
+	for i, g := range d.Grans {
+		if g.BlockBits > reusedist.MaxBlockBits {
+			return fmt.Errorf("granularity %q: block bits %d past %d", g.Name, g.BlockBits, reusedist.MaxBlockBits)
+		}
+		if len(g.LevelNames) > len(g.Thresholds) {
+			return fmt.Errorf("granularity %q: %d level names for %d thresholds", g.Name, len(g.LevelNames), len(g.Thresholds))
+		}
+		seen := make(map[trace.RefID]bool, len(d.Refs[i]))
+		for _, rd := range d.Refs[i] {
+			if rd == nil {
+				return fmt.Errorf("granularity %q: nil reference", g.Name)
+			}
+			if rd.Ref < 0 || rd.Ref >= maxRefs {
+				return fmt.Errorf("granularity %q: reference ID %d outside [0, %d)", g.Name, rd.Ref, maxRefs)
+			}
+			if seen[rd.Ref] {
+				return fmt.Errorf("granularity %q: reference %d appears twice", g.Name, rd.Ref)
+			}
+			seen[rd.Ref] = true
+			if err := checkPatterns(rd, len(g.Thresholds)); err != nil {
+				return fmt.Errorf("granularity %q: reference %d: %w", g.Name, rd.Ref, err)
+			}
+		}
+	}
+	return nil
+}
+
+// checkPatterns validates one reference's patterns. It reports the first
+// problem in a fixed order rather than the first pattern met, so the same
+// stream always gets the same message despite map iteration order.
+func checkPatterns(rd *reusedist.RefData, thresholds int) error {
+	var nilPattern, noHist, badMiss, rekeyed bool
+	for k, p := range rd.Patterns {
+		if p == nil {
+			nilPattern = true
+			continue
+		}
+		noHist = noHist || p.Hist == nil
+		badMiss = badMiss || len(p.MissAt) != thresholds
+		rekeyed = rekeyed || p.Key != k
+	}
+	switch {
+	case nilPattern:
+		return fmt.Errorf("nil pattern")
+	case noHist:
+		return fmt.Errorf("pattern without a histogram")
+	case badMiss:
+		return fmt.Errorf("pattern miss counts do not match the %d thresholds", thresholds)
+	case rekeyed:
+		return fmt.Errorf("pattern stored under another pattern's key")
+	}
+	return nil
 }

@@ -219,9 +219,14 @@ const slabSize = 64
 
 var emptyMiss = []uint64{}
 
+// MaxBlockBits is the largest block-size exponent an engine accepts
+// (1 TiB blocks). New panics past it; persist.Load refuses artifacts that
+// name a larger one.
+const MaxBlockBits = 40
+
 // New returns an Engine for the given configuration.
 func New(cfg Config) *Engine {
-	if cfg.BlockBits > 40 {
+	if cfg.BlockBits > MaxBlockBits {
 		panic(fmt.Sprintf("reusedist: unreasonable block bits %d", cfg.BlockBits))
 	}
 	res := cfg.HistRes
@@ -534,27 +539,32 @@ func (e *Engine) TotalMissAt(i int) uint64 {
 
 // Restore rebuilds a read-only engine from persisted per-reference data
 // (see internal/persist). The returned engine serves all query methods but
-// must not receive further events.
+// must not receive further events, so it carries no block table and no
+// order-statistic tree; cfg supplies only the block size and thresholds
+// the data was collected at. RefIDs must be non-negative, and the largest
+// one sizes the dense reference table.
 func Restore(cfg Config, refs []*RefData, clock uint64) *Engine {
-	e := New(cfg)
-	e.clock = clock
 	maxID := trace.RefID(-1)
 	for _, rd := range refs {
 		if rd != nil && rd.Ref > maxID {
 			maxID = rd.Ref
 		}
 	}
-	e.refs = make([]*RefData, maxID+1)
+	e := &Engine{
+		cfg:   cfg,
+		clock: clock,
+		refs:  make([]*RefData, maxID+1),
+		scale: 1,
+		minTh: histo.Cold,
+		// Persisted sampled data was scaled by Finish before the
+		// snapshot; never scale it a second time.
+		finished: true,
+	}
 	for _, rd := range refs {
 		if rd != nil {
 			e.refs[rd.Ref] = rd
 		}
 	}
-	e.table = nil
-	e.tree = nil
-	// Persisted sampled data was scaled by Finish before the snapshot;
-	// never scale it a second time.
-	e.finished = true
 	return e
 }
 

@@ -367,3 +367,69 @@ func BenchmarkEngine(b *testing.B) {
 		e.Access(trace.RefID(i&7), addrs[i&0xffff], 8, false)
 	}
 }
+
+// TestEngineSteadyStateAllocatesNothing pins the engine's steady state:
+// once every block of a fixed set, every reference and every pattern has
+// been seen, a pass that carries the order-statistic tree through several
+// compactions allocates nothing.
+func TestEngineSteadyStateAllocatesNothing(t *testing.T) {
+	const blocks, sweeps = 1000, 16
+	e := New(Config{BlockBits: 6, Thresholds: []uint64{512, 4096}})
+	e.EnterScope(0)
+	pass := func() {
+		for i := 0; i < sweeps; i++ {
+			scan(e, trace.RefID(i%2), blocks)
+		}
+	}
+	pass() // warm-up: cold blocks, reference table, patterns, histogram bins
+	start := e.Clock()
+	allocs := testing.AllocsPerRun(3, pass)
+	// The tree window starts at 4096 slots and the live set is 1000
+	// blocks, so it compacts every 3096 accesses: at least five times a
+	// pass.
+	if perPass := (e.Clock() - start) / 4; perPass < 5*(4096-blocks) {
+		t.Fatalf("a pass made %d accesses, too few to compact five times", perPass)
+	}
+	if allocs != 0 {
+		t.Errorf("steady-state pass allocated %v objects, want 0", allocs)
+	}
+}
+
+// TestRestoreBuildsNoIndex checks that a restored engine answers every
+// query like the engine it was saved from, while building neither the
+// block table nor the order-statistic tree a live engine needs.
+func TestRestoreBuildsNoIndex(t *testing.T) {
+	cfg := Config{BlockBits: 6, Thresholds: []uint64{4, 16, 64}}
+	live := New(cfg)
+	randomTrace(9, 3000, live)
+	refs := live.Refs()
+	r := Restore(cfg, refs, live.Clock())
+	if r.table != nil || r.tree != nil {
+		t.Fatal("restored engine built a block table or a tree")
+	}
+	if r.Fingerprint() != live.Fingerprint() {
+		t.Errorf("fingerprint %016x, want %016x", r.Fingerprint(), live.Fingerprint())
+	}
+	for i := range cfg.Thresholds {
+		if got, want := r.TotalMissAt(i), live.TotalMissAt(i); got != want {
+			t.Errorf("TotalMissAt(%d) = %d, want %d", i, got, want)
+		}
+	}
+	got := r.Refs()
+	if len(got) != len(refs) {
+		t.Fatalf("Refs: %d references, want %d", len(got), len(refs))
+	}
+	for i := range refs {
+		if got[i] != refs[i] {
+			t.Errorf("Refs[%d] is not the restored reference %d", i, refs[i].Ref)
+		}
+	}
+	if r.Clock() != live.Clock() || r.TotalCold() != live.TotalCold() || r.DistinctBlocks() != 0 {
+		t.Errorf("clock %d cold %d blocks %d, want %d %d 0",
+			r.Clock(), r.TotalCold(), r.DistinctBlocks(), live.Clock(), live.TotalCold())
+	}
+	// The engine and its dense reference table are all Restore allocates.
+	if allocs := testing.AllocsPerRun(10, func() { Restore(cfg, refs, live.Clock()) }); allocs > 2 {
+		t.Errorf("Restore allocated %v objects, want at most 2", allocs)
+	}
+}

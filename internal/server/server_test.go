@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"encoding/gob"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -10,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"reusetool/internal/persist"
 	"reusetool/pkg/client"
 )
 
@@ -371,5 +373,97 @@ func TestArtifactSubmission(t *testing.T) {
 	}
 	if !strings.Contains(d.Report, "MISSES") {
 		t.Fatal("artifact-based report looks empty")
+	}
+}
+
+// craftArtifact reloads a real artifact, applies f and saves it again.
+func craftArtifact(t *testing.T, artifact []byte, f func(d *persist.Dataset)) []byte {
+	t.Helper()
+	d, err := persist.Load(bytes.NewReader(artifact))
+	if err != nil {
+		t.Fatal(err)
+	}
+	f(d)
+	var buf bytes.Buffer
+	if err := persist.Save(&buf, d); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestMalformedArtifactsRefused sends crafted artifacts that used to
+// kill the worker process (an index out of range in a scheduler
+// goroutine, or an out-of-memory fatal error) to both routes that accept
+// one, and checks that the daemon refuses them and keeps serving.
+func TestMalformedArtifactsRefused(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	wantInvalid := func(what string, resp *http.Response) {
+		t.Helper()
+		defer resp.Body.Close()
+		var env client.ErrorEnvelope
+		if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
+			t.Fatalf("%s: decode error envelope (status %d): %v", what, resp.StatusCode, err)
+		}
+		if resp.StatusCode != http.StatusBadRequest || env.Err.Code != client.CodeInvalidRequest {
+			t.Fatalf("%s: status %d code %q (%s), want 400 %s",
+				what, resp.StatusCode, env.Err.Code, env.Err.Message, client.CodeInvalidRequest)
+		}
+	}
+
+	entry := collectEntry(t, key(7))
+	fig2 := entry.Artifact
+
+	// Two granularities, but one reference set and one clock.
+	unequal := craftArtifact(t, fig2, func(d *persist.Dataset) { d.Refs, d.Clocks = d.Refs[:1], d.Clocks[:1] })
+	body, err := json.Marshal(AnalyzeRequest{Workload: "fig2", Artifact: unequal})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(ts.URL+"/v1/analyze", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantInvalid("analyze with unequal lengths", resp)
+
+	// A reference ID that would size a 1<<30-entry table on verify.
+	entry.Artifact = craftArtifact(t, fig2, func(d *persist.Dataset) { d.Refs[0][0].Ref = 1 << 30 })
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(entry); err != nil {
+		t.Fatal(err)
+	}
+	req, err := http.NewRequest(http.MethodPut, ts.URL+"/v1/cache/"+key(7), &buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err = http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantInvalid("cache PUT with a huge reference ID", resp)
+
+	// Well-formed, but naming a scope fig2 does not have: only the
+	// report can tell, so the job fails instead of the worker.
+	foreign := craftArtifact(t, fig2, func(d *persist.Dataset) {
+		for _, p := range d.Refs[0][0].PatternsByKey() {
+			delete(d.Refs[0][0].Patterns, p.Key)
+			p.Key.Source = 9999
+			d.Refs[0][0].Patterns[p.Key] = p
+		}
+	})
+	j, status := postAnalyze(t, ts, AnalyzeRequest{Workload: "fig2", Artifact: foreign})
+	if status != http.StatusAccepted {
+		t.Fatalf("foreign-scope artifact: status %d (%s)", status, j.Error)
+	}
+	if d := pollDone(t, ts, j.ID); d.Status != JobFailed || !strings.Contains(d.Error, "unknown scope") {
+		t.Fatalf("foreign-scope artifact: job %s (%s), want failed on an unknown scope", d.Status, d.Error)
+	}
+
+	// The daemon still analyzes.
+	j, status = postAnalyze(t, ts, AnalyzeRequest{Workload: "fig2"})
+	if status != http.StatusAccepted {
+		t.Fatalf("fig2 after the malformed artifacts: status %d (%s)", status, j.Error)
+	}
+	if d := pollDone(t, ts, j.ID); d.Status != JobDone {
+		t.Fatalf("fig2 after the malformed artifacts: %s (%s)", d.Status, d.Error)
 	}
 }

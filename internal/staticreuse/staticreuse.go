@@ -137,6 +137,10 @@ type estimator struct {
 	params map[string]int64
 	res    int
 	maxLag int
+	// matches is enumerateMatches' output buffer, reused for every
+	// reference: assign consumes one reference's matches, and keeps no
+	// pointer into them, before the next reference is listed.
+	matches []match
 }
 
 // scopeAccesses estimates block accesses per innermost static scope.
@@ -285,7 +289,8 @@ func (e *estimator) granularity(g reusedist.Granularity) ([]*reusedist.RefData, 
 }
 
 // enumerateMatches lists candidate sources for an affine reference: group
-// members shifted by iteration-lag vectors with sub-block residuals.
+// members shifted by iteration-lag vectors with sub-block residuals. The
+// result aliases e.matches and is valid until the next call.
 func (e *estimator) enumerateMatches(ref *ir.Ref, nest []*ir.Loop, bs int64, fpMemo map[fpKey]float64) []match {
 	group := e.static.GroupOf(ref.ID())
 	dstC, dstStride, ok := e.concretize(e.static.Form(ref.ID()), nest)
@@ -322,7 +327,7 @@ func (e *estimator) enumerateMatches(ref *ir.Ref, nest []*ir.Loop, bs int64, fpM
 	}
 
 	dstOrder := e.stats.Order(ref.ID())
-	var out []match
+	out := e.matches[:0]
 	for gi, src := range group.Refs {
 		srcC, srcStride, ok := e.concretize(group.Forms[gi], nest)
 		if !ok || !sameStrides(dstStride, srcStride) {
@@ -378,6 +383,7 @@ func (e *estimator) enumerateMatches(ref *ir.Ref, nest []*ir.Loop, bs int64, fpM
 		}
 		enum(0, delta)
 	}
+	e.matches = out
 	return out
 }
 
