@@ -18,6 +18,7 @@ import (
 	"reusetool/internal/core"
 	"reusetool/internal/experiments"
 	"reusetool/internal/metrics"
+	"reusetool/internal/staticreuse"
 	"reusetool/internal/trace"
 	"reusetool/internal/workloads"
 )
@@ -247,6 +248,34 @@ func BenchmarkHotpath(b *testing.B) {
 				trace.ReplayEvents(events, col)
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(accesses), "ns/access")
+		})
+	}
+}
+
+// BenchmarkStaticEstimate times one static reuse-distance estimate
+// (internal/staticreuse) per built-in workload, with B/op and allocs/op
+// beside it: the cost a static request pays once, for its report and
+// its ranked opportunities alike. CI runs each once
+// (-bench=StaticEstimate -benchtime=1x) as a smoke test.
+func BenchmarkStaticEstimate(b *testing.B) {
+	h := hier()
+	for _, name := range []string{"fig2", "stencil", "gtc"} {
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			prog, _, err := workloads.Build(name)
+			if err != nil {
+				b.Fatal(err)
+			}
+			info, err := prog.Finalize()
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := staticreuse.Estimate(info, h, staticreuse.Options{}); err != nil {
+					b.Fatal(err)
+				}
+			}
 		})
 	}
 }

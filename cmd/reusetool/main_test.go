@@ -12,15 +12,39 @@ import (
 	"testing"
 )
 
-// -update regenerates the golden files under testdata/check.
+// -update regenerates the golden files under testdata.
 var update = flag.Bool("update", false, "rewrite golden files")
 
-func TestBuildWorkloadAllNames(t *testing.T) {
-	names := []string{
-		"fig1a", "fig1b", "fig2", "stream", "stencil", "transpose",
-		"sweep3d", "sweep3d-blk6", "sweep3d-blk6ic", "gtc", "gtc-tuned",
+// builtinWorkloads names every workload the registry builds.
+var builtinWorkloads = []string{
+	"fig1a", "fig1b", "fig2", "stream", "stencil", "transpose",
+	"sweep3d", "sweep3d-blk6", "sweep3d-blk6ic", "gtc", "gtc-tuned",
+}
+
+// compareGolden checks got against the golden file at path, or rewrites
+// the file under -update.
+func compareGolden(t *testing.T, path, got string) {
+	t.Helper()
+	if *update {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
 	}
-	for _, name := range names {
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%s (run go test -update to regenerate)", err)
+	}
+	if got != string(want) {
+		t.Errorf("%s: output drifted from golden (re-run with -update if intended)\n--- got ---\n%s--- want ---\n%s", path, got, want)
+	}
+}
+
+func TestBuildWorkloadAllNames(t *testing.T) {
+	for _, name := range builtinWorkloads {
 		prog, _, err := buildWorkload(name)
 		if err != nil {
 			t.Errorf("%s: %v", name, err)
@@ -201,23 +225,7 @@ func checkGolden(t *testing.T, name string, files []string, workload string) {
 		t.Fatalf("%s: usage error:\n%s", name, errw.String())
 	}
 	got := fmt.Sprintf("exit %d\n%s%s", code, out.String(), errw.String())
-	path := filepath.Join("testdata", "check", name+".golden")
-	if *update {
-		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("%s (run go test -update to regenerate)", err)
-	}
-	if got != string(want) {
-		t.Errorf("%s: checker output drifted from golden (re-run with -update if intended)\n--- got ---\n%s--- want ---\n%s", name, got, want)
-	}
+	compareGolden(t, filepath.Join("testdata", "check", name+".golden"), got)
 }
 
 // TestRunCheckGoldenPrograms pins the checker's byte-exact output for
@@ -243,10 +251,7 @@ func TestRunCheckGoldenPrograms(t *testing.T) {
 // verdicts on the paper's case studies (fig1a, fig2, stencil,
 // transpose, sweep3d).
 func TestRunCheckGoldenWorkloads(t *testing.T) {
-	for _, w := range []string{
-		"fig1a", "fig1b", "fig2", "stream", "stencil", "transpose",
-		"sweep3d", "sweep3d-blk6", "sweep3d-blk6ic", "gtc", "gtc-tuned",
-	} {
+	for _, w := range builtinWorkloads {
 		t.Run(w, func(t *testing.T) {
 			checkGolden(t, "workload-"+w, nil, w)
 		})

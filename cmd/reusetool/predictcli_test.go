@@ -25,24 +25,7 @@ func predictGolden(t *testing.T, name string, cfg fitCLI) {
 	if code := runFitPredict(context.Background(), &out, &errw, cfg); code != 0 {
 		t.Fatalf("%s: exit %d:\n%s", name, code, errw.String())
 	}
-	got := out.String()
-	path := filepath.Join("testdata", "predict", name+".golden")
-	if *update {
-		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("%s (run go test -update to regenerate)", err)
-	}
-	if got != string(want) {
-		t.Errorf("%s: -predict output drifted from golden (re-run with -update if intended)\n--- got ---\n%s--- want ---\n%s", name, got, want)
-	}
+	compareGolden(t, filepath.Join("testdata", "predict", name+".golden"), out.String())
 }
 
 func bindings(vals ...int64) []map[string]int64 {

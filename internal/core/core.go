@@ -20,6 +20,7 @@ package core
 import (
 	"fmt"
 	"io"
+	"maps"
 
 	"reusetool/internal/advise"
 	"reusetool/internal/cache"
@@ -32,6 +33,7 @@ import (
 	"reusetool/internal/reusedist"
 	"reusetool/internal/sampling"
 	"reusetool/internal/staticanalysis"
+	"reusetool/internal/staticreuse"
 	"reusetool/internal/timing"
 	"reusetool/internal/trace"
 	"reusetool/internal/viewer"
@@ -108,6 +110,12 @@ type Result struct {
 	// so the summary's static-opportunity section checks the same
 	// program instance that was measured.
 	Params map[string]int64
+
+	// estimate is a static request's own estimate, kept when Report is
+	// exactly the report the opportunity ranking would rebuild from it
+	// (reusecheck.RanksWith), so the ranking reuses both instead of
+	// estimating the program again.
+	estimate *staticreuse.Result
 }
 
 // Misses reports total simulated misses at a level; it requires a
@@ -131,21 +139,29 @@ func (r *Result) Advice(level string, minShare float64) []advise.Recommendation 
 	return advise.AdviseWith(r.Report, r.Deps, level, minShare)
 }
 
-// Opportunities runs the static reuse checker over the analyzed program
-// and returns its opportunity diagnostics (hoistable invariant loads,
-// redundant region re-sweeps, layout mismatches) as ranked advice
-// items at one level. params must match the parameter overrides the
-// result was built with; Share is computed against the level's total
-// misses from this result's report.
+// Opportunities runs the static reuse checker's opportunity detectors
+// over the analyzed program and returns their diagnostics (hoistable
+// invariant loads, redundant region re-sweeps, layout mismatches) as
+// ranked advice items at one level. params must match the parameter
+// overrides the result was built with; Share is computed against the
+// level's total misses from this result's report. When params equal
+// the result's own, the ranking reuses the result's dependence analysis,
+// and a static result's own estimate where it has one.
 func (r *Result) Opportunities(level string, params map[string]int64) []advise.Recommendation {
 	if r.Info == nil {
 		return nil
 	}
-	diags := reusecheck.Check(r.Info, reusecheck.Options{
-		Params:            params,
-		AssumeInitialized: true,
-		Hier:              r.Hier,
-		Level:             level,
+	var given reusecheck.Analyses
+	if maps.Equal(params, r.Params) {
+		given.Deps = r.Deps
+		if r.estimate != nil {
+			given.Estimate, given.Report = r.estimate, r.Report
+		}
+	}
+	diags := reusecheck.Opportunities(r.Info, given, reusecheck.Options{
+		Params: params,
+		Hier:   r.Hier,
+		Level:  level,
 	})
 	total := 0.0
 	if r.Report != nil {

@@ -11,6 +11,7 @@ import (
 	"reusetool/internal/ir"
 	"reusetool/internal/metrics"
 	"reusetool/internal/pipeline"
+	"reusetool/internal/reusecheck"
 	"reusetool/internal/reusedist"
 	"reusetool/internal/scope"
 	"reusetool/internal/staticanalysis"
@@ -290,7 +291,7 @@ func (s StaticSource) run(ctx context.Context, p Pipeline) (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: metrics: %w", err)
 	}
-	return &Result{
+	res := &Result{
 		Info:      info,
 		Hier:      hier,
 		Report:    rep,
@@ -298,7 +299,11 @@ func (s StaticSource) run(ctx context.Context, p Pipeline) (*Result, error) {
 		Collector: est.Collector,
 		Deps:      depend.Analyze(info, p.Params),
 		Params:    p.Params,
-	}, nil
+	}
+	if reusecheck.RanksWith(p.HistRes, p.Model) {
+		res.estimate = est
+	}
+	return res, nil
 }
 
 func (s SavedSource) run(ctx context.Context, p Pipeline) (*Result, error) {

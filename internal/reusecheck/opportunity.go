@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"reusetool/internal/depend"
+	"reusetool/internal/histo"
 	"reusetool/internal/interp"
 	"reusetool/internal/ir"
 	"reusetool/internal/metrics"
@@ -11,6 +12,20 @@ import (
 	"reusetool/internal/symbolic"
 	"reusetool/internal/trace"
 )
+
+// Analyses are what the opportunity detectors read besides the IR and
+// the layout, each for the program at Options.Params. A caller that
+// already holds one hands it to Opportunities; each nil field is
+// computed the way Check computes it.
+type Analyses struct {
+	// Deps is the program's dependence analysis (depend.Analyze).
+	Deps *depend.Analysis
+	// Estimate is a static estimate on Options.Hier and Report its
+	// report, handed over together and only when RanksWith accepts the
+	// resolution and model they were built with.
+	Estimate *staticreuse.Result
+	Report   *metrics.Report
+}
 
 // missModel is the static miss prediction the opportunity detectors
 // rank with: per-(reference, carrying-scope) pattern misses and
@@ -30,19 +45,46 @@ type patternKey struct {
 	carry trace.ScopeID
 }
 
-func buildMissModel(info *ir.Info, opts Options) missModel {
+// The ranking predicts misses with a static estimate at rankRes and its
+// report under rankModel. It always estimates at the default resolution,
+// whatever resolution the analysis it accompanies was run at.
+const (
+	rankRes   = histo.DefaultResolution
+	rankModel = metrics.SetAssoc
+)
+
+// RanksWith reports whether an estimate at histogram resolution histRes
+// (0 = the default) and its report under model are exactly what the
+// ranking computes for itself, so they may be handed over in Analyses.
+func RanksWith(histRes int, model metrics.Model) bool {
+	return model == rankModel && (histRes == 0 || histRes == rankRes)
+}
+
+// estimate runs the static estimate the ranking predicts misses with and
+// builds its report; both are nil when either fails.
+func estimate(info *ir.Info, opts Options) (*staticreuse.Result, *metrics.Report) {
+	est, err := staticreuse.Estimate(info, opts.Hier, staticreuse.Options{Params: opts.Params, HistRes: rankRes})
+	if err != nil {
+		return nil, nil
+	}
+	rep, err := metrics.Build(info, est.Collector, est.Static, opts.Hier, rankModel)
+	if err != nil {
+		return nil, nil
+	}
+	return est, rep
+}
+
+// buildMissModel reads the ranking's miss model at opts.Level from a
+// static estimate and its report. Without a report the model is empty
+// and every miss delta is zero.
+func buildMissModel(est *staticreuse.Result, rep *metrics.Report, opts Options) missModel {
 	m := missModel{level: opts.Level, patterns: map[patternKey]float64{}, byRef: map[trace.RefID]float64{}}
 	lvl := opts.Hier.Level(opts.Level)
 	if lvl == nil {
 		return m
 	}
 	m.blockBytes = int64(lvl.LineSize())
-	est, err := staticreuse.Estimate(info, opts.Hier, staticreuse.Options{Params: opts.Params, HistRes: opts.HistRes})
-	if err != nil {
-		return m
-	}
-	rep, err := metrics.Build(info, est.Collector, est.Static, opts.Hier, metrics.SetAssoc)
-	if err != nil {
+	if rep == nil {
 		return m
 	}
 	lr := rep.Level(opts.Level)
@@ -64,16 +106,23 @@ func buildMissModel(info *ir.Info, opts Options) missModel {
 // reference facts: loop-invariant loads, redundant region re-sweeps,
 // and layout-mismatched access orders. Each diagnostic carries the
 // predicted miss reduction and the legality verdict of the fixing
-// transformation.
-func opportunities(info *ir.Info, w *walker, opts Options, params map[string]int64,
+// transformation. It computes each analysis given leaves nil.
+func opportunities(info *ir.Info, w *walker, given Analyses, opts Options, params map[string]int64,
 	fileOf func(*ir.Routine) string) []Diagnostic {
 
 	mach, err := interp.Layout(info, params)
 	if err != nil {
 		return nil // no layout, no address forms: defects-only degraded mode
 	}
-	model := buildMissModel(info, opts)
-	deps := depend.Analyze(info, opts.Params)
+	est, rep := given.Estimate, given.Report
+	if est == nil {
+		est, rep = estimate(info, opts)
+	}
+	model := buildMissModel(est, rep, opts)
+	deps := given.Deps
+	if deps == nil {
+		deps = depend.Analyze(info, opts.Params)
+	}
 
 	strideCache := map[*ir.Array][]int64{}
 	stridesOf := func(a *ir.Array) []int64 {

@@ -29,9 +29,10 @@
 package reusecheck
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
-	"sort"
+	"slices"
 
 	"reusetool/internal/cache"
 	"reusetool/internal/depend"
@@ -142,17 +143,11 @@ type Options struct {
 	// Level is the hierarchy level miss deltas are reported at
 	// (default "L2").
 	Level string
-	// HistRes is the static estimator's histogram resolution (0 =
-	// default).
-	HistRes int
 }
 
-// Check runs every static check on a finalized program: the dependence
-// checker's defect suite, the abstract-interpretation defect suite
-// (dead stores, dead guards), the ranked opportunity suite, and the
-// provable-bounds notes. The result is deduplicated and sorted by
-// file:line:code:msg, so repeated runs are byte-reproducible.
-func Check(info *ir.Info, opts Options) []Diagnostic {
+// prepare fills the option defaults and returns the program's full
+// parameter binding and the file-name resolver for findings.
+func prepare(info *ir.Info, opts Options) (Options, map[string]int64, func(*ir.Routine) string) {
 	if opts.Hier == nil {
 		opts.Hier = cache.ScaledItanium2()
 	}
@@ -178,6 +173,16 @@ func Check(info *ir.Info, opts Options) []Diagnostic {
 		}
 		return fallback
 	}
+	return opts, params, fileOf
+}
+
+// Check runs every static check on a finalized program: the dependence
+// checker's defect suite, the abstract-interpretation defect suite
+// (dead stores, dead guards), the ranked opportunity suite, and the
+// provable-bounds notes. The result is deduplicated and sorted by
+// file:line:code:msg, so repeated runs are byte-reproducible.
+func Check(info *ir.Info, opts Options) []Diagnostic {
+	opts, params, fileOf := prepare(info, opts)
 
 	var out []Diagnostic
 	for _, d := range depend.Check(info, depend.CheckOptions{
@@ -214,28 +219,41 @@ func Check(info *ir.Info, opts Options) []Diagnostic {
 		})
 	}
 
-	out = append(out, opportunities(info, w, opts, params, fileOf)...)
+	out = append(out, opportunities(info, w, Analyses{}, opts, params, fileOf)...)
 
 	return Sort(out)
+}
+
+// Opportunities is the checker's report path: it runs only the walker
+// and the three opportunity detectors, and returns the opportunity
+// diagnostics Check returns for the same program and options, in the
+// same order. No defect or note shares a code with an opportunity, so
+// Sort places them identically in both.
+func Opportunities(info *ir.Info, given Analyses, opts Options) []Diagnostic {
+	opts, params, fileOf := prepare(info, opts)
+	w := newWalker(info, params, fileOf)
+	w.run()
+	return Sort(opportunities(info, w, given, opts, params, fileOf))
 }
 
 // Sort deduplicates diagnostics and orders them by file, line, code and
 // message — the canonical byte-reproducible order the CLI prints and
 // the golden tests pin. It is exported so callers merging diagnostics
-// from several targets can re-establish the invariant.
+// from several targets can re-establish the invariant. The sort is
+// stable, so of several diagnostics with one key the first survives,
+// whatever other diagnostics the slice holds.
 func Sort(diags []Diagnostic) []Diagnostic {
-	sort.Slice(diags, func(i, j int) bool {
-		a, b := diags[i], diags[j]
-		if a.File != b.File {
-			return a.File < b.File
+	slices.SortStableFunc(diags, func(a, b Diagnostic) int {
+		if c := cmp.Compare(a.File, b.File); c != 0 {
+			return c
 		}
-		if a.Line != b.Line {
-			return a.Line < b.Line
+		if c := cmp.Compare(a.Line, b.Line); c != 0 {
+			return c
 		}
-		if a.Code != b.Code {
-			return a.Code < b.Code
+		if c := cmp.Compare(a.Code, b.Code); c != 0 {
+			return c
 		}
-		return a.Msg < b.Msg
+		return cmp.Compare(a.Msg, b.Msg)
 	})
 	out := diags[:0]
 	for i, d := range diags {

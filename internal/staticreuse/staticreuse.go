@@ -30,6 +30,7 @@ package staticreuse
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"reusetool/internal/cache"
@@ -48,10 +49,11 @@ type Options struct {
 	Params map[string]int64
 	// HistRes is the histogram resolution (0 = default).
 	HistRes int
-	// MaxLags caps the candidate lag vectors enumerated per reference and
-	// source (0 = default 4096).
-	MaxLags int
 }
+
+// maxLags caps the candidate lag vectors enumerated per reference and
+// source.
+const maxLags = 4096
 
 // Result is a static prediction: a read-only collector shaped exactly like
 // the dynamic one, plus the static analysis built from estimated trips.
@@ -98,13 +100,9 @@ func Estimate(info *ir.Info, hier *cache.Hierarchy, opts Options) (*Result, erro
 		stats:  stats,
 		params: params,
 		res:    opts.HistRes,
-		maxLag: opts.MaxLags,
 	}
 	if est.res == 0 {
 		est.res = histo.DefaultResolution
-	}
-	if est.maxLag == 0 {
-		est.maxLag = 4096
 	}
 
 	grans := hier.Granularities()
@@ -136,11 +134,16 @@ type estimator struct {
 	stats  *Stats
 	params map[string]int64
 	res    int
-	maxLag int
-	// matches is enumerateMatches' output buffer, reused for every
-	// reference: assign consumes one reference's matches, and keeps no
-	// pointer into them, before the next reference is listed.
+	// matches is enumerateMatches' output buffer and lags the arena its
+	// lag vectors live in, both reused for every reference: assign
+	// consumes one reference's matches, and keeps no pointer into them,
+	// before the next reference is listed.
 	matches []match
+	lags    []int64
+	// order is assign's index permutation over matches and taken the
+	// matches it has applied, both reused for every reference.
+	order []int32
+	taken []appliedMatch
 }
 
 // scopeAccesses estimates block accesses per innermost static scope.
@@ -227,17 +230,18 @@ type match struct {
 	boundary float64
 	// dist is the estimated reuse distance in blocks.
 	dist uint64
-	// lags is the iteration-lag vector, outermost loop first (nil for
-	// irregular pseudo-matches).
+	// lags is the iteration-lag vector, outermost loop first (empty for
+	// irregular pseudo-matches and for a reference outside every loop).
 	lags []int64
 }
 
 // dominatedBy reports whether m's iteration box is contained in a's: every
 // destination iteration at which the lag m exists also has the (more
 // recent) lag a, so m can never be the actual predecessor there. This
-// holds when a's per-loop lag constraints are implied by m's.
+// holds when a's per-loop lag constraints are implied by m's. A match
+// with no lag vector is neither dominated nor dominating.
 func (m *match) dominatedBy(a *match) bool {
-	if m.lags == nil || a.lags == nil || len(m.lags) != len(a.lags) {
+	if len(m.lags) == 0 || len(m.lags) != len(a.lags) {
 		return false
 	}
 	for i, ka := range a.lags {
@@ -328,6 +332,7 @@ func (e *estimator) enumerateMatches(ref *ir.Ref, nest []*ir.Loop, bs int64, fpM
 
 	dstOrder := e.stats.Order(ref.ID())
 	out := e.matches[:0]
+	e.lags = e.lags[:0]
 	for gi, src := range group.Refs {
 		srcC, srcStride, ok := e.concretize(group.Forms[gi], nest)
 		if !ok || !sameStrides(dstStride, srcStride) {
@@ -342,7 +347,7 @@ func (e *estimator) enumerateMatches(ref *ir.Ref, nest []*ir.Loop, bs int64, fpM
 		count := 0
 		var enum func(i int, partial int64)
 		enum = func(i int, partial int64) {
-			if count >= e.maxLag {
+			if count >= maxLags {
 				return
 			}
 			if i == len(outer) {
@@ -432,6 +437,8 @@ func (e *estimator) emitLag(out *[]match, dst, src *ir.Ref, srcScope trace.Scope
 		m := abs64(lags[carryIdx])
 		dist = uint64(math.Round(e.footprint(l.loop, m, bs, fpMemo)))
 	}
+	n := len(e.lags)
+	e.lags = append(e.lags, lags...)
 	*out = append(*out, match{
 		srcRef:   src.ID(),
 		srcScope: srcScope,
@@ -441,7 +448,7 @@ func (e *estimator) emitLag(out *[]match, dst, src *ir.Ref, srcScope trace.Scope
 		srcOrder: srcOrder,
 		boundary: boundary,
 		dist:     dist,
-		lags:     append([]int64(nil), lags...),
+		lags:     e.lags[n:len(e.lags):len(e.lags)],
 	})
 }
 
@@ -588,11 +595,30 @@ func (e *estimator) irregularMatches(ref *ir.Ref, nest []*ir.Loop, total float64
 	}}
 }
 
+// offsets is an arithmetic progression of block offsets: first,
+// first+step, ..., n of them, all in [0, bs).
+type offsets struct {
+	first, step int64
+	n           int
+}
+
+// within returns the index range [i, j) of the offsets that lie in
+// [lo, hi).
+func (o offsets) within(lo, hi int64) (i, j int) {
+	if lo > o.first {
+		i = int(min(int64(o.n), ceilDiv(lo-o.first, o.step)))
+	}
+	if hi > o.first {
+		j = int(min(int64(o.n), ceilDiv(hi-o.first, o.step)))
+	}
+	return min(i, j), j
+}
+
 // lattice returns the block offsets a reference's accesses can land on:
 // the coset of the subgroup of [0, bs) generated by its per-iteration
 // strides. A non-affine reference is assumed uniform over element-aligned
 // offsets.
-func (e *estimator) lattice(ref *ir.Ref, nest []*ir.Loop, bs int64, affine bool) []int64 {
+func (e *estimator) lattice(ref *ir.Ref, nest []*ir.Loop, bs int64, affine bool) offsets {
 	g := bs
 	var x0 int64
 	if affine {
@@ -606,36 +632,77 @@ func (e *estimator) lattice(ref *ir.Ref, nest []*ir.Loop, bs int64, affine bool)
 	} else if elem := ref.Array.Elem; elem < bs {
 		g = elem
 	}
-	out := make([]int64, 0, bs/g)
-	for x := x0; x < bs; x += g {
-		out = append(out, x)
+	return offsets{first: x0, step: g, n: int(ceilDiv(bs-x0, g))}
+}
+
+// sameBlock returns the block offsets [lo, hi) at which a source at the
+// given residual lands in the destination's block.
+func sameBlock(residual, elem, bs int64) (lo, hi int64) {
+	lo, hi = 0, bs
+	if residual > 0 {
+		lo = residual - (elem - 1)
+	} else if residual < 0 {
+		hi = min(bs, bs+residual+(elem-1))
 	}
-	return out
+	return lo, hi
+}
+
+// byRecency orders matches most recent first: timeAgo ascending, then
+// srcOrder descending, then enumeration order — the order a stable sort
+// on the first two keys leaves them in.
+func byRecency(matches []match, order []int32) {
+	slices.SortFunc(order, func(a, b int32) int {
+		ma, mb := &matches[a], &matches[b]
+		switch {
+		case ma.timeAgo < mb.timeAgo:
+			return -1
+		case ma.timeAgo > mb.timeAgo:
+			return 1
+		case ma.srcOrder > mb.srcOrder:
+			return -1
+		case ma.srcOrder < mb.srcOrder:
+			return 1
+		}
+		return int(a - b)
+	})
+}
+
+// appliedMatch is a match that took mass in assign, with its domination
+// relation to the match being applied cached. The cache is valid while
+// gen equals the current match's stamp, its rank in the recency order
+// plus one.
+type appliedMatch struct {
+	index     int32 // into the reference's matches
+	gen       int32
+	dominated bool // the applied match dominates the current one
+	contains  bool // the current match dominates the applied one
 }
 
 // assign distributes the reference's accesses over its matches with the
 // block-offset coverage model and fills the synthetic RefData. positions
 // are the block offsets the reference actually lands on, equally likely.
 func (e *estimator) assign(rd *reusedist.RefData, ref *ir.Ref, matches []match,
-	positions []int64, total float64, bs int64, thresholds []uint64) {
+	positions offsets, total float64, bs int64, thresholds []uint64) {
 
-	sort.SliceStable(matches, func(i, j int) bool {
-		if matches[i].timeAgo != matches[j].timeAgo {
-			return matches[i].timeAgo < matches[j].timeAgo
-		}
-		return matches[i].srcOrder > matches[j].srcOrder
-	})
+	order := e.order[:0]
+	for i := range matches {
+		order = append(order, int32(i))
+	}
+	byRecency(matches, order)
+	e.order = order
 
-	// remaining[i] is the probability that an access at block offset
-	// positions[i] has not yet found a predecessor; applied[i] records
-	// which matches took mass there, for the domination rule.
-	remaining := make([]float64, len(positions))
+	// remaining[i] is the probability that an access at the i-th block
+	// offset has not yet found a predecessor; applied[i] records, as
+	// positions in taken, which matches took mass there, for the
+	// domination rule.
+	remaining := make([]float64, positions.n)
 	for i := range remaining {
 		remaining[i] = 1
 	}
-	applied := make([][]int, len(positions))
-	live := float64(len(positions))
-	weight := 1 / float64(len(positions))
+	applied := make([][]int32, positions.n)
+	taken := e.taken[:0]
+	live := float64(positions.n)
+	weight := 1 / float64(positions.n)
 
 	type patAcc struct {
 		count map[uint64]float64
@@ -643,24 +710,17 @@ func (e *estimator) assign(rd *reusedist.RefData, ref *ir.Ref, matches []match,
 	pats := map[reusedist.PatternKey]*patAcc{}
 	elem := ref.Array.Elem
 
-	for mi := range matches {
+	for gen, mi := range order {
 		if live < 1e-9 {
 			break
 		}
 		m := &matches[mi]
-		// Block offsets whose shifted source lands in the same block.
-		lo, hi := int64(0), bs
-		if m.residual > 0 {
-			lo = m.residual - (elem - 1)
-		} else if m.residual < 0 {
-			hi = bs + m.residual + (elem - 1)
-			if hi > bs {
-				hi = bs
-			}
-		}
+		stamp := int32(gen + 1)
+		slot := int32(-1) // m's position in taken, once it takes mass
+		first, end := positions.within(sameBlock(m.residual, elem, bs))
 		var got float64
-		for i, x := range positions {
-			if x < lo || x >= hi || remaining[i] <= 0 {
+		for i := first; i < end; i++ {
+			if remaining[i] <= 0 {
 				continue
 			}
 			// m claims the iterations where its lag exists and no more
@@ -669,13 +729,17 @@ func (e *estimator) assign(rd *reusedist.RefData, ref *ir.Ref, matches []match,
 			// box contained in m's box has already claimed its own
 			// boundary fraction, so m gets only the difference.
 			take := m.boundary
-			for _, ai := range applied[i] {
-				a := &matches[ai]
-				if m.dominatedBy(a) {
+			for _, ti := range applied[i] {
+				d := &taken[ti]
+				a := &matches[d.index]
+				if d.gen != stamp {
+					d.gen, d.dominated, d.contains = stamp, m.dominatedBy(a), a.dominatedBy(m)
+				}
+				if d.dominated {
 					take = 0
 					break
 				}
-				if a.dominatedBy(m) && take > m.boundary-a.boundary {
+				if d.contains && take > m.boundary-a.boundary {
 					take = m.boundary - a.boundary
 				}
 			}
@@ -687,7 +751,11 @@ func (e *estimator) assign(rd *reusedist.RefData, ref *ir.Ref, matches []match,
 			}
 			got += take
 			remaining[i] -= take
-			applied[i] = append(applied[i], mi)
+			if slot < 0 {
+				slot = int32(len(taken))
+				taken = append(taken, appliedMatch{index: mi})
+			}
+			applied[i] = append(applied[i], slot)
 		}
 		live -= got
 		if got <= 0 {
@@ -701,6 +769,7 @@ func (e *estimator) assign(rd *reusedist.RefData, ref *ir.Ref, matches []match,
 		}
 		p.count[m.dist] += got * weight
 	}
+	e.taken = taken
 
 	rd.Cold = uint64(math.Round(live * weight * total))
 	var covered uint64
