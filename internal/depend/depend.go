@@ -18,12 +18,14 @@
 // feasible there.
 //
 // Two consumers sit on top: legality.go answers "is this Table I
-// transformation legal here?" for internal/advise, and check.go turns
-// the same machinery into the reusetool -check static checker.
+// transformation legal here?" for internal/advise, and facts.go exports
+// the per-reference and per-loop facts the internal/reusecheck static
+// checker builds its diagnostics from.
 package depend
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 	"strings"
 
@@ -156,7 +158,7 @@ type loopInfo struct {
 	routine   *ir.Routine
 	lo, hi    ir.Expr
 	step      int64
-	rng       Range
+	rng       symbolic.Interval
 	empty     bool // provably zero-trip for every execution
 	guarded   bool
 	loConst   int64
@@ -219,9 +221,9 @@ func (a *Analysis) Covers(r1, r2 trace.RefID) bool {
 }
 
 // walk collects refInfo/loopInfo for one routine. env carries Let
-// bindings that are still valid at the current program point; bindings
-// that a nested body may rebind are dropped conservatively, so a
-// substituted expression is always exact.
+// bindings that are still valid at the current program point. A name a
+// nested body may rebind is forgotten, together with every binding that
+// mentions it, so a substituted expression is always exact.
 func (a *Analysis) walk(rt *ir.Routine, body []ir.Stmt, loops []*ir.Loop, env map[string]ir.Expr, guarded bool) {
 	for _, s := range body {
 		switch st := s.(type) {
@@ -231,49 +233,32 @@ func (a *Analysis) walk(rt *ir.Routine, body []ir.Stmt, loops []*ir.Loop, env ma
 			step := int64(st.Step.(ir.Const))
 			li := &loopInfo{loop: st, routine: rt, lo: lo, hi: hi, step: step, guarded: guarded}
 			res := a.resolver(loops)
-			loR := evalRange(lo, res)
-			hiR := evalRange(hi, res)
-			if step > 0 {
-				li.rng = Range{Lo: loR.Lo, LoOK: loR.LoOK, Hi: hiR.Hi, HiOK: hiR.HiOK}
-				li.empty = loR.LoOK && hiR.HiOK && hiR.Hi < loR.Lo
-			} else {
-				li.rng = Range{Lo: hiR.Lo, LoOK: hiR.LoOK, Hi: loR.Hi, HiOK: loR.HiOK}
-				li.empty = loR.HiOK && hiR.LoOK && hiR.Lo > loR.Hi
-			}
-			li.loConst, li.loConstOK = evalRange(lo, a.paramResolver()).Const()
+			li.rng, li.empty = symbolic.LoopRange(symbolic.EvalInterval(lo, res), symbolic.EvalInterval(hi, res), step)
+			li.loConst, li.loConstOK = symbolic.EvalInterval(lo, a.param).Const()
 			a.loops[st] = li
 			// Bindings rebound inside the body change across
-			// iterations; drop them (and the loop variable's own
-			// shadowed binding) before walking, and keep them dropped
-			// after: their values are stale once the loop ran.
-			killed := map[string]bool{st.Var.Name: true}
-			letTargets(st.Body, killed)
-			for name := range killed {
-				delete(env, name)
-			}
+			// iterations, and their values are stale once the loop
+			// ran: forget them (and the loop variable) on both sides.
+			killed := Rebound(st.Body)
+			killed[st.Var.Name] = true
+			forget(env, killed)
 			a.walk(rt, st.Body, append(loops, st), env, guarded)
-			delete(env, st.Var.Name)
+			forget(env, killed)
 		case *ir.Let:
 			e := substExpr(st.E, env)
-			if usesVar(e, st.Var.Name) {
-				// Self-referential rebinding (accumulator): opaque
-				// from here on.
-				delete(env, st.Var.Name)
-			} else {
+			forget(env, map[string]bool{st.Var.Name: true})
+			if !ir.Mentions(e, st.Var.Name) {
+				// A self-referential rebinding (accumulator) stays
+				// opaque from here on.
 				env[st.Var.Name] = e
 			}
 		case *ir.If:
 			// Each branch sees a private copy so one branch's
 			// bindings cannot leak into the other; afterwards any
 			// name either branch bound is ambiguous.
-			killed := map[string]bool{}
-			letTargets(st.Then, killed)
-			letTargets(st.Else, killed)
-			a.walk(rt, st.Then, loops, copyEnv(env), true)
-			a.walk(rt, st.Else, loops, copyEnv(env), true)
-			for name := range killed {
-				delete(env, name)
-			}
+			a.walk(rt, st.Then, loops, maps.Clone(env), true)
+			a.walk(rt, st.Else, loops, maps.Clone(env), true)
+			forget(env, Rebound(st.Then, st.Else))
 		case *ir.Access:
 			for _, ref := range st.Refs {
 				subs := make([]ir.Expr, len(ref.Index))
@@ -289,33 +274,25 @@ func (a *Analysis) walk(rt *ir.Routine, body []ir.Stmt, loops []*ir.Loop, env ma
 				}
 			}
 		case *ir.Call:
-			// Callee bodies are walked through Prog.Routines.
+			// Callee bodies are walked through Prog.Routines; what a
+			// callee binds is stale here once it returns.
+			forget(env, Rebound([]ir.Stmt{st}))
 		}
 	}
 }
 
-// letTargets records the names Let-bound anywhere in body.
-func letTargets(body []ir.Stmt, out map[string]bool) {
-	for _, s := range body {
-		switch st := s.(type) {
-		case *ir.Let:
-			out[st.Var.Name] = true
-		case *ir.Loop:
-			out[st.Var.Name] = true
-			letTargets(st.Body, out)
-		case *ir.If:
-			letTargets(st.Then, out)
-			letTargets(st.Else, out)
+// forget drops the bindings of names, and every binding whose
+// definition mentions one of them: it was computed from a value the
+// name no longer holds.
+func forget(env map[string]ir.Expr, names map[string]bool) {
+	for name, e := range env {
+		for n := range names {
+			if n == name || ir.Mentions(e, n) {
+				delete(env, name)
+				break
+			}
 		}
 	}
-}
-
-func copyEnv(env map[string]ir.Expr) map[string]ir.Expr {
-	out := make(map[string]ir.Expr, len(env))
-	for k, v := range env {
-		out[k] = v
-	}
-	return out
 }
 
 // substExpr replaces Let-bound variables by their (already
@@ -351,40 +328,27 @@ func substExpr(e ir.Expr, env map[string]ir.Expr) ir.Expr {
 	return e
 }
 
-func usesVar(e ir.Expr, name string) bool {
-	found := false
-	ir.WalkExpr(e, func(x ir.Expr) {
-		if v, ok := x.(*ir.Var); ok && v.Name == name {
-			found = true
-		}
-	})
-	return found
-}
-
 // resolver resolves variable ranges in the context of a loop nest:
 // loop variables (innermost shadowing outermost) first, then
 // parameters; anything else is unbounded.
-func (a *Analysis) resolver(loops []*ir.Loop) func(string) Range {
-	return func(name string) Range {
+func (a *Analysis) resolver(loops []*ir.Loop) func(string) symbolic.Interval {
+	return func(name string) symbolic.Interval {
 		for i := len(loops) - 1; i >= 0; i-- {
 			if loops[i].Var.Name == name {
 				return a.loops[loops[i]].rng
 			}
 		}
-		if v, ok := a.Params[name]; ok {
-			return point(v)
-		}
-		return unbounded()
+		return a.param(name)
 	}
 }
 
-func (a *Analysis) paramResolver() func(string) Range {
-	return func(name string) Range {
-		if v, ok := a.Params[name]; ok {
-			return point(v)
-		}
-		return unbounded()
+// param is a parameter's value as a point interval; any other name is
+// unbounded.
+func (a *Analysis) param(name string) symbolic.Interval {
+	if v, ok := a.Params[name]; ok {
+		return symbolic.Point(v)
 	}
+	return symbolic.Interval{}
 }
 
 // pairAll analyzes every reference pair sharing an array.
@@ -419,7 +383,7 @@ type fusePair struct {
 // equation: the variable ranges of the two instances and their shared
 // lattice, if any.
 type slotInfo struct {
-	ra, rb    Range
+	ra, rb    symbolic.Interval
 	step      int64
 	latticeOK bool
 	lo        int64
@@ -832,16 +796,16 @@ func (a *Analysis) gcdUnsat(e eqn, slots []slotInfo) bool {
 // eqnFeasible checks whether the equation can be zero under the given
 // hard directions, by exact interval bounds on each term.
 func (a *Analysis) eqnFeasible(e eqn, slots []slotInfo, dirs []Dir) bool {
-	total := point(e.c)
+	total := symbolic.Point(e.c)
 	for _, t := range e.pairs {
 		contrib, ok := pairContrib(t.ca, t.cb, slots[t.slot], dirs[t.slot])
 		if !ok {
 			return false
 		}
-		total = addRange(total, contrib)
+		total = total.Add(contrib)
 	}
 	for _, o := range e.owns {
-		total = addRange(total, scaleRange(a.loops[o.loop].rng, o.coeff))
+		total = total.Add(a.loops[o.loop].rng.Scale(o.coeff))
 	}
 	if total.LoOK && total.Lo > 0 {
 		return false
@@ -858,19 +822,19 @@ func (a *Analysis) eqnFeasible(e eqn, slots []slotInfo, dirs []Dir) bool {
 // vertices are enumerated (the Banerjee bounds), otherwise the
 // unconstrained rectangle bound is used. ok=false means the region is
 // provably empty (e.g. a single-trip loop cannot carry a dependence).
-func pairContrib(ca, cb int64, s slotInfo, dir Dir) (contrib Range, ok bool) {
-	full := func() Range {
-		return addRange(scaleRange(s.rb, cb), scaleRange(s.ra, -ca))
+func pairContrib(ca, cb int64, s slotInfo, dir Dir) (contrib symbolic.Interval, ok bool) {
+	full := func() symbolic.Interval {
+		return s.rb.Scale(cb).Add(s.ra.Scale(-ca))
 	}
 	if dir == DirAny {
 		return full(), true
 	}
 	if dir == DirEQ {
-		inter := Range{}
+		var inter symbolic.Interval
 		inter.LoOK = s.ra.LoOK || s.rb.LoOK
 		switch {
 		case s.ra.LoOK && s.rb.LoOK:
-			inter.Lo = max64(s.ra.Lo, s.rb.Lo)
+			inter.Lo = max(s.ra.Lo, s.rb.Lo)
 		case s.ra.LoOK:
 			inter.Lo = s.ra.Lo
 		case s.rb.LoOK:
@@ -879,23 +843,23 @@ func pairContrib(ca, cb int64, s slotInfo, dir Dir) (contrib Range, ok bool) {
 		inter.HiOK = s.ra.HiOK || s.rb.HiOK
 		switch {
 		case s.ra.HiOK && s.rb.HiOK:
-			inter.Hi = min64(s.ra.Hi, s.rb.Hi)
+			inter.Hi = min(s.ra.Hi, s.rb.Hi)
 		case s.ra.HiOK:
 			inter.Hi = s.ra.Hi
 		case s.rb.HiOK:
 			inter.Hi = s.rb.Hi
 		}
 		if inter.LoOK && inter.HiOK && inter.Lo > inter.Hi {
-			return Range{}, false
+			return symbolic.Interval{}, false
 		}
-		return scaleRange(inter, cb-ca), true
+		return inter.Scale(cb - ca), true
 	}
 	if !(s.ra.LoOK && s.ra.HiOK && s.rb.LoOK && s.rb.HiOK) {
 		return full(), true
 	}
 	la, ua, lb, ub := s.ra.Lo, s.ra.Hi, s.rb.Lo, s.rb.Hi
 	if la > ua || lb > ub {
-		return Range{}, false
+		return symbolic.Interval{}, false
 	}
 	// Halfplane on d = vb − va. On a shared lattice one iteration is
 	// |step| apart; otherwise instances from different executions can
@@ -942,9 +906,9 @@ func pairContrib(ca, cb int64, s slotInfo, dir Dir) (contrib Range, ok bool) {
 		}
 	}
 	if len(pts) == 0 {
-		return Range{}, false
+		return symbolic.Interval{}, false
 	}
-	out := Range{LoOK: true, HiOK: true}
+	out := symbolic.Interval{LoOK: true, HiOK: true}
 	for i, p := range pts {
 		g := cb*p[1] - ca*p[0]
 		if i == 0 || g < out.Lo {
@@ -1024,11 +988,4 @@ func sign64(v int64) int64 {
 		return -1
 	}
 	return 0
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -1,6 +1,7 @@
 package depend
 
 import (
+	"maps"
 	"strings"
 	"testing"
 
@@ -356,5 +357,79 @@ func TestUnconstrainedLoopsReportDirAny(t *testing.T) {
 	}
 	if !an.Covers(0, 0) {
 		t.Error("Covers must report the self pair")
+	}
+}
+
+// TestStaleBindingsAreForgotten: t = i is bound in the first loop, so
+// in the second loop, which reuses the name i, A[t] is the fixed A[N-1]
+// rather than A[i]. Every iteration writes that one element: a self
+// output dependence, which substituting t by i would hide.
+func TestStaleBindingsAreForgotten(t *testing.T) {
+	p := ir.NewProgram("stale")
+	n := p.Param("N", 8)
+	i, tv := p.Var("i"), p.Var("t")
+	a := p.AddArray("A", 8, n)
+	b := p.AddArray("B", 8, n)
+	main := p.AddRoutine("main", "t.loop", 1)
+	main.Body = []ir.Stmt{
+		ir.For(i, ir.C(0), ir.Sub(n, ir.C(1)), ir.Set(tv, i), ir.Do(b.Read(i))),
+		ir.For(i, ir.C(0), ir.Sub(n, ir.C(1)), ir.Do(a.WriteRef(tv), a.Read(i))),
+	}
+	info, err := p.Finalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	an := Analyze(info, nil)
+	if subs := an.Subscripts(1); len(subs) != 1 || subs[0].String() != "t" {
+		t.Errorf("A[t] subscripts = %v, want [t]", subs)
+	}
+	if !an.Covers(1, 1) {
+		t.Errorf("A[t] writes one element on every iteration, but no self dependence: %v", an.Pair(1, 1))
+	}
+	if !an.Covers(1, 2) {
+		t.Errorf("A[t] and A[i] meet at i = N-1, but no dependence: %v", an.Pair(1, 2))
+	}
+}
+
+// TestRebound lists Let targets and loop variables at any depth, in
+// every body given and in every routine they call, recursion included.
+func TestRebound(t *testing.T) {
+	p := ir.NewProgram("rebound")
+	n := p.Param("N", 8)
+	i, j, k, s, u, v := p.Var("i"), p.Var("j"), p.Var("k"), p.Var("s"), p.Var("u"), p.Var("v")
+	a := p.AddArray("A", 8, n)
+	sub := p.AddRoutine("sub", "t.loop", 20)
+	sub.Body = []ir.Stmt{ir.Set(v, ir.C(2)), ir.CallTo(sub)}
+	then := []ir.Stmt{ir.For(i, ir.C(0), n, ir.Set(s, i), ir.For(j, ir.C(0), n, ir.Do(a.Read(j))))}
+	els := []ir.Stmt{ir.When(ir.Lt(n, ir.C(4)), ir.Set(u, ir.C(1))), ir.Do(a.Read(k)), ir.CallTo(sub)}
+	got := Rebound(then, els)
+	want := map[string]bool{"i": true, "j": true, "s": true, "u": true, "v": true}
+	if !maps.Equal(got, want) {
+		t.Errorf("Rebound = %v, want %v", got, want)
+	}
+}
+
+// TestCallForgetsCalleeBindings: all routines share one variable
+// namespace, so once a routine that binds t returns, t = 0 no longer
+// holds and A[t] after the call is not A[0].
+func TestCallForgetsCalleeBindings(t *testing.T) {
+	p := ir.NewProgram("call")
+	n := p.Param("N", 8)
+	tv := p.Var("t")
+	a := p.AddArray("A", 8, n)
+	main := p.AddRoutine("main", "t.loop", 1)
+	sub := p.AddRoutine("sub", "t.loop", 20)
+	sub.Body = []ir.Stmt{ir.Set(tv, ir.C(5))}
+	main.Body = []ir.Stmt{ir.Set(tv, ir.C(0)), ir.Do(a.WriteRef(tv)), ir.CallTo(sub), ir.Do(a.Read(tv))}
+	info, err := p.Finalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	an := Analyze(info, nil)
+	if subs := an.Subscripts(0); len(subs) != 1 || subs[0].String() != "0" {
+		t.Errorf("A[t] before the call: subscripts %v, want [0]", subs)
+	}
+	if subs := an.Subscripts(1); len(subs) != 1 || subs[0].String() != "t" {
+		t.Errorf("A[t] after the call: subscripts %v, want [t]", subs)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"reusetool/internal/ir"
+	"reusetool/internal/symbolic"
 )
 
 // Legality is the verdict on a proposed transformation.
@@ -145,8 +146,8 @@ func (a *Analysis) Fuse(l1, l2 *ir.Loop) Verdict {
 	if i1.step != i2.step {
 		return Verdict{Legality: LegalityUnknown, Note: "loop steps differ"}
 	}
-	lo1, ok1 := evalRange(i1.lo, a.paramResolver()).Const()
-	lo2, ok2 := evalRange(i2.lo, a.paramResolver()).Const()
+	lo1, ok1 := symbolic.EvalInterval(i1.lo, a.param).Const()
+	lo2, ok2 := symbolic.EvalInterval(i2.lo, a.param).Const()
 	if !ok1 || !ok2 || lo1 != lo2 {
 		return Verdict{Legality: LegalityUnknown, Note: "loop lower bounds are not provably aligned"}
 	}

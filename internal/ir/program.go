@@ -259,6 +259,17 @@ func WalkExpr(e Expr, f func(Expr)) {
 	}
 }
 
+// Mentions reports whether e reads the variable name.
+func Mentions(e Expr, name string) bool {
+	found := false
+	WalkExpr(e, func(x Expr) {
+		if v, ok := x.(*Var); ok && v.Name == name {
+			found = true
+		}
+	})
+	return found
+}
+
 // Slot returns the interpreter frame slot of v (valid after Finalize).
 func (v *Var) Slot() int { return v.slot }
 

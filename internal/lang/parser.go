@@ -18,7 +18,7 @@ func Parse(src string) (*ir.Program, func(*interp.Machine) error, error) {
 
 // FileMeta is source-level information ParseFile collects beyond the IR:
 // which data arrays an init declaration covers and where each parameter
-// was declared. The static checker (internal/depend.Check) consumes it.
+// was declared. The static checker (internal/reusecheck.Check) consumes it.
 type FileMeta struct {
 	// Inited marks data arrays covered by an init declaration.
 	Inited map[*ir.Array]bool

@@ -1,239 +1,21 @@
 package reusecheck
 
 import (
-	"fmt"
-
 	"reusetool/internal/ir"
+	"reusetool/internal/symbolic"
 )
 
-// Ival is an element of the interval lattice over the integers: a
-// possibly half-open range [Lo,Hi] where each endpoint is present only
-// when its OK flag is set (an absent endpoint means -inf / +inf). The
-// lattice top is the fully unbounded interval; there is no bottom —
-// the abstract interpreter never tracks unreachable states through
-// values, it tracks them through the walker's reachability flag.
-type Ival struct {
-	Lo, Hi     int64
-	LoOK, HiOK bool
-}
-
-// top is the unbounded interval.
-func top() Ival { return Ival{} }
-
-// point is the singleton interval [v,v].
-func point(v int64) Ival { return Ival{Lo: v, Hi: v, LoOK: true, HiOK: true} }
-
-// Const reports the single value of a singleton interval.
-func (iv Ival) Const() (int64, bool) {
-	if iv.LoOK && iv.HiOK && iv.Lo == iv.Hi {
-		return iv.Lo, true
-	}
-	return 0, false
-}
-
-// Bounded reports whether both endpoints are present.
-func (iv Ival) Bounded() bool { return iv.LoOK && iv.HiOK }
-
-// String renders the interval for diagnostics and tests.
-func (iv Ival) String() string {
-	lo, hi := "-inf", "+inf"
-	if iv.LoOK {
-		lo = fmt.Sprintf("%d", iv.Lo)
-	}
-	if iv.HiOK {
-		hi = fmt.Sprintf("%d", iv.Hi)
-	}
-	return fmt.Sprintf("[%s,%s]", lo, hi)
-}
-
-// hull is the lattice join: the smallest interval containing both.
-func hull(a, b Ival) Ival {
-	var out Ival
-	if a.LoOK && b.LoOK {
-		out.LoOK = true
-		out.Lo = min64(a.Lo, b.Lo)
-	}
-	if a.HiOK && b.HiOK {
-		out.HiOK = true
-		out.Hi = max64(a.Hi, b.Hi)
-	}
-	return out
-}
-
-// widen is the standard interval widening: any endpoint that moved
-// between consecutive iterates jumps straight to infinity, cutting the
-// lattice's infinite ascending chains to length one. The walker applies
-// it by havocking loop-mutated bindings at loop entry (see walk.go).
-func widen(prev, next Ival) Ival {
-	out := next
-	if !prev.LoOK || (next.LoOK && next.Lo < prev.Lo) {
-		out.LoOK = false
-	}
-	if !prev.HiOK || (next.HiOK && next.Hi > prev.Hi) {
-		out.HiOK = false
-	}
-	return out
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// neg negates an interval.
-func neg(a Ival) Ival {
-	return Ival{Lo: -a.Hi, Hi: -a.Lo, LoOK: a.HiOK, HiOK: a.LoOK}
-}
-
-func addIval(a, b Ival) Ival {
-	var out Ival
-	if a.LoOK && b.LoOK {
-		out.LoOK = true
-		out.Lo = a.Lo + b.Lo
-	}
-	if a.HiOK && b.HiOK {
-		out.HiOK = true
-		out.Hi = a.Hi + b.Hi
-	}
-	return out
-}
-
-func subIval(a, b Ival) Ival { return addIval(a, neg(b)) }
-
-// scaleIval multiplies an interval by a constant.
-func scaleIval(a Ival, k int64) Ival {
-	switch {
-	case k == 0:
-		return point(0)
-	case k > 0:
-		return Ival{Lo: a.Lo * k, Hi: a.Hi * k, LoOK: a.LoOK, HiOK: a.HiOK}
-	default:
-		return Ival{Lo: a.Hi * k, Hi: a.Lo * k, LoOK: a.HiOK, HiOK: a.LoOK}
-	}
-}
-
-func mulIval(a, b Ival) Ival {
-	if k, ok := a.Const(); ok {
-		return scaleIval(b, k)
-	}
-	if k, ok := b.Const(); ok {
-		return scaleIval(a, k)
-	}
-	if !a.Bounded() || !b.Bounded() {
-		return top()
-	}
-	c := [4]int64{a.Lo * b.Lo, a.Lo * b.Hi, a.Hi * b.Lo, a.Hi * b.Hi}
-	out := point(c[0])
-	for _, v := range c[1:] {
-		out.Lo = min64(out.Lo, v)
-		out.Hi = max64(out.Hi, v)
-	}
-	return out
-}
-
-// divIval divides by a constant divisor; any other divisor loses all
-// precision. Truncated division is monotone in the dividend, so the
-// endpoints map to endpoints.
-func divIval(a, b Ival) Ival {
-	k, ok := b.Const()
-	if !ok || k == 0 {
-		return top()
-	}
-	if k < 0 {
-		a, k = neg(a), -k
-	}
-	return Ival{Lo: a.Lo / k, Hi: a.Hi / k, LoOK: a.LoOK, HiOK: a.HiOK}
-}
-
-// modIval bounds a modulo by a constant positive modulus.
-func modIval(a, b Ival) Ival {
-	m, ok := b.Const()
-	if !ok || m <= 0 {
-		return top()
-	}
-	if a.Bounded() && a.Lo >= 0 && a.Hi < m {
-		return a
-	}
-	if a.LoOK && a.Lo >= 0 {
-		return Ival{Lo: 0, Hi: m - 1, LoOK: true, HiOK: true}
-	}
-	return Ival{Lo: -(m - 1), Hi: m - 1, LoOK: true, HiOK: true}
-}
-
-func minIval(a, b Ival) Ival {
-	var out Ival
-	if a.LoOK && b.LoOK {
-		out.LoOK = true
-		out.Lo = min64(a.Lo, b.Lo)
-	}
-	// min(x,y) <= x and <= y: either upper bound alone caps the result.
-	switch {
-	case a.HiOK && b.HiOK:
-		out.HiOK = true
-		out.Hi = min64(a.Hi, b.Hi)
-	case a.HiOK:
-		out.HiOK = true
-		out.Hi = a.Hi
-	case b.HiOK:
-		out.HiOK = true
-		out.Hi = b.Hi
-	}
-	return out
-}
-
-func maxIval(a, b Ival) Ival {
-	return neg(minIval(neg(a), neg(b)))
-}
-
-// evalIval abstractly evaluates an expression under an interval
-// environment. Unknown variables and indirect loads evaluate to top.
-func evalIval(e ir.Expr, env map[string]Ival) Ival {
-	switch x := e.(type) {
-	case ir.Const:
-		return point(int64(x))
-	case *ir.Var:
-		if iv, ok := env[x.Name]; ok {
-			return iv
-		}
-		return top()
-	case *ir.Bin:
-		l := evalIval(x.L, env)
-		r := evalIval(x.R, env)
-		switch x.Op {
-		case ir.OpAdd:
-			return addIval(l, r)
-		case ir.OpSub:
-			return subIval(l, r)
-		case ir.OpMul:
-			return mulIval(l, r)
-		case ir.OpDiv:
-			return divIval(l, r)
-		case ir.OpMod:
-			return modIval(l, r)
-		case ir.OpMin:
-			return minIval(l, r)
-		case ir.OpMax:
-			return maxIval(l, r)
-		}
-	case *ir.Load:
-		return top()
-	}
-	return top()
+// evalIval abstractly evaluates an expression under the walker's
+// interval environment (internal/symbolic's lattice). Unknown variables
+// and indirect loads evaluate to top, the zero Interval.
+func evalIval(e ir.Expr, env map[string]symbolic.Interval) symbolic.Interval {
+	return symbolic.EvalInterval(e, func(name string) symbolic.Interval { return env[name] })
 }
 
 // condDecide decides a comparison between two intervals: +1 when it
 // always holds, -1 when it never holds, 0 when undecided.
-func condDecide(op ir.CmpOp, l, r Ival) int {
-	lt := func(a, b Ival) int { // a < b
+func condDecide(op ir.CmpOp, l, r symbolic.Interval) int {
+	lt := func(a, b symbolic.Interval) int { // a < b
 		if a.HiOK && b.LoOK && a.Hi < b.Lo {
 			return 1
 		}
@@ -242,7 +24,7 @@ func condDecide(op ir.CmpOp, l, r Ival) int {
 		}
 		return 0
 	}
-	le := func(a, b Ival) int { // a <= b
+	le := func(a, b symbolic.Interval) int { // a <= b
 		if a.HiOK && b.LoOK && a.Hi <= b.Lo {
 			return 1
 		}
@@ -285,7 +67,7 @@ func condDecide(op ir.CmpOp, l, r Ival) int {
 }
 
 // disjoint reports whether two intervals provably share no value.
-func disjoint(l, r Ival) bool {
+func disjoint(l, r symbolic.Interval) bool {
 	if l.HiOK && r.LoOK && l.Hi < r.Lo {
 		return true
 	}
@@ -300,7 +82,7 @@ func disjoint(l, r Ival) bool {
 // assume v < e. Only single-variable-vs-expression conditions refine;
 // anything else returns the environment unchanged. negate applies the
 // complement (the Else branch).
-func refine(env map[string]Ival, c ir.Cond, negate bool) map[string]Ival {
+func refine(env map[string]symbolic.Interval, c ir.Cond, negate bool) map[string]symbolic.Interval {
 	v, ok := c.L.(*ir.Var)
 	bound := c.R
 	op := c.Op
@@ -316,10 +98,7 @@ func refine(env map[string]Ival, c ir.Cond, negate bool) map[string]Ival {
 		op = negateCmp(op)
 	}
 	b := evalIval(bound, env)
-	cur, okc := env[v.Name]
-	if !okc {
-		cur = top()
-	}
+	cur := env[v.Name]
 	out := cur
 	switch op {
 	case ir.CmpLt: // v < b  =>  v <= b.Hi-1
@@ -351,7 +130,7 @@ func refine(env map[string]Ival, c ir.Cond, negate bool) map[string]Ival {
 	if out == cur {
 		return env
 	}
-	next := make(map[string]Ival, len(env)+1)
+	next := make(map[string]symbolic.Interval, len(env)+1)
 	for k, iv := range env {
 		next[k] = iv
 	}
@@ -359,7 +138,7 @@ func refine(env map[string]Ival, c ir.Cond, negate bool) map[string]Ival {
 	return next
 }
 
-func clampHi(iv Ival, hi int64) Ival {
+func clampHi(iv symbolic.Interval, hi int64) symbolic.Interval {
 	if !iv.HiOK || hi < iv.Hi {
 		iv.HiOK = true
 		iv.Hi = hi
@@ -367,7 +146,7 @@ func clampHi(iv Ival, hi int64) Ival {
 	return iv
 }
 
-func clampLo(iv Ival, lo int64) Ival {
+func clampLo(iv symbolic.Interval, lo int64) symbolic.Interval {
 	if !iv.LoOK || lo > iv.Lo {
 		iv.LoOK = true
 		iv.Lo = lo

@@ -4,106 +4,18 @@ import (
 	"testing"
 
 	"reusetool/internal/ir"
+	"reusetool/internal/symbolic"
 )
 
-func iv(lo, hi int64) Ival { return Ival{Lo: lo, Hi: hi, LoOK: true, HiOK: true} }
-
-func TestIvalBasics(t *testing.T) {
-	if s := top().String(); s != "[-inf,+inf]" {
-		t.Errorf("top = %s", s)
-	}
-	if s := iv(2, 5).String(); s != "[2,5]" {
-		t.Errorf("iv(2,5) = %s", s)
-	}
-	if v, ok := point(7).Const(); !ok || v != 7 {
-		t.Errorf("point(7).Const = %d,%v", v, ok)
-	}
-	if _, ok := iv(1, 2).Const(); ok {
-		t.Error("non-singleton reported Const")
-	}
-	if top().Bounded() || !iv(0, 3).Bounded() {
-		t.Error("Bounded flags wrong")
-	}
-}
-
-func TestHullWiden(t *testing.T) {
-	if got := hull(iv(0, 3), iv(5, 9)); got != iv(0, 9) {
-		t.Errorf("hull = %s", got)
-	}
-	if got := hull(iv(0, 3), top()); got != top() {
-		t.Errorf("hull with top = %s", got)
-	}
-	// Stable iterate: widening is the identity.
-	if got := widen(iv(0, 9), iv(0, 9)); got != iv(0, 9) {
-		t.Errorf("widen stable = %s", got)
-	}
-	// A hi that moved jumps to +inf; the stable lo stays.
-	got := widen(iv(0, 5), iv(0, 6))
-	if !got.LoOK || got.Lo != 0 || got.HiOK {
-		t.Errorf("widen growing hi = %s", got)
-	}
-	// A lo that moved jumps to -inf.
-	got = widen(iv(0, 5), iv(-1, 5))
-	if got.LoOK || !got.HiOK || got.Hi != 5 {
-		t.Errorf("widen shrinking lo = %s", got)
-	}
-}
-
-func TestIvalArith(t *testing.T) {
-	cases := []struct {
-		name string
-		got  Ival
-		want Ival
-	}{
-		{"add", addIval(iv(1, 2), iv(10, 20)), iv(11, 22)},
-		{"sub", subIval(iv(1, 2), iv(10, 20)), iv(-19, -8)},
-		{"neg", neg(iv(-3, 5)), iv(-5, 3)},
-		{"scale pos", scaleIval(iv(1, 3), 4), iv(4, 12)},
-		{"scale neg", scaleIval(iv(1, 3), -2), iv(-6, -2)},
-		{"scale zero", scaleIval(top(), 0), point(0)},
-		{"mul signs", mulIval(iv(-2, 3), iv(-5, 7)), iv(-15, 21)},
-		{"mul const", mulIval(point(3), iv(1, 2)), iv(3, 6)},
-		{"div", divIval(iv(-7, 9), point(2)), iv(-3, 4)},
-		{"div neg", divIval(iv(2, 9), point(-3)), iv(-3, 0)},
-		{"div nonconst", divIval(iv(0, 9), iv(1, 2)), top()},
-		{"mod in range", modIval(iv(0, 3), point(8)), iv(0, 3)},
-		{"mod nonneg", modIval(iv(0, 100), point(8)), iv(0, 7)},
-		{"mod signed", modIval(top(), point(8)), iv(-7, 7)},
-		{"min", minIval(iv(0, 5), iv(2, 3)), iv(0, 3)},
-		{"min one bound", minIval(top(), iv(2, 3)), Ival{Hi: 3, HiOK: true}},
-		{"max", maxIval(iv(0, 5), iv(2, 7)), iv(2, 7)},
-		{"max one bound", maxIval(top(), iv(2, 3)), Ival{Lo: 2, LoOK: true}},
-	}
-	for _, tc := range cases {
-		if tc.got != tc.want {
-			t.Errorf("%s = %s, want %s", tc.name, tc.got, tc.want)
-		}
-	}
-}
-
-func TestEvalIval(t *testing.T) {
-	n := &ir.Var{Name: "n"}
-	env := map[string]Ival{"n": iv(0, 9)}
-	// 2*n + 1 over n in [0,9] = [1,19]
-	e := ir.Add(ir.Mul(ir.C(2), n), ir.C(1))
-	if got := evalIval(e, env); got != iv(1, 19) {
-		t.Errorf("2n+1 = %s", got)
-	}
-	// Unknown variable evaluates to top.
-	if got := evalIval(&ir.Var{Name: "m"}, env); got != top() {
-		t.Errorf("unknown var = %s", got)
-	}
-	// Loads are opaque.
-	if got := evalIval(&ir.Load{}, env); got != top() {
-		t.Errorf("load = %s", got)
-	}
+func iv(lo, hi int64) symbolic.Interval {
+	return symbolic.Interval{Lo: lo, Hi: hi, LoOK: true, HiOK: true}
 }
 
 func TestCondDecide(t *testing.T) {
 	cases := []struct {
 		name string
 		op   ir.CmpOp
-		l, r Ival
+		l, r symbolic.Interval
 		want int
 	}{
 		{"lt always", ir.CmpLt, iv(0, 4), iv(5, 9), 1},
@@ -112,12 +24,12 @@ func TestCondDecide(t *testing.T) {
 		{"le always", ir.CmpLe, iv(0, 5), iv(5, 9), 1},
 		{"ge always", ir.CmpGe, iv(5, 9), iv(0, 5), 1},
 		{"gt never", ir.CmpGt, iv(0, 5), iv(5, 9), -1},
-		{"eq const", ir.CmpEq, point(3), point(3), 1},
+		{"eq const", ir.CmpEq, symbolic.Point(3), symbolic.Point(3), 1},
 		{"eq disjoint", ir.CmpEq, iv(0, 2), iv(3, 5), -1},
 		{"eq maybe", ir.CmpEq, iv(0, 3), iv(3, 5), 0},
 		{"ne disjoint", ir.CmpNe, iv(0, 2), iv(3, 5), 1},
-		{"ne const", ir.CmpNe, point(4), point(4), -1},
-		{"unbounded", ir.CmpLt, top(), iv(0, 5), 0},
+		{"ne const", ir.CmpNe, symbolic.Point(4), symbolic.Point(4), -1},
+		{"unbounded", ir.CmpLt, symbolic.Interval{}, iv(0, 5), 0},
 	}
 	for _, tc := range cases {
 		if got := condDecide(tc.op, tc.l, tc.r); got != tc.want {
@@ -128,7 +40,7 @@ func TestCondDecide(t *testing.T) {
 
 func TestRefine(t *testing.T) {
 	v := &ir.Var{Name: "i"}
-	env := map[string]Ival{"i": iv(0, 9)}
+	env := map[string]symbolic.Interval{"i": iv(0, 9)}
 
 	// Then branch of "if i < 5": i in [0,4].
 	got := refine(env, ir.Lt(v, ir.C(5)), false)
@@ -147,7 +59,7 @@ func TestRefine(t *testing.T) {
 	}
 	// Equality pins both ends.
 	got = refine(env, ir.Eq(v, ir.C(3)), false)
-	if got["i"] != point(3) {
+	if got["i"] != symbolic.Point(3) {
 		t.Errorf("i==3 then: %s", got["i"])
 	}
 	// A useless refinement returns the environment unchanged.

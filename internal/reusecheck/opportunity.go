@@ -13,12 +13,13 @@ import (
 	"reusetool/internal/trace"
 )
 
-// Analyses are what the opportunity detectors read besides the IR and
-// the layout, each for the program at Options.Params. A caller that
-// already holds one hands it to Opportunities; each nil field is
-// computed the way Check computes it.
+// Analyses are what the report path reads besides the IR and the
+// layout, each for the program at Options.Params. A caller that already
+// holds one hands it to Opportunities; each nil field is computed the
+// way Check computes it.
 type Analyses struct {
-	// Deps is the program's dependence analysis (depend.Analyze).
+	// Deps is the program's dependence analysis (depend.Analyze), which
+	// the walker and the opportunity detectors both read.
 	Deps *depend.Analysis
 	// Estimate is a static estimate on Options.Hier and Report its
 	// report, handed over together and only when RanksWith accepts the
@@ -106,23 +107,18 @@ func buildMissModel(est *staticreuse.Result, rep *metrics.Report, opts Options) 
 // reference facts: loop-invariant loads, redundant region re-sweeps,
 // and layout-mismatched access orders. Each diagnostic carries the
 // predicted miss reduction and the legality verdict of the fixing
-// transformation. It computes each analysis given leaves nil.
-func opportunities(info *ir.Info, w *walker, given Analyses, opts Options, params map[string]int64,
-	fileOf func(*ir.Routine) string) []Diagnostic {
-
-	mach, err := interp.Layout(info, params)
+// transformation, from the walker's dependence analysis. Without a
+// static estimate and its report it estimates the program itself.
+func opportunities(w *walker, est *staticreuse.Result, rep *metrics.Report, opts Options) []Diagnostic {
+	info, deps, fileOf := w.info, w.deps, w.fileOf
+	mach, err := interp.Layout(info, deps.Params)
 	if err != nil {
 		return nil // no layout, no address forms: defects-only degraded mode
 	}
-	est, rep := given.Estimate, given.Report
 	if est == nil {
 		est, rep = estimate(info, opts)
 	}
 	model := buildMissModel(est, rep, opts)
-	deps := given.Deps
-	if deps == nil {
-		deps = depend.Analyze(info, opts.Params)
-	}
 
 	strideCache := map[*ir.Array][]int64{}
 	stridesOf := func(a *ir.Array) []int64 {
@@ -139,12 +135,12 @@ func opportunities(info *ir.Info, w *walker, given Analyses, opts Options, param
 
 	var out []Diagnostic
 	for id := range info.Refs {
-		fact := w.factByID(trace.RefID(id))
+		fact := w.facts[id]
 		if fact == nil || fact.dead || fact.guarded || len(fact.nest) == 0 {
 			continue
 		}
 		ref := fact.ref
-		addr := symbolic.RefAddress(&ir.Ref{Array: ref.Array, Index: fact.subs}, stridesOf(ref.Array))
+		addr := symbolic.RefAddress(&ir.Ref{Array: ref.Array, Index: deps.Subscripts(ref.ID())}, stridesOf(ref.Array))
 		strides := make([]symbolic.Stride, len(fact.nest))
 		for i, l := range fact.nest {
 			strides[i] = symbolic.StrideWRT(addr, l.Var.Name, loopStep(l))

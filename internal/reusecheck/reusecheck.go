@@ -3,10 +3,17 @@
 //
 // It layers a small dataflow/abstract-interpretation framework over the
 // structured IR — interval analysis on loop bounds and affine
-// subscripts (interval.go), plus a one-pass reaching-store and
-// available-region walk per loop nest (walk.go) — and uses it to power
-// a diagnostic suite:
+// subscripts (interval.go, over internal/symbolic's interval domain),
+// plus a one-pass reaching-store and available-region walk per loop
+// nest (walk.go) — on top of the facts of one internal/depend analysis
+// (substituted subscripts, empty loops, exact subscript spans), and
+// uses them to power a diagnostic suite:
 //
+//	oob              a subscript provably leaves its extent (defect)
+//	uninit-data      a data array is read but never written or
+//	                 initialized (defect)
+//	unused-param     a declared parameter is never used (defect)
+//	empty-loop       a loop provably never executes (defect)
 //	dead-store       a stored value is overwritten before any read (defect)
 //	dead-guard       an If condition is provably constant (defect)
 //	invariant-load   a load does not vary with its innermost loop:
@@ -17,9 +24,6 @@
 //	                 nest loop walks a small one (opportunity)
 //	bounds-proved    every subscript is provably within the array extent
 //	                 (note)
-//
-// plus everything internal/depend.Check reports (oob, uninit-data,
-// unused-param, empty-loop — all defects).
 //
 // Every opportunity is ranked by the predicted miss reduction obtained
 // from internal/staticreuse + internal/metrics at one cache level, and
@@ -145,24 +149,15 @@ type Options struct {
 	Level string
 }
 
-// prepare fills the option defaults and returns the program's full
-// parameter binding and the file-name resolver for findings.
-func prepare(info *ir.Info, opts Options) (Options, map[string]int64, func(*ir.Routine) string) {
+// prepare fills the option defaults and returns the file-name resolver
+// for findings.
+func prepare(info *ir.Info, opts Options) (Options, func(*ir.Routine) string) {
 	if opts.Hier == nil {
 		opts.Hier = cache.ScaledItanium2()
 	}
 	if opts.Level == "" {
 		opts.Level = "L2"
 	}
-
-	params := map[string]int64{}
-	for k, v := range info.Prog.Defaults {
-		params[k] = v
-	}
-	for k, v := range opts.Params {
-		params[k] = v
-	}
-
 	fallback := opts.File
 	if fallback == "" && info.Prog.Main != nil {
 		fallback = info.Prog.Main.File
@@ -173,36 +168,21 @@ func prepare(info *ir.Info, opts Options) (Options, map[string]int64, func(*ir.R
 		}
 		return fallback
 	}
-	return opts, params, fileOf
+	return opts, fileOf
 }
 
-// Check runs every static check on a finalized program: the dependence
-// checker's defect suite, the abstract-interpretation defect suite
+// Check runs every static check on a finalized program: the
+// program-level defect suite, the abstract-interpretation defect suite
 // (dead stores, dead guards), the ranked opportunity suite, and the
-// provable-bounds notes. The result is deduplicated and sorted by
-// file:line:code:msg, so repeated runs are byte-reproducible.
+// provable-bounds notes, all over one dependence analysis. The result is
+// deduplicated and sorted by file:line:code:msg, so repeated runs are
+// byte-reproducible.
 func Check(info *ir.Info, opts Options) []Diagnostic {
-	opts, params, fileOf := prepare(info, opts)
+	opts, fileOf := prepare(info, opts)
+	deps := depend.Analyze(info, opts.Params)
+	w := walk(info, deps, fileOf)
 
-	var out []Diagnostic
-	for _, d := range depend.Check(info, depend.CheckOptions{
-		Params:            opts.Params,
-		Initialized:       opts.Initialized,
-		AssumeInitialized: opts.AssumeInitialized,
-		ParamLines:        opts.ParamLines,
-		File:              opts.File,
-	}) {
-		out = append(out, Diagnostic{
-			File:     d.File,
-			Line:     d.Line,
-			Code:     d.Code,
-			Severity: SevDefect,
-			Msg:      d.Msg,
-		})
-	}
-
-	w := newWalker(info, params, fileOf)
-	w.run()
+	out := defects(w, opts)
 	out = append(out, w.diags...)
 
 	// Provable-bounds notes.
@@ -219,7 +199,7 @@ func Check(info *ir.Info, opts Options) []Diagnostic {
 		})
 	}
 
-	out = append(out, opportunities(info, w, Analyses{}, opts, params, fileOf)...)
+	out = append(out, opportunities(w, nil, nil, opts)...)
 
 	return Sort(out)
 }
@@ -230,10 +210,12 @@ func Check(info *ir.Info, opts Options) []Diagnostic {
 // same order. No defect or note shares a code with an opportunity, so
 // Sort places them identically in both.
 func Opportunities(info *ir.Info, given Analyses, opts Options) []Diagnostic {
-	opts, params, fileOf := prepare(info, opts)
-	w := newWalker(info, params, fileOf)
-	w.run()
-	return Sort(opportunities(info, w, given, opts, params, fileOf))
+	opts, fileOf := prepare(info, opts)
+	deps := given.Deps
+	if deps == nil {
+		deps = depend.Analyze(info, opts.Params)
+	}
+	return Sort(opportunities(walk(info, deps, fileOf), given.Estimate, given.Report, opts))
 }
 
 // Sort deduplicates diagnostics and orders them by file, line, code and

@@ -2,21 +2,24 @@ package reusecheck
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"strings"
 
+	"reusetool/internal/depend"
 	"reusetool/internal/ir"
-	"reusetool/internal/trace"
+	"reusetool/internal/symbolic"
 )
 
 // refFact is the walker's view of one reference site: its loop nest
-// outermost first, its subscripts with Let bindings substituted, and
-// the reachability/guard context it executes under.
+// outermost first and the reachability/guard context it executes under.
+// Its Let-substituted subscripts are the dependence analysis's
+// (depend.Analysis.Subscripts).
 type refFact struct {
 	ref      *ir.Ref
 	routine  *ir.Routine
 	nest     []*ir.Loop // outermost first
-	subs     []ir.Expr  // Let-substituted subscripts
 	guarded  bool       // under an If: may not execute
 	dead     bool       // inside provably unreachable code
 	inBounds bool       // every subscript provably within the extent
@@ -24,47 +27,55 @@ type refFact struct {
 
 // loopFact caches per-loop interval facts.
 type loopFact struct {
-	rng    Ival // value range of the loop variable
-	empty  bool // provably zero-trip
-	trips2 bool // provably two or more iterations
+	rng    symbolic.Interval // value range of the loop variable
+	empty  bool              // provably zero-trip
+	trips2 bool              // provably two or more iterations
 }
 
 // walker performs one abstract-interpretation pass over the structured
-// IR. It carries two environments in parallel: an interval environment
-// (the abstract value of every parameter, loop variable, and Let
-// binding) and an exact substitution environment for symbolic region
-// keys, maintained exactly as internal/depend does. Loop bodies widen
-// by havoc: any Let target bound inside a loop body jumps to top at
-// loop entry, which is the one-step widening that makes the pass a
-// fixpoint in a single sweep.
+// IR. It carries a flow-sensitive interval environment: the abstract
+// value of every parameter, loop variable and Let binding, refined on
+// each branch. Symbolic region keys come from the dependence analysis,
+// which does the one Let-substitution walk. Every name a loop body may
+// rebind (depend.Rebound) is havocked to top at loop entry, which is the
+// one-step widening that makes the pass a fixpoint in a single sweep.
+// Every name a loop, branch or call may rebind is havocked again once
+// it is done, since its value before the construct may be stale after.
 type walker struct {
 	info   *ir.Info
-	params map[string]int64
+	deps   *depend.Analysis
 	fileOf func(*ir.Routine) string
+	params map[string]symbolic.Interval // every parameter as a point
 
 	facts []*refFact // indexed by trace.RefID
 	loops map[*ir.Loop]loopFact
 	diags []Diagnostic
 }
 
-func newWalker(info *ir.Info, params map[string]int64, fileOf func(*ir.Routine) string) *walker {
-	return &walker{
+// walk runs the walker over every routine of a program whose
+// dependence analysis is deps.
+func walk(info *ir.Info, deps *depend.Analysis, fileOf func(*ir.Routine) string) *walker {
+	w := &walker{
 		info:   info,
-		params: params,
+		deps:   deps,
 		fileOf: fileOf,
+		params: make(map[string]symbolic.Interval, len(deps.Params)),
 		facts:  make([]*refFact, len(info.Refs)),
 		loops:  map[*ir.Loop]loopFact{},
 	}
+	for name, v := range deps.Params {
+		w.params[name] = symbolic.Point(v)
+	}
+	for _, rt := range info.Prog.Routines {
+		w.walkBody(rt, rt.Body, nil, maps.Clone(w.params), false, false, newPending())
+	}
+	return w
 }
 
-func (w *walker) run() {
-	for _, rt := range w.info.Prog.Routines {
-		env := make(map[string]Ival, len(w.params))
-		for name, v := range w.params {
-			env[name] = point(v)
-		}
-		pend := newPending()
-		w.walkBody(rt, rt.Body, nil, env, map[string]ir.Expr{}, false, false, pend)
+// havoc forgets the values of names: each evaluates to top.
+func havoc(env map[string]symbolic.Interval, names map[string]bool) {
+	for name := range names {
+		delete(env, name)
 	}
 }
 
@@ -115,24 +126,18 @@ func regionKey(subs []ir.Expr) string {
 }
 
 func (w *walker) walkBody(rt *ir.Routine, body []ir.Stmt, nest []*ir.Loop,
-	env map[string]Ival, sub map[string]ir.Expr, guarded, dead bool, pend *pending) {
+	env map[string]symbolic.Interval, guarded, dead bool, pend *pending) {
 
 	for _, s := range body {
 		switch st := s.(type) {
 		case *ir.Let:
 			w.killExprReads(pend, st.E)
 			env[st.Var.Name] = evalIval(st.E, env)
-			e := substExpr(st.E, sub)
-			if mentionsVar(e, st.Var.Name) {
-				delete(sub, st.Var.Name)
-			} else {
-				sub[st.Var.Name] = e
-			}
 
 		case *ir.Loop:
 			w.killExprReads(pend, st.Lo)
 			w.killExprReads(pend, st.Hi)
-			w.walkLoop(rt, st, nest, env, sub, guarded, dead, pend)
+			w.walkLoop(rt, st, nest, env, guarded, dead, pend)
 
 		case *ir.If:
 			w.killExprReads(pend, st.Cond.L)
@@ -143,10 +148,11 @@ func (w *walker) walkBody(rt *ir.Routine, body []ir.Stmt, nest []*ir.Loop,
 			if verdict != 0 && !dead {
 				w.reportDeadGuard(rt, st, verdict)
 			}
-			thenEnv := copyEnv(refine(env, st.Cond, false))
-			elseEnv := copyEnv(refine(env, st.Cond, true))
-			w.walkBody(rt, st.Then, nest, thenEnv, copySub(sub), true, dead || verdict < 0, newPending())
-			w.walkBody(rt, st.Else, nest, elseEnv, copySub(sub), true, dead || verdict > 0, newPending())
+			thenEnv := maps.Clone(refine(env, st.Cond, false))
+			elseEnv := maps.Clone(refine(env, st.Cond, true))
+			w.walkBody(rt, st.Then, nest, thenEnv, true, dead || verdict < 0, newPending())
+			w.walkBody(rt, st.Else, nest, elseEnv, true, dead || verdict > 0, newPending())
+			havoc(env, depend.Rebound(st.Then, st.Else))
 			for arr := range bodyReads(st.Then) {
 				pend.killArray(arr)
 			}
@@ -159,10 +165,10 @@ func (w *walker) walkBody(rt *ir.Routine, body []ir.Stmt, nest []*ir.Loop,
 				for _, idx := range ref.Index {
 					w.killExprReads(pend, idx)
 				}
-				w.recordRef(rt, ref, nest, env, sub, guarded, dead)
+				w.recordRef(rt, ref, nest, env, guarded, dead)
 				if ref.Write {
 					if !dead {
-						subs := w.facts[ref.ID()].subs
+						subs := w.deps.Subscripts(ref.ID())
 						key := regionKey(subs)
 						if prev := pend.get(ref.Array, key); prev != nil {
 							w.reportDeadStore(rt, prev.ref, ref)
@@ -176,53 +182,44 @@ func (w *walker) walkBody(rt *ir.Routine, body []ir.Stmt, nest []*ir.Loop,
 
 		case *ir.Call:
 			pend.killAll()
+			havoc(env, depend.Rebound([]ir.Stmt{st}))
 		}
 	}
 }
 
 func (w *walker) walkLoop(rt *ir.Routine, l *ir.Loop, nest []*ir.Loop,
-	env map[string]Ival, sub map[string]ir.Expr, guarded, dead bool, pend *pending) {
+	env map[string]symbolic.Interval, guarded, dead bool, pend *pending) {
 
-	step := int64(l.Step.(ir.Const))
+	step := loopStep(l)
 	ivLo := evalIval(l.Lo, env)
 	ivHi := evalIval(l.Hi, env)
-
-	var rng Ival
-	var empty, trips2 bool
+	rng, empty := symbolic.LoopRange(ivLo, ivHi, step)
+	var trips2 bool
 	if step > 0 {
-		rng = Ival{Lo: ivLo.Lo, LoOK: ivLo.LoOK, Hi: ivHi.Hi, HiOK: ivHi.HiOK}
-		empty = ivLo.LoOK && ivHi.HiOK && ivLo.Lo > ivHi.Hi
 		trips2 = ivLo.HiOK && ivHi.LoOK && ivHi.Lo >= ivLo.Hi+step
 	} else {
-		rng = Ival{Lo: ivHi.Lo, LoOK: ivHi.LoOK, Hi: ivLo.Hi, HiOK: ivLo.HiOK}
-		empty = ivLo.HiOK && ivHi.LoOK && ivLo.Hi < ivHi.Lo
 		trips2 = ivLo.LoOK && ivHi.HiOK && ivHi.Hi <= ivLo.Lo+step
 	}
 	w.loops[l] = loopFact{rng: rng, empty: empty, trips2: trips2}
 
-	// Widen by havoc: Let targets the body rebinds are unknown at entry
-	// to any iteration after the first.
-	inner := copyEnv(env)
-	for name := range letTargets(l.Body) {
-		inner[name] = top()
-	}
+	// Widen by havoc: names the body rebinds are unknown at entry to
+	// any iteration after the first, and after the loop.
+	rebound := depend.Rebound(l.Body)
+	rebound[l.Var.Name] = true
+	inner := maps.Clone(env)
+	havoc(inner, rebound)
 	inner[l.Var.Name] = rng
 
-	innerSub := copySub(sub)
-	delete(innerSub, l.Var.Name)
-	for name := range letTargets(l.Body) {
-		delete(innerSub, name)
-	}
-
 	bodyPend := newPending()
-	w.walkBody(rt, l.Body, append(nest, l), inner, innerSub, guarded, dead || empty, bodyPend)
+	w.walkBody(rt, l.Body, append(nest, l), inner, guarded, dead || empty, bodyPend)
+	havoc(env, rebound)
 
 	// Cross-iteration dead stores: a store that survives the body with a
 	// location independent of the loop variable is overwritten by the
 	// next iteration — dead unless something inside the body reads the
 	// array (reads before the store observe the previous iteration).
+	reads := bodyReads(l.Body)
 	if !dead && !empty && trips2 {
-		reads := bodyReads(l.Body)
 		var dying []*pendingStore
 		for arr, m := range bodyPend.byArray {
 			if reads[arr] {
@@ -248,24 +245,19 @@ func (w *walker) walkLoop(rt *ir.Routine, l *ir.Loop, nest []*ir.Loop,
 		}
 	}
 
-	for arr := range bodyReads(l.Body) {
+	for arr := range reads {
 		pend.killArray(arr)
 	}
 }
 
 // recordRef registers a reference fact and decides bounds provability.
 func (w *walker) recordRef(rt *ir.Routine, ref *ir.Ref, nest []*ir.Loop,
-	env map[string]Ival, sub map[string]ir.Expr, guarded, dead bool) {
+	env map[string]symbolic.Interval, guarded, dead bool) {
 
-	subs := make([]ir.Expr, len(ref.Index))
-	for i, idx := range ref.Index {
-		subs[i] = substExpr(idx, sub)
-	}
 	fact := &refFact{
 		ref:     ref,
 		routine: rt,
-		nest:    append([]*ir.Loop(nil), nest...),
-		subs:    subs,
+		nest:    slices.Clone(nest),
 		guarded: guarded,
 		dead:    dead,
 	}
@@ -273,7 +265,7 @@ func (w *walker) recordRef(rt *ir.Routine, ref *ir.Ref, nest []*ir.Loop,
 		fact.inBounds = true
 		for d, idx := range ref.Index {
 			iv := evalIval(idx, env)
-			ext, ok := evalIval(ref.Array.Dims[d], envOfParams(w.params)).Const()
+			ext, ok := evalIval(ref.Array.Dims[d], w.params).Const()
 			if !ok || !iv.Bounded() || iv.Lo < 0 || iv.Hi > ext-1 {
 				fact.inBounds = false
 				break
@@ -440,107 +432,12 @@ func bodyReads(body []ir.Stmt) map[*ir.Array]bool {
 	return out
 }
 
-// letTargets collects the names a body's Let statements bind, at any
-// nesting depth.
-func letTargets(body []ir.Stmt) map[string]bool {
-	out := map[string]bool{}
-	var walk func(body []ir.Stmt)
-	walk = func(body []ir.Stmt) {
-		for _, s := range body {
-			switch st := s.(type) {
-			case *ir.Let:
-				out[st.Var.Name] = true
-			case *ir.Loop:
-				walk(st.Body)
-			case *ir.If:
-				walk(st.Then)
-				walk(st.Else)
-			}
-		}
-	}
-	walk(body)
-	return out
-}
-
 // subsInvariant reports whether no subscript mentions a variable.
 func subsInvariant(subs []ir.Expr, name string) bool {
 	for _, s := range subs {
-		if mentionsVar(s, name) {
+		if ir.Mentions(s, name) {
 			return false
 		}
 	}
 	return true
 }
-
-func mentionsVar(e ir.Expr, name string) bool {
-	found := false
-	ir.WalkExpr(e, func(x ir.Expr) {
-		if v, ok := x.(*ir.Var); ok && v.Name == name {
-			found = true
-		}
-	})
-	return found
-}
-
-// substExpr substitutes Let bindings into an expression, mirroring the
-// dependence analyzer's environment semantics.
-func substExpr(e ir.Expr, env map[string]ir.Expr) ir.Expr {
-	if len(env) == 0 {
-		return e
-	}
-	switch x := e.(type) {
-	case *ir.Var:
-		if b, ok := env[x.Name]; ok {
-			return b
-		}
-		return x
-	case *ir.Bin:
-		l := substExpr(x.L, env)
-		r := substExpr(x.R, env)
-		if l == x.L && r == x.R {
-			return x
-		}
-		return &ir.Bin{Op: x.Op, L: l, R: r, Line: x.Line}
-	case *ir.Load:
-		idx := make([]ir.Expr, len(x.Index))
-		changed := false
-		for i, s := range x.Index {
-			idx[i] = substExpr(s, env)
-			if idx[i] != s {
-				changed = true
-			}
-		}
-		if !changed {
-			return x
-		}
-		return &ir.Load{Array: x.Array, Index: idx, Line: x.Line}
-	}
-	return e
-}
-
-func copyEnv(env map[string]Ival) map[string]Ival {
-	out := make(map[string]Ival, len(env))
-	for k, v := range env {
-		out[k] = v
-	}
-	return out
-}
-
-func copySub(sub map[string]ir.Expr) map[string]ir.Expr {
-	out := make(map[string]ir.Expr, len(sub))
-	for k, v := range sub {
-		out[k] = v
-	}
-	return out
-}
-
-func envOfParams(params map[string]int64) map[string]Ival {
-	out := make(map[string]Ival, len(params))
-	for k, v := range params {
-		out[k] = point(v)
-	}
-	return out
-}
-
-// factByID is a typed accessor for detectors.
-func (w *walker) factByID(id trace.RefID) *refFact { return w.facts[id] }

@@ -4,8 +4,10 @@ import (
 	"strings"
 	"testing"
 
+	"reusetool/internal/interp"
 	"reusetool/internal/ir"
 	"reusetool/internal/lang"
+	"reusetool/internal/trace"
 )
 
 // checkSrc parses .loop source and runs the full checker with the
@@ -320,5 +322,233 @@ func TestCallKillsPending(t *testing.T) {
 	diags := Check(info, Options{AssumeInitialized: true})
 	if ds := find(diags, "dead-store"); len(ds) != 0 {
 		t.Errorf("store across opaque call reported dead: %v", ds)
+	}
+}
+
+// parseInfo parses and finalizes .loop source.
+func parseInfo(t *testing.T, src string) *ir.Info {
+	t.Helper()
+	prog, _, err := lang.Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	info, err := prog.Finalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return info
+}
+
+// claimsAt returns the diagnostics with one code at one line.
+func claimsAt(diags []Diagnostic, code string, line int) []Diagnostic {
+	var out []Diagnostic
+	for _, d := range find(diags, code) {
+		if d.Line == line {
+			out = append(out, d)
+		}
+	}
+	return out
+}
+
+// The walker must not believe a binding a loop or branch may have
+// changed. Each program below is checked against its own execution.
+
+// TestStaleBindingAfterLoopNoDeadStoreOrGuard: the loop rebinds t, so
+// the second store writes A[7], not A[0], and t == 0 does not hold.
+func TestStaleBindingAfterLoopNoDeadStoreOrGuard(t *testing.T) {
+	info := parseInfo(t, `program p
+param N 8
+array A f64 [N]
+array B f64 [N]
+routine main file p.f line 1 {
+  let t = 0
+  access A[t]!
+  for i = 0 .. N-1 line 4 {
+    let t = i
+    access B[i]
+  }
+  access A[t]!
+  if t == 0 {
+    access B[0]
+  }
+}
+`)
+	diags := Check(info, Options{AssumeInitialized: true})
+	if got := claimsAt(diags, "dead-store", 7); len(got) != 0 {
+		t.Errorf("store before the loop reported dead: %v", got)
+	}
+	if got := find(diags, "dead-guard"); len(got) != 0 {
+		t.Errorf("guard on a rebound name decided: %v", got)
+	}
+	res, err := interp.Run(info, nil, trace.Discard{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Accesses != 10 {
+		t.Errorf("run made %d accesses, want 10 (the guard never holds)", res.Accesses)
+	}
+}
+
+// TestStaleBindingAfterLoopNotProvedInBounds: after the loop t = 15.
+func TestStaleBindingAfterLoopNotProvedInBounds(t *testing.T) {
+	info := parseInfo(t, `program p
+param N 8
+array A f64 [N]
+array B f64 [N]
+routine main file p.f line 1 {
+  let t = 0
+  for i = 0 .. N-1 line 3 {
+    let t = i + N
+    access B[i]
+  }
+  access A[t]
+}
+`)
+	if got := claimsAt(Check(info, Options{AssumeInitialized: true}), "bounds-proved", 11); len(got) != 0 {
+		t.Errorf("A[t] proved in bounds after the loop rebound t: %v", got)
+	}
+	if _, err := interp.Run(info, nil, trace.Discard{}); err == nil || !strings.Contains(err.Error(), "15 not in [0,8)") {
+		t.Errorf("run error = %v, want A[t] out of bounds at 15", err)
+	}
+}
+
+// TestNestedLoopVariableNotProvedInBounds: the inner loop rebinds k,
+// which ends at N+2 = 10.
+func TestNestedLoopVariableNotProvedInBounds(t *testing.T) {
+	info := parseInfo(t, `program p
+param N 8
+array A f64 [N]
+array B f64 [N]
+routine main file p.f line 1 {
+  let k = 0
+  for i = 0 .. 1 line 3 {
+    for k = N .. N+2 line 4 {
+      access B[i]
+    }
+  }
+  access A[k]
+}
+`)
+	if got := claimsAt(Check(info, Options{AssumeInitialized: true}), "bounds-proved", 12); len(got) != 0 {
+		t.Errorf("A[k] proved in bounds after a nested loop rebound k: %v", got)
+	}
+	if _, err := interp.Run(info, nil, trace.Discard{}); err == nil || !strings.Contains(err.Error(), "10 not in [0,8)") {
+		t.Errorf("run error = %v, want A[k] out of bounds at 10", err)
+	}
+}
+
+// writeAddrs records the address of every write.
+type writeAddrs struct {
+	trace.Discard
+	addrs []uint64
+}
+
+func (w *writeAddrs) Access(_ trace.RefID, addr uint64, _ uint32, write bool) {
+	if write {
+		w.addrs = append(w.addrs, addr)
+	}
+}
+
+// TestStaleSubstitutionNoDeadStore: in each program the two stores
+// write different elements, because a name the first store's subscript
+// was substituted from changed in between. Substituting the stale
+// binding would make them one region and the first store dead.
+func TestStaleSubstitutionNoDeadStore(t *testing.T) {
+	const head = "program p\nparam N 8\narray A f64 [N]\narray B f64 [N]\nroutine main file p.f line 1 {\n"
+	cases := map[string]string{
+		// t = i is bound in the loop; after it t is 7, while the
+		// second loop leaves i at 2.
+		"binding made in a loop": `  for i = 0 .. N-1 line 2 {
+    let t = i
+    access B[i]
+  }
+  access A[t]!
+  for i = 0 .. 2 line 7 {
+    access B[i]
+  }
+  access A[i]!
+}
+`,
+		// t = s, then s is rebound: t is 1, s is 2.
+		"binding over a rebound name": `  let s = s + 1
+  let t = s
+  let s = s + 1
+  access A[t]!
+  access A[s]!
+}
+`,
+		// t = s, then a loop rebinds s: t is 1, s is 2.
+		"binding over a name a loop rebinds": `  let s = s + 1
+  let t = s
+  for i = 0 .. 2 line 4 {
+    let s = i
+  }
+  access A[t]!
+  access A[s]!
+}
+`,
+	}
+	for name, body := range cases {
+		t.Run(name, func(t *testing.T) {
+			info := parseInfo(t, head+body)
+			if got := find(Check(info, Options{AssumeInitialized: true}), "dead-store"); len(got) != 0 {
+				t.Errorf("stores to different elements reported as one region: %v", got)
+			}
+			rec := &writeAddrs{}
+			if _, err := interp.Run(info, nil, rec); err != nil {
+				t.Fatal(err)
+			}
+			if n := len(rec.addrs); n != 2 || rec.addrs[0] == rec.addrs[1] {
+				t.Errorf("write addresses %v, want two different ones", rec.addrs)
+			}
+		})
+	}
+}
+
+// TestCallRebindsNotProvedInBounds: all routines share one variable
+// namespace, so the callee's loop leaves k at N+2 = 10.
+func TestCallRebindsNotProvedInBounds(t *testing.T) {
+	info := parseInfo(t, `program p
+param N 8
+array A f64 [N]
+array B f64 [N]
+routine sub file p.f line 20 {
+  for k = N .. N+2 line 21 {
+    access B[0]
+  }
+}
+routine main file p.f line 1 {
+  let k = 0
+  call sub
+  access A[k]
+}
+`)
+	if got := claimsAt(Check(info, Options{AssumeInitialized: true}), "bounds-proved", 13); len(got) != 0 {
+		t.Errorf("A[k] proved in bounds after a call rebound k: %v", got)
+	}
+	if _, err := interp.Run(info, nil, trace.Discard{}); err == nil || !strings.Contains(err.Error(), "10 not in [0,8)") {
+		t.Errorf("run error = %v, want A[k] out of bounds at 10", err)
+	}
+}
+
+// TestBranchRebindNotProvedInBounds: the branch rebinds t, so after the
+// If t may be 15, not 0.
+func TestBranchRebindNotProvedInBounds(t *testing.T) {
+	info := parseInfo(t, `program p
+param N 8
+array A f64 [N]
+routine main file p.f line 1 {
+  let t = 0
+  if N > 4 {
+    let t = N + 7
+  }
+  access A[t]
+}
+`)
+	if got := claimsAt(Check(info, Options{AssumeInitialized: true}), "bounds-proved", 9); len(got) != 0 {
+		t.Errorf("A[t] proved in bounds after a branch rebound t: %v", got)
+	}
+	if _, err := interp.Run(info, nil, trace.Discard{}); err == nil || !strings.Contains(err.Error(), "15 not in [0,8)") {
+		t.Errorf("run error = %v, want A[t] out of bounds at 15", err)
 	}
 }

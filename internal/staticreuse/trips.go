@@ -203,8 +203,9 @@ func (w *walker) walkLoop(l *ir.Loop, mult float64, loops []*ir.Loop) {
 	// inner structure is recorded.
 	w.walkBody(l.Body, mult*trip, append([]*ir.Loop{l}, loops...))
 	if lok && hok && trip > 0 {
-		// After the loop the variable holds its final value.
-		w.env[name] = lo + step*(trip-1) + step
+		// After the loop the variable holds the last value it ran
+		// with, as in the interpreter.
+		w.env[name] = lo + step*(trip-1)
 		w.known[name] = true
 	} else {
 		w.env[name], w.known[name] = oldV, oldK

@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"reusetool/internal/interp"
+	"reusetool/internal/lang"
+	"reusetool/internal/trace"
 	"reusetool/internal/workloads"
 )
 
@@ -88,5 +90,47 @@ func TestBlocksOf(t *testing.T) {
 				t.Errorf("blocksOf = %v, want %v ± %v", got, tc.want, tc.tol)
 			}
 		})
+	}
+}
+
+// TestLoopVariableAfterLoop: after "for i = 0 .. 3" the interpreter
+// leaves i at 3, its last value, so the second loop runs 25 times and
+// the program makes 4 + 25 accesses.
+func TestLoopVariableAfterLoop(t *testing.T) {
+	prog, _, err := lang.Parse(`program p
+param N 64
+array A f64 [N]
+array B f64 [N]
+routine main file p.f line 1 {
+  for i = 0 .. 3 line 2 {
+    access B[i]
+  }
+  for j = 0 .. i*8 line 5 {
+    access A[j]
+  }
+}
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	info, err := prog.Finalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	mach, err := interp.Layout(info, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := collectStats(info, mach)
+	var static float64
+	for _, ref := range info.Refs {
+		static += st.RefTotal(ref.ID())
+	}
+	run, err := interp.Run(info, nil, trace.Discard{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if static != float64(run.Accesses) || run.Accesses != 29 {
+		t.Errorf("static accesses = %v, dynamic = %d, want both 29", static, run.Accesses)
 	}
 }
