@@ -59,7 +59,7 @@ func (h *Histogram) GobDecode(data []byte) error {
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&w); err != nil {
 		return err
 	}
-	if !validRes(w.Sub) {
+	if !ValidRes(w.Sub) {
 		return fmt.Errorf("histo: corrupt wire data: resolution %d", w.Sub)
 	}
 	h.sub = w.Sub

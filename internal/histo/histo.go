@@ -58,14 +58,15 @@ func New() *Histogram { return NewRes(DefaultResolution) }
 // NewRes returns an empty histogram with the given sub-buckets per octave.
 // res must be a power of two in [1, 256].
 func NewRes(res int) *Histogram {
-	if !validRes(uint64(res)) {
+	if !ValidRes(uint64(res)) {
 		panic(fmt.Sprintf("histo: invalid resolution %d", res))
 	}
 	return &Histogram{sub: uint64(res)}
 }
 
-// validRes reports whether res is a power of two in [1, 256].
-func validRes(res uint64) bool {
+// ValidRes reports whether res is a resolution NewRes accepts: a power
+// of two in [1, 256].
+func ValidRes(res uint64) bool {
 	return res >= 1 && res <= linearMax && res&(res-1) == 0
 }
 

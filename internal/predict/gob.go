@@ -5,6 +5,8 @@ import (
 	"encoding/gob"
 	"fmt"
 	"hash/fnv"
+
+	"reusetool/internal/histo"
 )
 
 // Encode serializes a model with the versioned gob format. The version
@@ -23,7 +25,8 @@ func Encode(m *Model) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// Decode deserializes a model and rejects unknown format versions.
+// Decode deserializes a model and rejects unknown format versions and
+// any shape Predict cannot serve (see check).
 func Decode(data []byte) (*Model, error) {
 	var m Model
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&m); err != nil {
@@ -33,7 +36,32 @@ func Decode(data []byte) (*Model, error) {
 		return nil, fmt.Errorf("predict: model format v%d unsupported (this build reads v%d)",
 			m.FormatVersion, FormatVersion)
 	}
+	if err := m.check(); err != nil {
+		return nil, err
+	}
 	return &m, nil
+}
+
+// check refuses the decoded shapes Predict would panic on or size an
+// allocation by: a distance-bin count outside [1, maxDistBins], a
+// pattern whose distance fits disagree with it, and a granularity
+// resolution histo.NewRes refuses.
+func (m *Model) check() error {
+	if m.DistBins < 1 || m.DistBins > maxDistBins {
+		return fmt.Errorf("predict: corrupt model: %d distance bins", m.DistBins)
+	}
+	for _, g := range m.Grans {
+		if !histo.ValidRes(uint64(g.Res)) {
+			return fmt.Errorf("predict: corrupt model: granularity %s has resolution %d", g.Name, g.Res)
+		}
+		for _, p := range g.Patterns {
+			if len(p.Dists) != m.DistBins {
+				return fmt.Errorf("predict: corrupt model: granularity %s has a pattern with %d distance fits, want %d",
+					g.Name, len(p.Dists), m.DistBins)
+			}
+		}
+	}
+	return nil
 }
 
 // Checksum fingerprints an encoded model (FNV-1a). Cache entries store

@@ -47,6 +47,11 @@ const FormatVersion = 1
 // distribution per pattern.
 const DefaultDistBins = 32
 
+// maxDistBins bounds FitOptions.DistBins and a decoded model's
+// DistBins: a histogram has fewer bins than this at any resolution, so
+// more quantiles add nothing.
+const maxDistBins = 1 << 14
+
 // ErrUnsoundTraining rejects training inputs whose counts are scaled
 // estimates: runs sampled at R>1, or with the adaptive bounded-memory
 // (SHARDS_adj) mode, carry sampling noise that least squares would
@@ -241,6 +246,9 @@ func Fit(info *ir.Info, runs []*TrainingRun, opts FitOptions) (*Model, error) {
 	}
 	if m.DistBins <= 0 {
 		m.DistBins = DefaultDistBins
+	}
+	if m.DistBins > maxDistBins {
+		return nil, fmt.Errorf("predict: %d distance bins exceeds the maximum %d", m.DistBins, maxDistBins)
 	}
 
 	for gi, g := range runs[0].Grans {

@@ -117,6 +117,12 @@ func TestFitRejectsDegenerateInputs(t *testing.T) {
 	if _, err := predict.Fit(info, []*predict.TrainingRun{a, dup}, predict.FitOptions{}); err == nil {
 		t.Fatal("identical bindings accepted")
 	}
+	// Decode refuses a model with more distance bins than a histogram
+	// has, so Fit must not write one.
+	_, b := trainRun(t, "fig2", hier, map[string]int64{"N": 96})
+	if _, err := predict.Fit(info, []*predict.TrainingRun{a, b}, predict.FitOptions{DistBins: 1 << 15}); err == nil {
+		t.Fatal("a model Decode refuses was fitted")
+	}
 }
 
 func TestGobRoundTrip(t *testing.T) {

@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"container/list"
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
 	"encoding/gob"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sync"
@@ -20,8 +23,10 @@ import (
 // request without re-running the interpreter — the deterministic
 // persist-v2 collector stream, the rendered text report, and the
 // deterministic JSON document. Fingerprint is the collector's engine
-// fingerprint at collection time; hits are verified against it by
-// round-tripping the artifact through internal/persist.
+// fingerprint at collection time. Digest covers every byte a hit
+// serves; the cache records it when it admits the entry (see admit),
+// and an admitted entry is immutable: the tiers share it and never
+// write to it again.
 type CacheEntry struct {
 	Key         string
 	Program     string
@@ -44,12 +49,34 @@ type CacheEntry struct {
 	// Artifact and their Fingerprint is the model payload's checksum
 	// rather than an engine fingerprint.
 	Model []byte
+
+	// Digest is the SHA-256 over the length-prefixed Artifact, Report,
+	// JSON and Model fields (see sum). It travels with the entry to
+	// disk and to peers; an entry written by a build that predates it
+	// decodes with the zero value, meaning "no digest".
+	Digest [sha256.Size]byte
+}
+
+// sum hashes the four served fields, each prefixed with its length so
+// that no byte can move from one field to its neighbour unnoticed.
+func (e *CacheEntry) sum() [sha256.Size]byte {
+	h := sha256.New()
+	var n [8]byte
+	for _, f := range [...][]byte{e.Artifact, e.Report, e.JSON, e.Model} {
+		binary.BigEndian.PutUint64(n[:], uint64(len(f)))
+		h.Write(n[:])
+		h.Write(f)
+	}
+	var d [sha256.Size]byte
+	h.Sum(d[:0])
+	return d
 }
 
 // verify round-trips the persist artifact and checks the restored
 // engines reproduce the recorded fingerprint — a corrupted or stale
 // artifact (e.g. a truncated disk file predating atomic writes, or a
-// tampered remote-tier response) is rejected rather than served.
+// tampered remote-tier response) is rejected rather than served. It
+// decodes the whole artifact, so only admit calls it.
 func (e *CacheEntry) verify() error {
 	if len(e.Model) > 0 {
 		// Model entries carry no persist artifact; the fingerprint slot
@@ -74,6 +101,44 @@ func (e *CacheEntry) verify() error {
 	return nil
 }
 
+// admit is the full check an entry passes once, where it enters the
+// process: at Put and PutLocal, at a disk load and at a remote GET. A
+// recorded digest must match the served fields, then verify decodes
+// the artifact or model. It returns the copy the tiers keep, with its
+// digest recorded, so the caller's entry is never written to; an entry
+// without a digest (written by an older build) gets one here. Every
+// refusal counts in CacheBadVerify.
+func admit(e *CacheEntry, m *Metrics) (*CacheEntry, error) {
+	a := *e
+	d := a.sum()
+	if a.Digest != ([sha256.Size]byte{}) && a.Digest != d {
+		m.CacheBadVerify.Add(1)
+		return nil, fmt.Errorf("server: cache entry %s: fields do not match the recorded digest", a.Key)
+	}
+	if err := a.verify(); err != nil {
+		m.CacheBadVerify.Add(1)
+		return nil, err
+	}
+	a.Digest = d
+	return &a, nil
+}
+
+// decodeEntry reads one gob-encoded entry that must hold key: a disk
+// file, a peer's GET response or a peer's PUT body. Like admit, it
+// counts every refusal in CacheBadVerify.
+func decodeEntry(r io.Reader, key string, m *Metrics) (*CacheEntry, error) {
+	var e CacheEntry
+	if err := gob.NewDecoder(r).Decode(&e); err != nil {
+		m.CacheBadVerify.Add(1)
+		return nil, fmt.Errorf("decode entry: %w", err)
+	}
+	if e.Key != key {
+		m.CacheBadVerify.Add(1)
+		return nil, fmt.Errorf("entry key %s does not match path %s", e.Key, key)
+	}
+	return &e, nil
+}
+
 // CacheOptions sizes and wires a ResultCache.
 type CacheOptions struct {
 	// MaxEntries bounds the in-memory LRU tier (default 128).
@@ -93,8 +158,12 @@ type CacheOptions struct {
 // the scheduler: a bounded in-memory LRU, an optional on-disk artifact
 // directory that survives restarts, and an optional shared remote tier
 // reached over HTTP (see RemoteCache). Lookups go memory → disk →
-// remote; every hit is fingerprint-verified before it is served, and
-// remote hits are filled through into the local tiers.
+// remote, and remote hits are filled through into the local tiers.
+// Bytes are checked where they enter the process: every entry passes
+// admit (digest, then the full decode and fingerprint compare) at Put,
+// PutLocal, a disk load or a remote GET, and only admitted entries
+// reach the memory tier. A memory hit re-hashes the served fields
+// against the digest and decodes nothing.
 //
 // Writes never block the analysis hot path on I/O: disk writes go
 // through a bounded async writer (falling back to an inline write when
@@ -171,11 +240,12 @@ func (c *ResultCache) WriteBehindLen() int {
 }
 
 // Get returns the entry for key, consulting the memory tier, then the
-// disk tier, then the shared remote tier. Every candidate is verified
-// against its recorded fingerprint before serving; a verification
-// failure evicts the local copy and falls through to the next tier.
-// Remote hits are filled through into the local tiers. ctx bounds the
-// remote round-trip only — local lookups never block on it.
+// disk tier, then the shared remote tier. A memory entry is served
+// when its served fields still hash to its digest; a disk or remote
+// entry is admitted (the full check) on the way in. A failure evicts
+// the local copy and falls through to the next tier. Remote hits are
+// filled through into the local tiers. ctx bounds the remote
+// round-trip only — local lookups never block on it.
 func (c *ResultCache) Get(ctx context.Context, key string) (*CacheEntry, bool) {
 	if e, tier := c.lookupLocal(key); e != nil {
 		c.metrics.CacheHits.Add(1)
@@ -186,8 +256,7 @@ func (c *ResultCache) Get(ctx context.Context, key string) (*CacheEntry, bool) {
 	}
 	if c.remote != nil {
 		if e, ok := c.remote.Get(ctx, key); ok {
-			c.insert(e)
-			c.enqueueDisk(e)
+			c.store(e)
 			c.metrics.CacheHits.Add(1)
 			return e, true
 		}
@@ -201,51 +270,63 @@ const (
 	tierDisk = "disk"
 )
 
-// lookupLocal consults the memory and disk tiers with verification but
-// without touching the top-level hit/miss counters — the peer-serving
-// handlers account separately from the analyze path.
+// lookupLocal consults the memory and disk tiers without touching the
+// top-level hit/miss counters — the peer-serving handlers account
+// separately from the analyze path. A memory entry was admitted on
+// its way in, so its hit only re-hashes the served fields; a disk
+// entry is admitted here.
 func (c *ResultCache) lookupLocal(key string) (*CacheEntry, string) {
 	c.mu.Lock()
 	if el, ok := c.byKey[key]; ok {
 		c.ll.MoveToFront(el)
 		e := el.Value.(*CacheEntry)
 		c.mu.Unlock()
-		if err := e.verify(); err != nil {
-			c.metrics.CacheBadVerify.Add(1)
-			c.drop(key)
-		} else {
+		if e.sum() == e.Digest {
 			return e, tierMem
 		}
+		c.metrics.CacheBadVerify.Add(1)
+		c.drop(key)
 	} else {
 		c.mu.Unlock()
 	}
 	if e, ok := c.loadDisk(key); ok {
-		if err := e.verify(); err != nil {
-			c.metrics.CacheBadVerify.Add(1)
-			os.Remove(c.diskPath(key))
-			return nil, ""
-		}
 		c.insert(e)
 		return e, tierDisk
 	}
 	return nil, ""
 }
 
-// Put stores a freshly computed entry in every tier: memory now, disk
-// via the async writer, and the shared remote tier via the coalescing
-// write-behind queue.
+// Put admits a freshly computed entry and stores it in every tier:
+// memory now, disk via the async writer, and the shared remote tier
+// via the coalescing write-behind queue. An entry that fails the check
+// is counted and not stored; the caller still holds its own copy.
 func (c *ResultCache) Put(e *CacheEntry) {
-	c.insert(e)
-	c.enqueueDisk(e)
+	a, err := admit(e, c.metrics)
+	if err != nil {
+		return
+	}
+	c.store(a)
 	if c.wb != nil {
-		c.wb.Enqueue(e)
+		c.wb.Enqueue(a)
 	}
 }
 
-// PutLocal stores an entry in the memory and disk tiers only. The peer
-// PUT handler uses it so entries arriving from the write-behind queue
-// of another node are not echoed back to the remote tier.
-func (c *ResultCache) PutLocal(e *CacheEntry) {
+// PutLocal admits an entry and stores it in the memory and disk tiers
+// only. The peer PUT handler uses it so entries arriving from the
+// write-behind queue of another node are not echoed back to the remote
+// tier; the error says why an entry was refused.
+func (c *ResultCache) PutLocal(e *CacheEntry) error {
+	a, err := admit(e, c.metrics)
+	if err != nil {
+		return err
+	}
+	c.store(a)
+	return nil
+}
+
+// store puts an admitted entry in the memory tier and queues its disk
+// write.
+func (c *ResultCache) store(e *CacheEntry) {
 	c.insert(e)
 	c.enqueueDisk(e)
 }
@@ -369,18 +450,26 @@ func (c *ResultCache) saveDisk(e *CacheEntry) error {
 	return os.Rename(tmp.Name(), path)
 }
 
+// loadDisk reads and admits the disk entry for key. A file that does
+// not decode, names another key or fails the check is counted in
+// CacheBadVerify and removed, so it is not re-read on every miss.
 func (c *ResultCache) loadDisk(key string) (*CacheEntry, bool) {
 	if c.dir == "" {
 		return nil, false
 	}
-	f, err := os.Open(c.diskPath(key))
+	path := c.diskPath(key)
+	f, err := os.Open(path)
 	if err != nil {
 		return nil, false
 	}
-	defer f.Close()
-	var e CacheEntry
-	if err := gob.NewDecoder(f).Decode(&e); err != nil || e.Key != key {
+	e, err := decodeEntry(f, key, c.metrics)
+	f.Close()
+	if err == nil {
+		e, err = admit(e, c.metrics)
+	}
+	if err != nil {
+		os.Remove(path)
 		return nil, false
 	}
-	return &e, true
+	return e, true
 }

@@ -3,9 +3,11 @@ package server
 import (
 	"bytes"
 	"context"
+	"encoding/gob"
 	"fmt"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 
 	"reusetool/internal/cache"
@@ -181,4 +183,191 @@ func TestCacheConcurrentAccess(t *testing.T) {
 	for g := 0; g < 8; g++ {
 		<-done
 	}
+}
+
+// sweep3dEntry analyzes the sweep3d workload the way the daemon does,
+// in the given mode ("static" takes milliseconds, "dynamic" seconds),
+// and returns the entry it would cache.
+func sweep3dEntry(tb testing.TB, mode string) *CacheEntry {
+	tb.Helper()
+	rr, err := resolve(AnalyzeRequest{Workload: "sweep3d", Mode: mode}, 0)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	e, err := rr.execute(context.Background())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return e
+}
+
+// maxMemoryHitAllocs bounds the allocations of one memory hit: at most
+// the digest's hash state and its small buffers, where the compiler
+// does not keep them on the stack. Decoding the static sweep3d
+// artifact takes about 21,000, so the bound shows a hit decodes
+// nothing.
+const maxMemoryHitAllocs = 8
+
+// TestMemoryHitDoesNotDecode: a memory hit re-hashes the entry it
+// serves and decodes nothing — no persist.Load, reusedist.Restore or
+// predict.Decode — which the allocation counts of a sweep3d hit and a
+// fitted-model hit show.
+func TestMemoryHitDoesNotDecode(t *testing.T) {
+	ctx := context.Background()
+	s, err := New(Config{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Drain(ctx)
+	rf, err := resolveFit(fig2Fit(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	model, err := s.fit(ctx, rf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range []*CacheEntry{sweep3dEntry(t, "static"), model} {
+		c, err := NewResultCache(CacheOptions{}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.Put(e)
+		if _, ok := c.Get(ctx, e.Key); !ok {
+			t.Fatalf("%s: admitted entry missed", e.Program)
+		}
+		allocs := testing.AllocsPerRun(20, func() {
+			if _, ok := c.Get(ctx, e.Key); !ok {
+				t.Fatalf("%s: memory hit missed", e.Program)
+			}
+		})
+		if allocs > maxMemoryHitAllocs {
+			t.Fatalf("%s: memory hit of a %d-byte artifact and %d-byte model allocates %.0f times, want at most %d",
+				e.Program, len(e.Artifact), len(e.Model), allocs, maxMemoryHitAllocs)
+		}
+	}
+}
+
+// TestCacheConcurrentHitsOnOneEntry has many goroutines hit one memory
+// entry at once; under -race it shows that serving the shared,
+// immutable entry writes nothing.
+func TestCacheConcurrentHitsOnOneEntry(t *testing.T) {
+	m := NewMetrics()
+	c, err := NewResultCache(CacheOptions{}, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := collectEntry(t, key(3))
+	c.Put(e)
+	const goroutines, hits = 8, 50
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < hits; i++ {
+				got, ok := c.Get(context.Background(), e.Key)
+				if !ok || !bytes.Equal(got.Report, e.Report) || !bytes.Equal(got.JSON, e.JSON) {
+					t.Error("concurrent memory hit missed or served other bytes")
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if got := m.CacheHits.Load(); got != goroutines*hits {
+		t.Fatalf("hits = %d, want %d", got, goroutines*hits)
+	}
+	if m.CacheBadVerify.Load() != 0 {
+		t.Fatal("a concurrent hit failed its digest")
+	}
+}
+
+// TestTornDiskFilesAreRemoved: a disk file that does not decode, or
+// that holds another key's entry, is counted as a failed check and
+// removed, so later misses do not read it again.
+func TestTornDiskFilesAreRemoved(t *testing.T) {
+	dir := t.TempDir()
+	m := NewMetrics()
+	c, err := NewResultCache(CacheOptions{Dir: dir}, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close(context.Background()) })
+
+	var other bytes.Buffer
+	if err := gob.NewEncoder(&other).Encode(collectEntry(t, key(8))); err != nil {
+		t.Fatal(err)
+	}
+	files := map[string][]byte{
+		key(9):  []byte("not gob at all"),
+		key(10): other.Bytes(), // key(8)'s entry under key(10)'s name
+	}
+	for k, data := range files {
+		path := c.diskPath(k)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for round := 0; round < 2; round++ {
+		for k := range files {
+			if _, ok := c.Get(context.Background(), k); ok {
+				t.Fatalf("torn disk file for %s served", k)
+			}
+			if _, err := os.Stat(c.diskPath(k)); !os.IsNotExist(err) {
+				t.Fatalf("torn disk file for %s still on disk (stat: %v)", k, err)
+			}
+		}
+		if got := m.CacheBadVerify.Load(); got != uint64(len(files)) {
+			t.Fatalf("round %d: verify failures = %d, want %d", round, got, len(files))
+		}
+	}
+}
+
+// BenchmarkCacheHit times a hit on an exact sweep3d entry from each
+// local tier: a memory hit re-hashes the served fields, a disk hit
+// decodes the file and runs the full check on it.
+func BenchmarkCacheHit(b *testing.B) {
+	e := sweep3dEntry(b, "dynamic")
+	ctx := context.Background()
+	b.Run("memory", func(b *testing.B) {
+		c, err := NewResultCache(CacheOptions{}, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		c.Put(e)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, ok := c.Get(ctx, e.Key); !ok {
+				b.Fatal("memory miss")
+			}
+		}
+	})
+	b.Run("disk", func(b *testing.B) {
+		m := NewMetrics()
+		c, err := NewResultCache(CacheOptions{Dir: b.TempDir()}, m)
+		if err != nil {
+			b.Fatal(err)
+		}
+		c.Put(e)
+		if err := c.Close(ctx); err != nil { // flushes the disk write
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			c.drop(e.Key) // so that Get reads the disk tier
+			if _, ok := c.Get(ctx, e.Key); !ok {
+				b.Fatal("disk miss")
+			}
+		}
+		b.StopTimer()
+		if got := m.CacheDiskHits.Load(); got != uint64(b.N) {
+			b.Fatalf("%d disk hits in %d lookups", got, b.N)
+		}
+	})
 }

@@ -24,6 +24,9 @@ type Metrics struct {
 	CacheMisses    atomic.Uint64
 	CacheDiskHits  atomic.Uint64
 	CacheEvictions atomic.Uint64
+	// CacheBadVerify counts entries refused where they enter the cache
+	// (Put, a disk load, a remote GET, a peer PUT) and memory entries
+	// whose served fields no longer match their digest.
 	CacheBadVerify atomic.Uint64
 
 	// Remote tier: this daemon acting as a client of the shared
@@ -103,7 +106,7 @@ func (m *Metrics) WriteText(w io.Writer, g Gauges) {
 	counter("reusetoold_cache_misses_total", "Analyze requests that ran the pipeline.", m.CacheMisses.Load())
 	counter("reusetoold_cache_disk_hits_total", "Cache hits satisfied by the on-disk artifact store.", m.CacheDiskHits.Load())
 	counter("reusetoold_cache_evictions_total", "Entries evicted from the memory tier.", m.CacheEvictions.Load())
-	counter("reusetoold_cache_verify_failures_total", "Cached artifacts whose fingerprint failed verification.", m.CacheBadVerify.Load())
+	counter("reusetoold_cache_verify_failures_total", "Cache entries refused at any entry point (put, disk load, remote GET, peer PUT) or whose memory copy failed its digest.", m.CacheBadVerify.Load())
 	counter("reusetoold_remote_cache_hits_total", "Cache hits satisfied by the shared remote tier.", m.RemoteHits.Load())
 	counter("reusetoold_remote_cache_misses_total", "Remote-tier lookups that found nothing.", m.RemoteMisses.Load())
 	counter("reusetoold_remote_cache_errors_total", "Remote-tier round-trips that failed (network, decode, or verify).", m.RemoteErrors.Load())

@@ -16,9 +16,11 @@ import (
 // HTTP: any reusetoold daemon serves it (GET/PUT /v1/cache/{key}), so
 // a "shared tier" is just another daemon — a dedicated cache node or a
 // worker peer — reached by the SHA-256 key the local tiers already
-// use. Entries travel as gob (the disk tier's encoding), and both
-// directions verify the artifact fingerprint: the server refuses to
-// store a torn entry, the client refuses to serve one.
+// use. Entries travel as gob (the disk tier's encoding) with their
+// digest, and both directions admit what they receive with the full
+// check (digest, then the artifact decode and fingerprint compare; see
+// admit): the server refuses to store a torn entry, the client refuses
+// to serve one, and both count the refusal in CacheBadVerify.
 
 // remotePutTimeout bounds one write-behind PUT so a dead cache peer
 // cannot wedge the queue.
@@ -56,9 +58,10 @@ func NewRemoteCache(base string, m *Metrics) *RemoteCache {
 // BaseURL reports the shared-tier address.
 func (r *RemoteCache) BaseURL() string { return r.base }
 
-// Get fetches and verifies one entry. Misses and failures are
+// Get fetches and admits one entry. Misses and failures are
 // distinguished on the metrics (a miss is normal, an error is a sick
-// peer) but both report !ok to the caller.
+// peer) but both report !ok to the caller. An entry that arrives but
+// is refused counts in CacheBadVerify as well as RemoteErrors.
 func (r *RemoteCache) Get(ctx context.Context, key string) (*CacheEntry, bool) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, r.base+"/v1/cache/"+key, nil)
 	if err != nil {
@@ -79,17 +82,16 @@ func (r *RemoteCache) Get(ctx context.Context, key string) (*CacheEntry, bool) {
 		r.metrics.RemoteErrors.Add(1)
 		return nil, false
 	}
-	var e CacheEntry
-	if err := gob.NewDecoder(io.LimitReader(resp.Body, r.maxEntryBytes)).Decode(&e); err != nil || e.Key != key {
-		r.metrics.RemoteErrors.Add(1)
-		return nil, false
+	e, err := decodeEntry(io.LimitReader(resp.Body, r.maxEntryBytes), key, r.metrics)
+	if err == nil {
+		e, err = admit(e, r.metrics)
 	}
-	if err := e.verify(); err != nil {
+	if err != nil {
 		r.metrics.RemoteErrors.Add(1)
 		return nil, false
 	}
 	r.metrics.RemoteHits.Add(1)
-	return &e, true
+	return e, true
 }
 
 // Put stores one entry on the shared tier.

@@ -15,18 +15,7 @@ import (
 // startPeer stands up a real daemon to act as the shared cache tier.
 func startPeer(t *testing.T) (*Server, *httptest.Server) {
 	t.Helper()
-	s, err := New(Config{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(s.Handler())
-	t.Cleanup(func() {
-		ts.Close()
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		_ = s.Drain(ctx)
-	})
-	return s, ts
+	return drainedServer(t, Config{Workers: 1})
 }
 
 func TestRemoteTierCrossDaemonHit(t *testing.T) {
@@ -293,50 +282,26 @@ func TestRemoteGetCapsEntryBody(t *testing.T) {
 
 func TestCachePutHandlerValidation(t *testing.T) {
 	_, ts := startPeer(t)
-	put := func(path string, body []byte) int {
-		req, err := http.NewRequest(http.MethodPut, ts.URL+path, bytes.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		return resp.StatusCode
-	}
 	// Malformed keys never reach the disk path logic.
-	if code := put("/v1/cache/..%2F..%2Fetc", nil); code != http.StatusBadRequest {
+	if code := putEntry(t, ts, "..%2F..%2Fetc", nil); code != http.StatusBadRequest {
 		t.Fatalf("traversal key: status %d, want 400", code)
 	}
-	if code := put("/v1/cache/ABCDEF", nil); code != http.StatusBadRequest {
+	if code := putEntry(t, ts, "ABCDEF", nil); code != http.StatusBadRequest {
 		t.Fatalf("short key: status %d, want 400", code)
 	}
 	// Key mismatch between path and entry body.
 	e := collectEntry(t, key(91))
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(e); err != nil {
-		t.Fatal(err)
-	}
-	if code := put("/v1/cache/"+key(92), buf.Bytes()); code != http.StatusBadRequest {
+	if code := putEntry(t, ts, key(92), gobBytes(t, e)); code != http.StatusBadRequest {
 		t.Fatalf("key mismatch: status %d, want 400", code)
 	}
 	// Tampered fingerprint is refused.
 	e.Fingerprint ^= 1
-	buf.Reset()
-	if err := gob.NewEncoder(&buf).Encode(e); err != nil {
-		t.Fatal(err)
-	}
-	if code := put("/v1/cache/"+key(91), buf.Bytes()); code != http.StatusBadRequest {
+	if code := putEntry(t, ts, key(91), gobBytes(t, e)); code != http.StatusBadRequest {
 		t.Fatalf("tampered entry: status %d, want 400", code)
 	}
 	// The genuine entry is accepted.
 	good := collectEntry(t, key(91))
-	buf.Reset()
-	if err := gob.NewEncoder(&buf).Encode(good); err != nil {
-		t.Fatal(err)
-	}
-	if code := put("/v1/cache/"+key(91), buf.Bytes()); code != http.StatusNoContent {
+	if code := putEntry(t, ts, key(91), gobBytes(t, good)); code != http.StatusNoContent {
 		t.Fatalf("valid entry: status %d, want 204", code)
 	}
 }

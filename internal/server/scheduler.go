@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime/debug"
 	"sync"
 	"time"
 
@@ -385,7 +386,7 @@ func (s *Scheduler) runJob(j *Job) {
 	s.active.Unlock()
 
 	start := time.Now()
-	entry, err := j.run(ctx)
+	entry, err := runRecovered(ctx, j.run)
 	s.metrics.AnalyzeNanos.Add(uint64(time.Since(start)))
 	cancel()
 
@@ -411,4 +412,16 @@ func (s *Scheduler) runJob(j *Job) {
 	}
 	j.mu.Unlock()
 	close(j.done)
+}
+
+// runRecovered calls run and turns a panic into an error carrying the
+// panic value and the stack, so a bug reached by one job fails that job
+// instead of killing the worker and every job queued behind it.
+func runRecovered(ctx context.Context, run func(context.Context) (*CacheEntry, error)) (entry *CacheEntry, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			entry, err = nil, fmt.Errorf("server: job panicked: %v\n%s", p, debug.Stack())
+		}
+	}()
+	return run(ctx)
 }

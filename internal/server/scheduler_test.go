@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"errors"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -244,5 +245,42 @@ func TestSchedulerPrunesOldestTerminalJobs(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("registry = %v, want %v", got, want)
 		}
+	}
+}
+
+// TestSchedulerPanicFailsOnlyItsJob: a panic in one job's run fails
+// that job, with the panic value and the stack in its error, and the
+// lone worker goes on to complete the job queued behind it.
+func TestSchedulerPanicFailsOnlyItsJob(t *testing.T) {
+	m := NewMetrics()
+	s := NewScheduler(1, 8, time.Minute, m)
+	defer s.Drain(context.Background())
+
+	bad := s.NewJob("bad", 0, func(ctx context.Context) (*CacheEntry, error) {
+		panic("boom")
+	})
+	good := s.NewJob("good", 0, func(ctx context.Context) (*CacheEntry, error) {
+		return &CacheEntry{Key: "good"}, nil
+	})
+	for _, j := range []*Job{bad, good} {
+		if err := s.Submit(j); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snap := waitJob(t, bad)
+	if snap.Status != JobFailed {
+		t.Fatalf("panicking job: %s, want failed", snap.Status)
+	}
+	if !strings.Contains(snap.Err, "boom") || !strings.Contains(snap.Err, "scheduler_test.go") {
+		t.Fatalf("panicking job's error lacks the panic value or its stack:\n%s", snap.Err)
+	}
+	if snap := waitJob(t, good); snap.Status != JobDone || snap.Result == nil || snap.Result.Key != "good" {
+		t.Fatalf("job after the panic: %s (%s)", snap.Status, snap.Err)
+	}
+	if m.JobsFailed.Load() != 1 || m.JobsCompleted.Load() != 1 {
+		t.Fatalf("failed/completed = %d/%d, want 1/1", m.JobsFailed.Load(), m.JobsCompleted.Load())
+	}
+	if n := s.Running(); n != 0 {
+		t.Fatalf("running = %d after both jobs ended, want 0", n)
 	}
 }

@@ -19,9 +19,12 @@
 // The cache key is a SHA-256 over the canonical IR bytes (lang.Format)
 // plus canonicalized options; the value is the deterministic persist-v2
 // collector stream, the rendered text report, and the deterministic
-// JSON document. Cache hits skip interpretation entirely and are
-// verified by round-tripping the artifact through internal/persist and
-// comparing engine fingerprints.
+// JSON document, with a SHA-256 digest over all of them. Cache hits
+// skip interpretation entirely. An entry is checked once, where its
+// bytes enter the process (a fresh result, a disk load, a remote GET,
+// a peer PUT): its digest, then a round trip of the artifact through
+// internal/persist and a compare of engine fingerprints. A memory hit
+// re-hashes the served bytes against the digest and decodes nothing.
 //
 // The wire types live in pkg/client — the public typed client — and
 // every non-2xx response carries the structured
@@ -286,9 +289,9 @@ func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
 	WriteJSON(w, http.StatusOK, jobJSON(j))
 }
 
-// handleCacheGet serves the shared-tier peer protocol: a verified
-// local entry (memory or disk tier; never recursing into this
-// daemon's own remote tier) as a gob stream.
+// handleCacheGet serves the shared-tier peer protocol: an admitted
+// local entry, digest included (memory or disk tier; never recursing
+// into this daemon's own remote tier), as a gob stream.
 func (s *Server) handleCacheGet(w http.ResponseWriter, r *http.Request) {
 	key := r.PathValue("key")
 	if !validCacheKey(key) {
@@ -306,29 +309,25 @@ func (s *Server) handleCacheGet(w http.ResponseWriter, r *http.Request) {
 	_ = gob.NewEncoder(w).Encode(e)
 }
 
-// handleCachePut accepts a peer's write-behind entry after verifying
-// its fingerprint, storing it in the local tiers only (no write-behind
-// echo, so two peers pointing at each other cannot loop).
+// handleCachePut accepts a peer's write-behind entry once PutLocal has
+// admitted it (digest, then the full check), storing it in the local
+// tiers only (no write-behind echo, so two peers pointing at each
+// other cannot loop). Every refused entry counts in CacheBadVerify.
 func (s *Server) handleCachePut(w http.ResponseWriter, r *http.Request) {
 	key := r.PathValue("key")
 	if !validCacheKey(key) {
 		WriteError(w, http.StatusBadRequest, client.CodeInvalidRequest, "malformed cache key %q", key)
 		return
 	}
-	var e CacheEntry
-	if err := gob.NewDecoder(io.LimitReader(r.Body, maxCacheEntryBytes)).Decode(&e); err != nil {
-		WriteError(w, http.StatusBadRequest, client.CodeInvalidRequest, "decode entry: %v", err)
+	e, err := decodeEntry(io.LimitReader(r.Body, maxCacheEntryBytes), key, s.metrics)
+	if err != nil {
+		WriteError(w, http.StatusBadRequest, client.CodeInvalidRequest, "%v", err)
 		return
 	}
-	if e.Key != key {
-		WriteError(w, http.StatusBadRequest, client.CodeInvalidRequest, "entry key %s does not match path %s", e.Key, key)
-		return
-	}
-	if err := e.verify(); err != nil {
+	if err := s.cache.PutLocal(e); err != nil {
 		WriteError(w, http.StatusBadRequest, client.CodeInvalidRequest, "verify: %v", err)
 		return
 	}
-	s.cache.PutLocal(&e)
 	s.metrics.PeerPuts.Add(1)
 	w.WriteHeader(http.StatusNoContent)
 }

@@ -20,7 +20,7 @@
 //	GET /v1/health       —                Health          503 while draining; /healthz is an alias
 //	GET /v1/nodes        —                (coordinator)   per-node health and inflight counts
 //	GET /v1/cache/{key}  —                gob entry       daemon-to-daemon shared cache tier
-//	PUT /v1/cache/{key}  gob entry        —               fingerprint-verified before storing
+//	PUT /v1/cache/{key}  gob entry        —               digest- and fingerprint-checked before storing
 //	GET /metrics         —                Prometheus text
 //
 // The PR 5 routes are unchanged and remain fully compatible: /healthz
