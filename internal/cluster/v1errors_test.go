@@ -30,6 +30,9 @@ func v1ErrorCases() []v1ErrorCase {
 	// One byte past the 16 MiB cap, still valid JSON up to the cut.
 	huge := `{"workload":"` + strings.Repeat("a", 16<<20-14) + `"}`
 	const training = `"train_params":[{"N":64},{"N":96},{"N":128}]`
+	// An inline program whose subscript divides a constant by zero: the
+	// parser refuses it (constant folding used to panic in the handler).
+	const zeroDivisor = `program p\nparam N 8\narray A f64 [N]\nroutine main file p.f line 1 {\n  for i = 0 .. N-1 {\n    access A[i + 4/0]\n  }\n}\n`
 	var cases []v1ErrorCase
 	for _, route := range []string{"analyze", "check", "fit", "predict"} {
 		path := "/v1/" + route
@@ -44,6 +47,7 @@ func v1ErrorCases() []v1ErrorCase {
 			v1ErrorCase{route + "/unknown-workload", "POST", path, `{"workload":"no-such-workload"` + spec + `}`},
 			v1ErrorCase{route + "/unknown-hierarchy", "POST", path, `{"workload":"fig2","hierarchy":"pentium"` + spec + `}`},
 			v1ErrorCase{route + "/malformed-json", "POST", path, `{"workload":`},
+			v1ErrorCase{route + "/constant-zero-divisor", "POST", path, `{"program":"` + zeroDivisor + `"` + spec + `}`},
 		)
 	}
 	return append(cases,

@@ -8,11 +8,29 @@
 // events with concrete byte addresses. Loop trip counts are recorded for
 // the static fragmentation analysis (reuse-group splitting needs average
 // trip counts, Section III step 2).
+//
+// A leaf loop — one whose body holds only Access statements — runs from
+// a plan built the first time the loop is entered in a run (plan.go).
+// A reference whose subscripts are affine in the loop variable (the
+// paper's base + Σ coeff·loopvar address form, from internal/symbolic)
+// is bounds-checked once per loop instance, at its first and last
+// iteration, and its address then advances by one add per iteration;
+// every other reference is evaluated and checked per access, as the
+// walker does. An instance whose entry check does not prove every
+// affine reference in bounds runs on the walker, so a planned run emits
+// the same events, trip counts and errors as a walked one.
+//
+// Evaluation never panics: a zero divisor or a bad Load is a fault
+// value that fails the run with an error naming the expression, and
+// every loop runs by a trip count computed in unsigned arithmetic, so a
+// bound at the edge of the int64 range cannot wrap the counter.
 package interp
 
 import (
 	"context"
 	"fmt"
+	"math"
+	"math/bits"
 
 	"reusetool/internal/ir"
 	"reusetool/internal/trace"
@@ -44,30 +62,49 @@ func (t TripStat) Avg() float64 {
 	return float64(t.Iters) / float64(t.Execs)
 }
 
+// loopState is one loop's record within a run: its trip statistics
+// and, once the loop has been entered, its plan (nil when the loop is
+// not a leaf).
+type loopState struct {
+	trips   TripStat
+	plan    *loopPlan
+	planned bool // plan has been built
+}
+
 // Machine is the execution state of one run.
 type Machine struct {
 	info    *ir.Info
 	slots   []int64
 	arrays  []arrayState
 	handler trace.Handler
-	trips   map[trace.ScopeID]*TripStat
+	loops   []loopState // indexed by loop scope ID
 
 	accesses    uint64
-	maxAccesses uint64
-	maxDepth    int
+	accessLimit uint64 // the access budget; MaxUint64 when unlimited
 	callDepth   int
 
-	// ctx/done support cooperative cancellation: the step loop polls done
-	// every interruptStride accesses and at every loop entry, so a
-	// canceled run stops within one batch instead of running to
-	// completion. done is nil when the run is not cancellable.
+	// iterations counts loop iterations, which poll the context like
+	// accesses do; planAccesses counts the accesses whose address came
+	// from a plan (tests report it as the planned share).
+	iterations   uint64
+	planAccesses uint64
+
+	// checked runs every loop on the walker; tests set it to use the
+	// walker as the oracle for planned runs.
+	checked bool
+
+	// ctx/done support cooperative cancellation: the run polls done at
+	// every loop entry, every interruptStride accesses and every
+	// interruptStride loop iterations, so a canceled run stops within
+	// one stride instead of running to completion. done is nil when the
+	// run is not cancellable.
 	ctx  context.Context
 	done <-chan struct{}
 }
 
-// interruptStride is how many accesses may execute between two
-// cancellation polls. A power of two so the check is a mask, not a
-// division, on the per-access hot path.
+// interruptStride is how many accesses, or loop iterations, may execute
+// between two cancellation polls. A power of two so the check is a
+// mask, not a division, on the per-access hot path.
 const interruptStride = 1 << 12
 
 // interrupted polls the run's context without blocking.
@@ -80,12 +117,46 @@ func (m *Machine) interrupted() error {
 	}
 }
 
+// countIteration counts one loop iteration toward the cancellation
+// stride.
+func (m *Machine) countIteration() error {
+	m.iterations++
+	if m.iterations&(interruptStride-1) == 0 {
+		return m.checkpoint()
+	}
+	return nil
+}
+
+// countAccess charges one access against the access budget and the
+// cancellation stride.
+func (m *Machine) countAccess() error {
+	m.accesses++
+	if m.accesses > m.accessLimit || m.accesses&(interruptStride-1) == 0 {
+		return m.checkpoint()
+	}
+	return nil
+}
+
+// checkpoint is the slow path of countIteration and countAccess, kept
+// apart so that they inline: the budget check, and a poll of a
+// cancellable run's context.
+func (m *Machine) checkpoint() error {
+	if m.accesses > m.accessLimit {
+		return fmt.Errorf("interp: access budget of %d exceeded", m.accessLimit)
+	}
+	if m.done == nil {
+		return nil
+	}
+	return m.interrupted()
+}
+
 // Option configures a run.
 type Option func(*config)
 
 type config struct {
 	init        func(*Machine) error
 	maxAccesses uint64
+	checked     bool
 }
 
 // WithInit registers a callback invoked after array layout and parameter
@@ -134,9 +205,9 @@ func Run(info *ir.Info, params map[string]int64, h trace.Handler, opts ...Option
 }
 
 // RunContext is Run under a context: when ctx is canceled or its
-// deadline passes, execution stops within one access batch
-// (interruptStride accesses) and the context's error is returned. A
-// background context adds no per-access overhead beyond one nil check.
+// deadline passes, execution stops within one stride (interruptStride
+// accesses or loop iterations) and the context's error is returned. A
+// background context adds no per-access overhead.
 func RunContext(ctx context.Context, info *ir.Info, params map[string]int64, h trace.Handler, opts ...Option) (*Result, error) {
 	var cfg config
 	for _, o := range opts {
@@ -147,7 +218,12 @@ func RunContext(ctx context.Context, info *ir.Info, params map[string]int64, h t
 		return nil, err
 	}
 	m.handler = h
-	m.maxAccesses = cfg.maxAccesses
+	m.accessLimit = math.MaxUint64
+	if cfg.maxAccesses > 0 {
+		m.accessLimit = cfg.maxAccesses
+	}
+	m.checked = cfg.checked
+	m.loops = make([]loopState, info.Scopes.Len())
 	m.ctx = ctx
 	m.done = ctx.Done()
 	if err := m.layout(); err != nil {
@@ -162,8 +238,10 @@ func RunContext(ctx context.Context, info *ir.Info, params map[string]int64, h t
 		return nil, err
 	}
 	res := &Result{Accesses: m.accesses, Trips: map[trace.ScopeID]TripStat{}, Machine: m}
-	for s, t := range m.trips {
-		res.Trips[s] = *t
+	for s := range m.loops {
+		if t := m.loops[s].trips; t.Execs > 0 {
+			res.Trips[trace.ScopeID(s)] = t
+		}
 	}
 	return res, nil
 }
@@ -188,7 +266,6 @@ func newMachine(info *ir.Info, params map[string]int64) (*Machine, error) {
 	m := &Machine{
 		info:  info,
 		slots: make([]int64, info.NumSlots),
-		trips: map[trace.ScopeID]*TripStat{},
 	}
 	bound := map[string]int64{}
 	for name, v := range info.Prog.Defaults {
@@ -217,7 +294,9 @@ const (
 	arrayPad    = 256
 )
 
-// layout resolves array extents and assigns base addresses.
+// layout resolves array extents and assigns base addresses. It refuses
+// an array whose element count, byte size or end address does not fit:
+// every address the run forms is then exact.
 func (m *Machine) layout() error {
 	m.arrays = make([]arrayState, len(m.info.Prog.Arrays))
 	addr := uint64(baseAddress)
@@ -237,14 +316,23 @@ func (m *Machine) layout() error {
 			}
 			st.dims[d] = v
 			st.strides[d] = stride
-			stride *= v
-			total *= v
+			var ok bool
+			if total, ok = mulExact(total, v); !ok {
+				return fmt.Errorf("interp: array %s: element count overflows int64 at dim %d", a.Name, d)
+			}
+			if stride, ok = mulExact(stride, v); !ok {
+				return fmt.Errorf("interp: array %s: byte size of %d elements overflows int64", a.Name, total)
+			}
 		}
 		st.total = total
 		// Align to 128-byte lines so layouts are reproducible.
-		addr = (addr + 127) &^ 127
-		st.base = addr
-		addr += uint64(total)*uint64(a.Elem) + arrayPad
+		base, c1 := bits.Add64(addr, 127, 0)
+		base &^= 127
+		end, c2 := bits.Add64(base, uint64(stride)+arrayPad, 0)
+		if c1|c2 != 0 {
+			return fmt.Errorf("interp: array %s: end address overflows the address space", a.Name)
+		}
+		st.base, addr = base, end
 		if a.Data {
 			st.data = make([]int64, total)
 		}
@@ -277,38 +365,7 @@ func (m *Machine) execBody(body []ir.Stmt) error {
 func (m *Machine) exec(s ir.Stmt) error {
 	switch st := s.(type) {
 	case *ir.Loop:
-		lo, err := m.evalChecked(st.Lo)
-		if err != nil {
-			return err
-		}
-		hi, err := m.evalChecked(st.Hi)
-		if err != nil {
-			return err
-		}
-		step := int64(st.Step.(ir.Const))
-		ts := m.trips[st.Scope()]
-		if ts == nil {
-			ts = &TripStat{}
-			m.trips[st.Scope()] = ts
-		}
-		ts.Execs++
-		if m.done != nil {
-			if err := m.interrupted(); err != nil {
-				return err
-			}
-		}
-		m.handler.EnterScope(st.Scope())
-		slot := st.Var.Slot()
-		for v := lo; (step > 0 && v <= hi) || (step < 0 && v >= hi); v += step {
-			m.slots[slot] = v
-			ts.Iters++
-			if err := m.execBody(st.Body); err != nil {
-				m.handler.ExitScope(st.Scope())
-				return err
-			}
-		}
-		m.handler.ExitScope(st.Scope())
-		return nil
+		return m.loop(st)
 
 	case *ir.Let:
 		v, err := m.evalChecked(st.E)
@@ -334,18 +391,12 @@ func (m *Machine) exec(s ir.Stmt) error {
 
 	case *ir.Access:
 		for _, ref := range st.Refs {
-			addr, err := m.address(ref.Array, ref.Index)
+			addr, err := m.address(ref)
 			if err != nil {
-				return fmt.Errorf("interp: %s: %w", ref.Name(), err)
+				return err
 			}
-			m.accesses++
-			if m.maxAccesses > 0 && m.accesses > m.maxAccesses {
-				return fmt.Errorf("interp: access budget of %d exceeded", m.maxAccesses)
-			}
-			if m.done != nil && m.accesses&(interruptStride-1) == 0 {
-				if err := m.interrupted(); err != nil {
-					return err
-				}
+			if err := m.countAccess(); err != nil {
+				return err
 			}
 			m.handler.Access(ref.ID(), addr, uint32(ref.Array.Elem), ref.Write)
 		}
@@ -357,87 +408,188 @@ func (m *Machine) exec(s ir.Stmt) error {
 	return fmt.Errorf("interp: unknown statement %T", s)
 }
 
-// address computes the byte address of an array element, bounds-checking
+// loop runs one instance of l: its bounds, trip statistics, scope
+// events and iterations.
+func (m *Machine) loop(l *ir.Loop) error {
+	lo, err := m.evalChecked(l.Lo)
+	if err != nil {
+		return err
+	}
+	hi, err := m.evalChecked(l.Hi)
+	if err != nil {
+		return err
+	}
+	step := int64(l.Step.(ir.Const))
+	ls := &m.loops[l.Scope()]
+	ls.trips.Execs++
+	if m.done != nil {
+		if err := m.interrupted(); err != nil {
+			return err
+		}
+	}
+	m.handler.EnterScope(l.Scope())
+	if last, ok := lastIteration(lo, hi, step); ok {
+		err = m.iterate(l, ls, lo, step, last)
+	}
+	m.handler.ExitScope(l.Scope())
+	return err
+}
+
+// lastIteration returns the index of the last iteration of a loop
+// from lo to hi by step (the trip count minus one), computed in
+// unsigned arithmetic so that no bound wraps it; ok is false for a
+// zero-trip loop.
+func lastIteration(lo, hi, step int64) (last uint64, ok bool) {
+	if step > 0 {
+		if hi < lo {
+			return 0, false
+		}
+		return (uint64(hi) - uint64(lo)) / uint64(step), true
+	}
+	if lo < hi {
+		return 0, false
+	}
+	return (uint64(lo) - uint64(hi)) / (0 - uint64(step)), true
+}
+
+// iterate runs iterations 0..last of a loop instance: from its plan
+// when the instance's entry check proves every affine reference in
+// bounds, otherwise by walking the body.
+func (m *Machine) iterate(l *ir.Loop, ls *loopState, lo, step int64, last uint64) error {
+	slot := l.Var.Slot()
+	if !m.checked {
+		if !ls.planned {
+			ls.plan, ls.planned = newPlan(m, l), true
+		}
+		if p := ls.plan; p != nil && p.enter(m, slot, lo, step, last) {
+			return m.runPlan(p, ls, slot, lo, step, last)
+		}
+	}
+	v := lo
+	for k := uint64(0); ; k++ {
+		m.slots[slot] = v
+		ls.trips.Iters++
+		if err := m.countIteration(); err != nil {
+			return err
+		}
+		if err := m.execBody(l.Body); err != nil {
+			return err
+		}
+		if k == last {
+			return nil
+		}
+		v += step
+	}
+}
+
+// address computes the byte address of a reference, bounds-checking
 // every subscript.
-func (m *Machine) address(a *ir.Array, index []ir.Expr) (uint64, error) {
-	st := &m.arrays[a.Pos()]
+func (m *Machine) address(ref *ir.Ref) (uint64, error) {
+	st := &m.arrays[ref.Array.Pos()]
 	var off int64
-	for d, e := range index {
+	for d, e := range ref.Index {
 		v, err := m.evalChecked(e)
 		if err != nil {
-			return 0, err
+			return 0, fmt.Errorf("interp: %s: %w", ref.Name(), err)
 		}
 		if v < 0 || v >= st.dims[d] {
-			return 0, fmt.Errorf("subscript %d out of bounds: %d not in [0,%d)", d, v, st.dims[d])
+			return 0, fmt.Errorf("interp: %s: subscript %d out of bounds: %d not in [0,%d)", ref.Name(), d, v, st.dims[d])
 		}
 		off += v * st.strides[d]
 	}
 	return st.base + uint64(off), nil
 }
 
-func (m *Machine) evalChecked(e ir.Expr) (v int64, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("eval %s: %v", e, r)
-		}
-	}()
-	return m.eval(e), nil
+// A fault is an evaluation failure: a zero divisor or a bad Load. eval
+// returns one instead of panicking; evalChecked names the expression it
+// happened in.
+type fault struct{ msg string }
+
+// evalChecked evaluates e, turning a fault into an error.
+func (m *Machine) evalChecked(e ir.Expr) (int64, error) {
+	v, f := m.eval(e)
+	if f != nil {
+		return 0, fmt.Errorf("eval %s: %s", e, f.msg)
+	}
+	return v, nil
 }
 
-func (m *Machine) eval(e ir.Expr) int64 {
+func (m *Machine) eval(e ir.Expr) (int64, *fault) {
 	switch x := e.(type) {
 	case ir.Const:
-		return int64(x)
+		return int64(x), nil
 	case *ir.Var:
-		return m.slots[x.Slot()]
+		return m.slots[x.Slot()], nil
 	case *ir.Bin:
-		l, r := m.eval(x.L), m.eval(x.R)
+		l, f := m.eval(x.L)
+		if f != nil {
+			return 0, f
+		}
+		r, f := m.eval(x.R)
+		if f != nil {
+			return 0, f
+		}
 		switch x.Op {
 		case ir.OpAdd:
-			return l + r
+			return l + r, nil
 		case ir.OpSub:
-			return l - r
+			return l - r, nil
 		case ir.OpMul:
-			return l * r
+			return l * r, nil
 		case ir.OpDiv:
 			if r == 0 {
-				panic("division by zero")
+				return 0, &fault{"division by zero"}
 			}
-			return l / r
+			return l / r, nil
 		case ir.OpMod:
 			if r == 0 {
-				panic("modulo by zero")
+				return 0, &fault{"modulo by zero"}
 			}
-			return l % r
+			return l % r, nil
 		case ir.OpMin:
-			if l < r {
-				return l
-			}
-			return r
+			return min(l, r), nil
 		case ir.OpMax:
-			if l > r {
-				return l
-			}
-			return r
+			return max(l, r), nil
 		}
-		panic("unknown op")
+		return 0, &fault{"unknown op"}
 	case *ir.Load:
 		st := &m.arrays[x.Array.Pos()]
 		if st.data == nil {
-			panic(fmt.Sprintf("Load from non-data array %s", x.Array.Name))
+			return 0, &fault{fmt.Sprintf("Load from non-data array %s", x.Array.Name)}
 		}
 		var flat, mult int64 = 0, 1
 		for d, idxE := range x.Index {
-			v := m.eval(idxE)
+			v, f := m.eval(idxE)
+			if f != nil {
+				return 0, f
+			}
 			if v < 0 || v >= st.dims[d] {
-				panic(fmt.Sprintf("Load %s: subscript %d out of bounds: %d", x.Array.Name, d, v))
+				return 0, &fault{fmt.Sprintf("Load %s: subscript %d out of bounds: %d", x.Array.Name, d, v)}
 			}
 			flat += v * mult
 			mult *= st.dims[d]
 		}
-		return st.data[flat]
+		return st.data[flat], nil
 	}
-	panic(fmt.Sprintf("unknown expression %T", e))
+	return 0, &fault{fmt.Sprintf("unknown expression %T", e)}
+}
+
+// mulExact returns a*b and whether it fits in an int64.
+func mulExact(a, b int64) (int64, bool) {
+	if a == 0 || b == 0 {
+		return 0, true
+	}
+	c := a * b
+	if (a == -1 && b == math.MinInt64) || (b == -1 && a == math.MinInt64) || c/b != a {
+		return 0, false
+	}
+	return c, true
+}
+
+// addExact returns a+b and whether it fits in an int64.
+func addExact(a, b int64) (int64, bool) {
+	c := a + b
+	return c, (c > a) == (b > 0)
 }
 
 // Param returns the bound value of a parameter during init.

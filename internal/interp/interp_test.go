@@ -1,6 +1,7 @@
 package interp
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -388,30 +389,6 @@ func TestNegativeArrayExtentFails(t *testing.T) {
 	}
 }
 
-func BenchmarkInterpreter(b *testing.B) {
-	p := ir.NewProgram("bench")
-	n := p.Param("N", 1000)
-	a := p.AddArray("A", 8, n, n)
-	i, j := p.Var("i"), p.Var("j")
-	main := p.AddRoutine("main", "f", 1)
-	main.Body = []ir.Stmt{
-		ir.For(j, ir.C(0), ir.Sub(n, ir.C(1)),
-			ir.For(i, ir.C(0), ir.Sub(n, ir.C(1)),
-				ir.Do(a.Read(i, j), a.WriteRef(i, j)))),
-	}
-	info, err := p.Finalize()
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for k := 0; k < b.N; k++ {
-		if _, err := Run(info, nil, trace.Discard{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(2e6, "accesses/op")
-}
-
 func TestMaxAccessesGuard(t *testing.T) {
 	info, _, _ := buildCopyLoop(t, 1000)
 	_, err := Run(info, nil, trace.Discard{}, WithMaxAccesses(100))
@@ -421,5 +398,43 @@ func TestMaxAccessesGuard(t *testing.T) {
 	// Generous budget passes.
 	if _, err := Run(info, nil, trace.Discard{}, WithMaxAccesses(1<<20)); err != nil {
 		t.Errorf("generous budget should pass: %v", err)
+	}
+}
+
+func TestExactArithmetic(t *testing.T) {
+	const maxI, minI = math.MaxInt64, math.MinInt64
+	for _, c := range []struct {
+		a, b, product int64
+		ok            bool
+	}{
+		{0, minI, 0, true}, {-1, maxI, -maxI, true}, {1 << 31, 1 << 31, 1 << 62, true},
+		{1 << 32, 1 << 32, 0, false}, {-1, minI, 0, false}, {minI, -1, 0, false},
+		{maxI, 2, 0, false}, {minI / 2, 2, minI, true}, {minI / 2, -2, 0, false},
+	} {
+		if got, ok := mulExact(c.a, c.b); ok != c.ok || (ok && got != c.product) {
+			t.Errorf("mulExact(%d, %d) = %d, %v; want %d, %v", c.a, c.b, got, ok, c.product, c.ok)
+		}
+	}
+	for _, c := range []struct {
+		a, b int64
+		ok   bool
+	}{
+		{maxI, 0, true}, {maxI, 1, false}, {minI, -1, false}, {minI, maxI, true}, {-1, minI, false}, {5, -7, true},
+	} {
+		if got, ok := addExact(c.a, c.b); ok != c.ok || (ok && got != c.a+c.b) {
+			t.Errorf("addExact(%d, %d) = %d, %v; want ok %v", c.a, c.b, got, ok, c.ok)
+		}
+	}
+	for _, c := range []struct {
+		lo, hi, step int64
+		last         uint64
+		ok           bool
+	}{
+		{0, 9, 1, 9, true}, {0, 9, 4, 2, true}, {5, 1, 1, 0, false}, {9, 0, -3, 3, true}, {0, 1, -1, 0, false},
+		{maxI - 7, maxI, 1, 7, true}, {minI, maxI, 1, math.MaxUint64, true}, {maxI, minI, minI, 1, true},
+	} {
+		if last, ok := lastIteration(c.lo, c.hi, c.step); last != c.last || ok != c.ok {
+			t.Errorf("lastIteration(%d, %d, %d) = %d, %v; want %d, %v", c.lo, c.hi, c.step, last, ok, c.last, c.ok)
+		}
 	}
 }

@@ -74,6 +74,8 @@ func FuzzParseRoundTrip(f *testing.F) {
 	f.Add("program p\nmain {\n}\n")
 	f.Add("program p\nparam N = 4\narray A[N] elem 8\nmain {\n  loop i = 0..N-1 {\n    load A[i]\n  }\n}\n")
 	f.Add("program p\nmain {\n  loop i = 0..")
+	// Constant zero divisors: a parse error, not a folding panic.
+	f.Add("program p\narray A f64 [8]\nroutine main {\n  for i = 0 .. 3 {\n    access A[i + 4/0], A[i % (2 - 2)]\n  }\n}\n")
 	f.Fuzz(func(t *testing.T, src string) {
 		roundTrip(t, src)
 	})

@@ -146,6 +146,11 @@ func TestParseErrors(t *testing.T) {
 		{"non-data index", "program p\narray A f64 [4]\narray B f64 [4]\nroutine main { for i = 0 .. 3 { access B[A[i]] } }", "must be a dataarray"},
 		{"bad cmp", "program p\nroutine main { if 1 = 2 { } }", "comparison"},
 		{"bad char", "program p\nroutine main { access @ }", "unexpected character"},
+		// Constant folding cannot evaluate these; they used to panic.
+		{"constant division by zero", "program p\narray A f64 [8]\nroutine main {\n for i = 0 .. 3 { access A[i + 4/0] } }",
+			"<input>:4: division by zero in constant expression"},
+		{"constant modulo by zero", "program p\nparam N 0\narray A f64 [8]\nroutine main { let x = (2 + 1) % (1 - 1) }",
+			"<input>:4: modulo by zero in constant expression"},
 	}
 	for _, c := range cases {
 		_, _, err := Parse(c.src)

@@ -557,30 +557,46 @@ func (p *parser) term() (ir.Expr, error) {
 		return nil, err
 	}
 	for {
-		ln := p.peek().line
+		op := p.peek()
 		switch {
 		case p.accept("*"):
 			r, err := p.factor()
 			if err != nil {
 				return nil, err
 			}
-			l = at(ir.Mul(l, r), ln)
+			l = at(ir.Mul(l, r), op.line)
 		case p.accept("/"):
 			r, err := p.factor()
 			if err != nil {
 				return nil, err
 			}
-			l = at(ir.Div(l, r), ln)
+			if err := p.constZeroDivisor(op, "division", l, r); err != nil {
+				return nil, err
+			}
+			l = at(ir.Div(l, r), op.line)
 		case p.accept("%"):
 			r, err := p.factor()
 			if err != nil {
 				return nil, err
 			}
-			l = at(ir.Mod(l, r), ln)
+			if err := p.constZeroDivisor(op, "modulo", l, r); err != nil {
+				return nil, err
+			}
+			l = at(ir.Mod(l, r), op.line)
 		default:
 			return l, nil
 		}
 	}
+}
+
+// constZeroDivisor refuses a division or modulo of two constants whose
+// divisor is 0: constant folding could not evaluate it.
+func (p *parser) constZeroDivisor(op token, what string, l, r ir.Expr) error {
+	_, lc := l.(ir.Const)
+	if rc, ok := r.(ir.Const); ok && lc && rc == 0 {
+		return p.errf(op, "%s by zero in constant expression", what)
+	}
+	return nil
 }
 
 func (p *parser) factor() (ir.Expr, error) {
