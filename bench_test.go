@@ -255,11 +255,14 @@ func BenchmarkHotpath(b *testing.B) {
 // BenchmarkStaticEstimate times one static reuse-distance estimate
 // (internal/staticreuse) per built-in workload, with B/op and allocs/op
 // beside it: the cost a static request pays once, for its report and
-// its ranked opportunities alike. CI runs each once
+// its ranked opportunities alike. Stencil enumerates ~80k candidate
+// sources and covers its mass with a few thousand; stream's page
+// granularity splits a reference's 512 block offsets into 512 runs; gtc
+// and sweep3d have the deepest nests. CI runs each once
 // (-bench=StaticEstimate -benchtime=1x) as a smoke test.
 func BenchmarkStaticEstimate(b *testing.B) {
 	h := hier()
-	for _, name := range []string{"fig2", "stencil", "gtc"} {
+	for _, name := range []string{"fig2", "stencil", "stream", "transpose", "sweep3d", "gtc"} {
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			prog, _, err := workloads.Build(name)

@@ -14,10 +14,11 @@
 //     iteration-lag vectors of the enclosing loop nest; a lag k is viable
 //     when the residual byte offset between destination and shifted source
 //     is less than one block;
-//  3. viable sources are ordered by recency and assigned probability mass
-//     over the block-offset ring [0, B): a source at residual r covers the
-//     destination alignments for which both land in one block, and closer
-//     sources shadow farther ones — uncovered mass becomes cold misses;
+//  3. viable sources are taken most recent first and assigned probability
+//     mass over the block-offset ring [0, B): a source at residual r covers
+//     the destination alignments for which both land in one block, and
+//     closer sources shadow farther ones — uncovered mass becomes cold
+//     misses. Only the sources that take mass are priced (step 4);
 //  4. the reuse interval of a lag whose outermost non-zero component is m
 //     iterations of loop L converts to a distinct-block count via the
 //     footprint of m iterations of L's body, summed over the reference
@@ -28,6 +29,7 @@
 package staticreuse
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -134,15 +136,20 @@ type estimator struct {
 	stats  *Stats
 	params map[string]int64
 	res    int
-	// matches is enumerateMatches' output buffer and lags the arena its
-	// lag vectors live in, both reused for every reference: assign
-	// consumes one reference's matches, and keeps no pointer into them,
-	// before the next reference is listed.
+	// matches is enumerateMatches' output buffer, lags the arena its lag
+	// vectors live in and outer the nest they index, outermost loop
+	// first: every lag vector of one reference is len(outer) long. All
+	// three are reused for every reference: assign consumes one
+	// reference's matches, and keeps no pointer into them, before the
+	// next reference is listed.
 	matches []match
 	lags    []int64
-	// order is assign's index permutation over matches and taken the
-	// matches it has applied, both reused for every reference.
-	order []int32
+	outer   []nestLoop
+	// heap, runs, links and taken are assign's working state, reused for
+	// every reference.
+	heap  []int32
+	runs  []run
+	links []link
 	taken []appliedMatch
 }
 
@@ -215,11 +222,15 @@ func (e *estimator) concretize(f symbolic.Form, nest []*ir.Loop) (c int64, strid
 	return c, strides, true
 }
 
-// match is one candidate reuse source for a destination reference.
+// match is one candidate reuse source for a destination reference. It
+// carries no reuse distance: assign prices a match only once it takes
+// mass (distance).
 type match struct {
-	srcRef   trace.RefID
 	srcScope trace.ScopeID
 	carrying trace.ScopeID
+	// lag is the offset of the iteration-lag vector in the estimator's
+	// arena (lagsOf), or -1 for an irregular pseudo-match, which has none.
+	lag int32
 	// residual is dst.addr - src.addr in bytes for the shifted source.
 	residual int64
 	// timeAgo orders matches by recency (innermost-iteration units).
@@ -228,32 +239,39 @@ type match struct {
 	srcOrder int
 	// boundary is the fraction of iterations at which the lag exists.
 	boundary float64
-	// dist is the estimated reuse distance in blocks.
-	dist uint64
-	// lags is the iteration-lag vector, outermost loop first (empty for
-	// irregular pseudo-matches and for a reference outside every loop).
-	lags []int64
 }
 
-// dominatedBy reports whether m's iteration box is contained in a's: every
-// destination iteration at which the lag m exists also has the (more
-// recent) lag a, so m can never be the actual predecessor there. This
-// holds when a's per-loop lag constraints are implied by m's. A match
-// with no lag vector is neither dominated nor dominating.
-func (m *match) dominatedBy(a *match) bool {
-	if len(m.lags) == 0 || len(m.lags) != len(a.lags) {
-		return false
+// lagsOf returns m's iteration-lag vector, outermost loop first: empty for
+// a reference outside every loop, nil for an irregular pseudo-match.
+func (e *estimator) lagsOf(m *match) []int64 {
+	if m.lag < 0 {
+		return nil
 	}
-	for i, ka := range a.lags {
-		km := m.lags[i]
-		if ka > 0 && km < ka {
-			return false
+	return e.lags[m.lag : int(m.lag)+len(e.outer)]
+}
+
+// nested reports whether the iteration box of lag vector m is contained
+// in a's (m is dominated by a) and whether a's is contained in m's. When
+// m's box lies inside a's, every destination iteration at which the lag
+// m exists also has the (more recent) lag a, so m can never be the
+// actual predecessor there. This holds when a's per-loop lag constraints
+// are implied by m's. An empty lag vector is neither dominated nor
+// dominating.
+func nested(m, a []int64) (mInA, aInM bool) {
+	if len(m) == 0 || len(m) != len(a) {
+		return false, false
+	}
+	mInA, aInM = true, true
+	for i, ka := range a {
+		km := m[i]
+		if ka > 0 && km < ka || ka < 0 && km > ka {
+			mInA = false
 		}
-		if ka < 0 && km > ka {
-			return false
+		if km > 0 && ka < km || km < 0 && ka > km {
+			aInM = false
 		}
 	}
-	return true
+	return mInA, aInM
 }
 
 // granularity runs the estimation at one block size and returns synthetic
@@ -283,19 +301,21 @@ func (e *estimator) granularity(g reusedist.Granularity) ([]*reusedist.RefData, 
 		_, _, affine := e.concretize(form, nest)
 		var matches []match
 		if affine {
-			matches = e.enumerateMatches(ref, nest, bs, fpMemo)
+			matches = e.enumerateMatches(ref, nest, bs)
 		} else {
 			matches = e.irregularMatches(ref, nest, total, bs)
 		}
-		e.assign(rd, ref, matches, e.lattice(ref, nest, bs, affine), total, bs, g.Thresholds)
+		price := func(m *match) uint64 { return e.distance(ref, m, total, bs, fpMemo) }
+		e.assign(rd, matches, price, e.lattice(ref, nest, bs, affine), ref.Array.Elem, bs, total, g.Thresholds)
 	}
 	return refs, clock
 }
 
 // enumerateMatches lists candidate sources for an affine reference: group
 // members shifted by iteration-lag vectors with sub-block residuals. The
-// result aliases e.matches and is valid until the next call.
-func (e *estimator) enumerateMatches(ref *ir.Ref, nest []*ir.Loop, bs int64, fpMemo map[fpKey]float64) []match {
+// result aliases e.matches, its lag vectors e.lags and their nest
+// e.outer; all are valid until the next call.
+func (e *estimator) enumerateMatches(ref *ir.Ref, nest []*ir.Loop, bs int64) []match {
 	group := e.static.GroupOf(ref.ID())
 	dstC, dstStride, ok := e.concretize(e.static.Form(ref.ID()), nest)
 	if !ok || group == nil {
@@ -304,21 +324,19 @@ func (e *estimator) enumerateMatches(ref *ir.Ref, nest []*ir.Loop, bs int64, fpM
 
 	// Build the nest description outermost first for enumeration. Strides
 	// are per iteration: the address coefficient times the loop step.
-	nl := make([]nestLoop, len(nest))
+	outer := e.outer[:0]
 	period := 1.0
-	for i, l := range nest { // innermost first
+	for _, l := range nest { // innermost first
 		t := int64(math.Round(e.stats.Trips(l.Scope(), 1)))
 		if t < 1 {
 			t = 1
 		}
 		step := int64(l.Step.(ir.Const))
-		nl[i] = nestLoop{loop: l, stride: dstStride[l.Var.Name] * step, trips: t, period: period}
+		outer = append(outer, nestLoop{loop: l, stride: dstStride[l.Var.Name] * step, trips: t, period: period})
 		period *= float64(t)
 	}
-	outer := make([]nestLoop, len(nl))
-	for i := range nl {
-		outer[i] = nl[len(nl)-1-i]
-	}
+	slices.Reverse(outer)
+	e.outer = outer
 	// reach[i] is the max |Σ k·s| achievable by loops strictly inside
 	// outer[i] (constant-stride components only; zero-stride loops add 0).
 	reach := make([]int64, len(outer)+1)
@@ -333,6 +351,7 @@ func (e *estimator) enumerateMatches(ref *ir.Ref, nest []*ir.Loop, bs int64, fpM
 	dstOrder := e.stats.Order(ref.ID())
 	out := e.matches[:0]
 	e.lags = e.lags[:0]
+	lags := make([]int64, len(outer))
 	for gi, src := range group.Refs {
 		srcC, srcStride, ok := e.concretize(group.Forms[gi], nest)
 		if !ok || !sameStrides(dstStride, srcStride) {
@@ -343,7 +362,6 @@ func (e *estimator) enumerateMatches(ref *ir.Ref, nest []*ir.Loop, bs int64, fpM
 		srcScope := src.Scope()
 
 		// Recursive lag enumeration, outermost loop first.
-		lags := make([]int64, len(outer))
 		count := 0
 		var enum func(i int, partial int64)
 		enum = func(i int, partial int64) {
@@ -351,7 +369,7 @@ func (e *estimator) enumerateMatches(ref *ir.Ref, nest []*ir.Loop, bs int64, fpM
 				return
 			}
 			if i == len(outer) {
-				e.emitLag(&out, ref, src, srcScope, srcOrder, dstOrder, outer, lags, partial, bs, fpMemo)
+				e.emitLag(&out, ref, srcScope, srcOrder, dstOrder, lags, partial, bs)
 				count++
 				return
 			}
@@ -392,14 +410,15 @@ func (e *estimator) enumerateMatches(ref *ir.Ref, nest []*ir.Loop, bs int64, fpM
 	return out
 }
 
-// emitLag validates one lag vector and appends the resulting match.
-func (e *estimator) emitLag(out *[]match, dst, src *ir.Ref, srcScope trace.ScopeID,
-	srcOrder, dstOrder int, outer []nestLoop, lags []int64, residual int64,
-	bs int64, fpMemo map[fpKey]float64) {
+// emitLag validates one lag vector over e.outer and appends the
+// resulting match, unpriced.
+func (e *estimator) emitLag(out *[]match, dst *ir.Ref, srcScope trace.ScopeID,
+	srcOrder, dstOrder int, lags []int64, residual int64, bs int64) {
 
 	if residual >= bs || residual <= -bs {
 		return
 	}
+	outer := e.outer
 	timeAgo := 0.0
 	boundary := 1.0
 	carryIdx := -1
@@ -421,35 +440,41 @@ func (e *estimator) emitLag(out *[]match, dst, src *ir.Ref, srcScope trace.Scope
 		return
 	}
 
-	var carrying trace.ScopeID
-	var dist uint64
-	if carryIdx < 0 {
+	carrying := dst.Scope()
+	switch {
+	case carryIdx >= 0:
+		carrying = outer[carryIdx].loop.Scope()
+	case len(outer) > 0:
 		// Same-iteration reuse: carried by the innermost enclosing loop.
-		if len(outer) > 0 {
-			carrying = outer[len(outer)-1].loop.Scope()
-		} else {
-			carrying = dst.Scope()
-		}
-		dist = e.intraDistance(srcOrder, dstOrder)
-	} else {
-		l := outer[carryIdx]
-		carrying = l.loop.Scope()
-		m := abs64(lags[carryIdx])
-		dist = uint64(math.Round(e.footprint(l.loop, m, bs, fpMemo)))
+		carrying = outer[len(outer)-1].loop.Scope()
 	}
-	n := len(e.lags)
-	e.lags = append(e.lags, lags...)
 	*out = append(*out, match{
-		srcRef:   src.ID(),
 		srcScope: srcScope,
 		carrying: carrying,
+		lag:      int32(len(e.lags)),
 		residual: residual,
 		timeAgo:  timeAgo,
 		srcOrder: srcOrder,
 		boundary: boundary,
-		dist:     dist,
-		lags:     e.lags[n:len(e.lags):len(e.lags)],
 	})
+	e.lags = append(e.lags, lags...)
+}
+
+// distance prices a match of the reference dst, which makes total
+// accesses: the estimated reuse distance in blocks of size bs.
+func (e *estimator) distance(dst *ir.Ref, m *match, total float64, bs int64, fpMemo map[fpKey]float64) uint64 {
+	if m.lag < 0 {
+		// An irregular pseudo-match re-touches the array's working set.
+		return uint64(math.Round(distinctDraws(e.arrayBlocks(dst.Array, bs), total)))
+	}
+	for i, k := range e.lagsOf(m) {
+		if k != 0 {
+			// Carried by the outermost loop with a non-zero lag: the
+			// blocks its |k| iterations touch.
+			return uint64(math.Round(e.footprint(e.outer[i].loop, abs64(k), bs, fpMemo)))
+		}
+	}
+	return e.intraDistance(m.srcOrder, e.stats.Order(dst.ID()))
 }
 
 // intraDistance estimates the blocks touched between two accesses of the
@@ -543,8 +568,7 @@ func (e *estimator) footprint(carry *ir.Loop, m int64, bs int64, memo map[fpKey]
 				mm = t
 			}
 			accesses *= mm
-			ab := e.arrayBlocks(g.Array, bs)
-			total += ab * (1 - math.Exp(-accesses/ab))
+			total += distinctDraws(e.arrayBlocks(g.Array, bs), accesses)
 			continue
 		}
 		total += blocksOf(consts, g.Array.Elem, dims, bs)
@@ -563,15 +587,20 @@ func (e *estimator) arrayBlocks(a *ir.Array, bs int64) float64 {
 	return b
 }
 
+// distinctDraws is the expected number of distinct blocks that n uniform
+// draws over ab blocks touch.
+func distinctDraws(ab, n float64) float64 {
+	return ab * (1 - math.Exp(-n/ab))
+}
+
 // irregularMatches models a reference whose address is not affine over its
 // nest (indirect or data-dependent): accesses are spread uniformly over
 // the array, so a fraction of them re-touch previously seen blocks at a
 // distance of about the array's working set, carried by the loop with the
-// irregular stride (or the outermost loop).
+// irregular stride (or the outermost loop). The one pseudo-match it
+// returns aliases e.matches.
 func (e *estimator) irregularMatches(ref *ir.Ref, nest []*ir.Loop, total float64, bs int64) []match {
-	ab := e.arrayBlocks(ref.Array, bs)
-	// Expected distinct blocks touched by `total` uniform draws.
-	distinct := ab * (1 - math.Exp(-total/ab))
+	distinct := distinctDraws(e.arrayBlocks(ref.Array, bs), total)
 	reuseFrac := 0.0
 	if total > 0 {
 		reuseFrac = 1 - distinct/total
@@ -585,14 +614,13 @@ func (e *estimator) irregularMatches(ref *ir.Ref, nest []*ir.Loop, total float64
 	} else if len(nest) > 0 {
 		carrying = nest[len(nest)-1].Scope()
 	}
-	return []match{{
-		srcRef:   ref.ID(),
+	e.matches = append(e.matches[:0], match{
 		srcScope: ref.Scope(),
 		carrying: carrying,
-		residual: 0,
+		lag:      -1,
 		boundary: reuseFrac,
-		dist:     uint64(math.Round(distinct)),
-	}}
+	})
+	return e.matches
 }
 
 // offsets is an arithmetic progression of block offsets: first,
@@ -647,80 +675,128 @@ func sameBlock(residual, elem, bs int64) (lo, hi int64) {
 	return lo, hi
 }
 
-// byRecency orders matches most recent first: timeAgo ascending, then
-// srcOrder descending, then enumeration order — the order a stable sort
-// on the first two keys leaves them in.
-func byRecency(matches []match, order []int32) {
-	slices.SortFunc(order, func(a, b int32) int {
-		ma, mb := &matches[a], &matches[b]
-		switch {
-		case ma.timeAgo < mb.timeAgo:
-			return -1
-		case ma.timeAgo > mb.timeAgo:
-			return 1
-		case ma.srcOrder > mb.srcOrder:
-			return -1
-		case ma.srcOrder < mb.srcOrder:
-			return 1
-		}
-		return int(a - b)
-	})
+// recency is a binary min-heap of match indices that pops the most recent
+// match first: timeAgo ascending, then srcOrder descending, then
+// enumeration order — the order a stable sort on the first two keys
+// leaves them in. Building it is linear, and assign pops only the
+// matches it reaches before the reference's mass is covered.
+type recency struct {
+	matches []match
+	heap    []int32
 }
 
-// appliedMatch is a match that took mass in assign, with its domination
-// relation to the match being applied cached. The cache is valid while
-// gen equals the current match's stamp, its rank in the recency order
-// plus one.
+func (h *recency) less(a, b int32) bool {
+	ma, mb := &h.matches[a], &h.matches[b]
+	if ma.timeAgo != mb.timeAgo {
+		return ma.timeAgo < mb.timeAgo
+	}
+	if ma.srcOrder != mb.srcOrder {
+		return ma.srcOrder > mb.srcOrder
+	}
+	return a < b
+}
+
+// init fills the heap with every match index and heapifies it.
+func (h *recency) init() {
+	for i := range h.matches {
+		h.heap = append(h.heap, int32(i))
+	}
+	for i := len(h.heap)/2 - 1; i >= 0; i-- {
+		h.down(i)
+	}
+}
+
+// pop removes and returns the most recent match left.
+func (h *recency) pop() int32 {
+	top := h.heap[0]
+	last := len(h.heap) - 1
+	h.heap[0] = h.heap[last]
+	h.heap = h.heap[:last]
+	h.down(0)
+	return top
+}
+
+func (h *recency) down(i int) {
+	n := len(h.heap)
+	for {
+		c := 2*i + 1
+		if c >= n {
+			return
+		}
+		if c+1 < n && h.less(h.heap[c+1], h.heap[c]) {
+			c++
+		}
+		if !h.less(h.heap[c], h.heap[i]) {
+			return
+		}
+		h.heap[i], h.heap[c] = h.heap[c], h.heap[i]
+		i = c
+	}
+}
+
+// appliedMatch is a match that took mass in assign: the lag vector and
+// boundary the domination rule reads, and its domination relation to the
+// match being applied, cached. The cache is valid while gen equals the
+// current match's stamp, its rank in the recency order plus one.
 type appliedMatch struct {
-	index     int32 // into the reference's matches
+	lags      []int64
+	boundary  float64
 	gen       int32
 	dominated bool // the applied match dominates the current one
 	contains  bool // the current match dominates the applied one
 }
 
+// run is a stretch of consecutive positions in the reference's block
+// offsets, from start up to the next run's start, that share the
+// probability left that an access there has not yet found a predecessor,
+// and the matches that took mass there (applied, the head of a list in
+// links, newest first; -1 when empty).
+type run struct {
+	start   int32
+	applied int32
+	left    float64
+}
+
+// link is one entry of a run's applied list: a position in taken and the
+// next, older entry. The runs split from one run share its list.
+type link struct {
+	slot, next int32
+}
+
 // assign distributes the reference's accesses over its matches with the
 // block-offset coverage model and fills the synthetic RefData. positions
-// are the block offsets the reference actually lands on, equally likely.
-func (e *estimator) assign(rd *reusedist.RefData, ref *ir.Ref, matches []match,
-	positions offsets, total float64, bs int64, thresholds []uint64) {
+// are the block offsets the reference actually lands on, equally likely;
+// elem is its element size and total its access count. price gives a
+// match's reuse distance and is called once per match that takes mass.
+func (e *estimator) assign(rd *reusedist.RefData, matches []match, price func(*match) uint64,
+	positions offsets, elem, bs int64, total float64, thresholds []uint64) {
 
-	order := e.order[:0]
-	for i := range matches {
-		order = append(order, int32(i))
-	}
-	byRecency(matches, order)
-	e.order = order
-
-	// remaining[i] is the probability that an access at the i-th block
-	// offset has not yet found a predecessor; applied[i] records, as
-	// positions in taken, which matches took mass there, for the
-	// domination rule.
-	remaining := make([]float64, positions.n)
-	for i := range remaining {
-		remaining[i] = 1
-	}
-	applied := make([][]int32, positions.n)
+	byRecency := recency{matches: matches, heap: e.heap[:0]}
+	byRecency.init()
+	runs := append(e.runs[:0], run{left: 1, applied: -1})
+	links := e.links[:0]
 	taken := e.taken[:0]
 	live := float64(positions.n)
 	weight := 1 / float64(positions.n)
+	pats := map[reusedist.PatternKey]map[uint64]float64{}
 
-	type patAcc struct {
-		count map[uint64]float64
-	}
-	pats := map[reusedist.PatternKey]*patAcc{}
-	elem := ref.Array.Elem
-
-	for gen, mi := range order {
-		if live < 1e-9 {
-			break
-		}
+	for stamp := int32(1); live >= 1e-9 && len(byRecency.heap) > 0; stamp++ {
+		mi := byRecency.pop()
 		m := &matches[mi]
-		stamp := int32(gen + 1)
+		lags := e.lagsOf(m)
 		slot := int32(-1) // m's position in taken, once it takes mass
-		first, end := positions.within(sameBlock(m.residual, elem, bs))
+		lo, hi := positions.within(sameBlock(m.residual, elem, bs))
+		first, end := int32(lo), int32(hi)
+		if first >= end {
+			continue // no position m's source can share a block with
+		}
+		r, found := slices.BinarySearchFunc(runs, first, func(ru run, at int32) int { return cmp.Compare(ru.start, at) })
+		if !found {
+			r-- // the run holding offset first
+		}
 		var got float64
-		for i := first; i < end; i++ {
-			if remaining[i] <= 0 {
+		for ; r < len(runs) && runs[r].start < end; r++ {
+			if runs[r].left <= 0 {
 				continue
 			}
 			// m claims the iterations where its lag exists and no more
@@ -729,49 +805,76 @@ func (e *estimator) assign(rd *reusedist.RefData, ref *ir.Ref, matches []match,
 			// box contained in m's box has already claimed its own
 			// boundary fraction, so m gets only the difference.
 			take := m.boundary
-			for _, ti := range applied[i] {
-				d := &taken[ti]
-				a := &matches[d.index]
-				if d.gen != stamp {
-					d.gen, d.dominated, d.contains = stamp, m.dominatedBy(a), a.dominatedBy(m)
+			for l := runs[r].applied; l >= 0; l = links[l].next {
+				a := &taken[links[l].slot]
+				if a.gen != stamp {
+					a.gen = stamp
+					a.dominated, a.contains = nested(lags, a.lags)
 				}
-				if d.dominated {
+				if a.dominated {
 					take = 0
 					break
 				}
-				if d.contains && take > m.boundary-a.boundary {
+				if a.contains && take > m.boundary-a.boundary {
 					take = m.boundary - a.boundary
 				}
 			}
 			if take <= 0 {
 				continue
 			}
-			if take > remaining[i] {
-				take = remaining[i]
+			if take > runs[r].left {
+				take = runs[r].left
 			}
-			got += take
-			remaining[i] -= take
+			// m takes mass on the run's offsets in [first, end) only:
+			// split the others off, sharing the run's state.
+			if runs[r].start < first {
+				runs = slices.Insert(runs, r+1, run{start: first, left: runs[r].left, applied: runs[r].applied})
+				r++
+			}
+			stop := int32(positions.n)
+			if r+1 < len(runs) {
+				stop = runs[r+1].start
+			}
+			if stop > end {
+				runs = slices.Insert(runs, r+1, run{start: end, left: runs[r].left, applied: runs[r].applied})
+				stop = end
+			}
+			// One addition per offset, in offset order, so got rounds as
+			// a per-offset sum does.
+			for k := runs[r].start; k < stop; k++ {
+				got += take
+			}
+			runs[r].left -= take
 			if slot < 0 {
 				slot = int32(len(taken))
-				taken = append(taken, appliedMatch{index: mi})
+				taken = append(taken, appliedMatch{lags: lags, boundary: m.boundary})
 			}
-			applied[i] = append(applied[i], slot)
+			links = append(links, link{slot: slot, next: runs[r].applied})
+			runs[r].applied = int32(len(links) - 1)
 		}
 		live -= got
 		if got <= 0 {
 			continue
 		}
 		key := reusedist.PatternKey{Source: m.srcScope, Carrying: m.carrying}
-		p := pats[key]
-		if p == nil {
-			p = &patAcc{count: map[uint64]float64{}}
-			pats[key] = p
+		counts := pats[key]
+		if counts == nil {
+			counts = map[uint64]float64{}
+			pats[key] = counts
 		}
-		p.count[m.dist] += got * weight
+		counts[price(m)] += got * weight
 	}
-	e.taken = taken
+	e.heap, e.runs, e.links, e.taken = byRecency.heap, runs, links, taken
+	e.fill(rd, live*weight, pats, total, thresholds)
+}
 
-	rd.Cold = uint64(math.Round(live * weight * total))
+// fill writes a reference's cold count and patterns: cold is the share of
+// its total accesses that found no predecessor, and pats the share at
+// each reuse distance per pattern.
+func (e *estimator) fill(rd *reusedist.RefData, cold float64, pats map[reusedist.PatternKey]map[uint64]float64,
+	total float64, thresholds []uint64) {
+
+	rd.Cold = uint64(math.Round(cold * total))
 	var covered uint64
 	keys := make([]reusedist.PatternKey, 0, len(pats))
 	for k := range pats {
@@ -784,19 +887,19 @@ func (e *estimator) assign(rd *reusedist.RefData, ref *ir.Ref, matches []match,
 		return keys[i].Carrying < keys[j].Carrying
 	})
 	for _, k := range keys {
-		acc := pats[k]
+		counts := pats[k]
 		p := &reusedist.Pattern{
 			Key:    k,
 			Hist:   histo.NewRes(e.res),
 			MissAt: make([]uint64, len(thresholds)),
 		}
-		dists := make([]uint64, 0, len(acc.count))
-		for d := range acc.count {
+		dists := make([]uint64, 0, len(counts))
+		for d := range counts {
 			dists = append(dists, d)
 		}
 		sort.Slice(dists, func(i, j int) bool { return dists[i] < dists[j] })
 		for _, d := range dists {
-			n := uint64(math.Round(acc.count[d] * total))
+			n := uint64(math.Round(counts[d] * total))
 			if n == 0 {
 				continue
 			}

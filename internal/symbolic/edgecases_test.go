@@ -115,3 +115,34 @@ func TestLoopVarInBothDimensions(t *testing.T) {
 		t.Errorf("A[i,i-i] coeff = %d, want 8", ff.Coeff["i"])
 	}
 }
+
+// A variable whose coefficient cancels (i - i) is still named by its
+// operand: when the operand meets a non-affine operator, the variable is
+// flagged, never folded into a constant. Each expression once analyzed to
+// an unflagged constant that evaluation contradicts (the first is
+// 16i + 16j - 32, the last 6).
+func TestCancelledVariablesStayFlagged(t *testing.T) {
+	p := ir.NewProgram("t")
+	i, j := p.Var("i"), p.Var("j")
+	cases := []struct {
+		name  string
+		e     ir.Expr
+		flags []string
+	}{
+		{"(2*((i-2)+j)) * max(8, i-i)", ir.Mul(ir.Mul(ir.C(2), ir.Add(ir.Sub(i, ir.C(2)), j)), ir.Max(ir.C(8), ir.Sub(i, i))), []string{"i", "j"}},
+		{"8 / (i-i)", ir.Div(ir.C(8), ir.Sub(i, i)), []string{"i"}},
+		{"(i-i+3) * (j-j+2)", ir.Mul(ir.Add(ir.Sub(i, i), ir.C(3)), ir.Add(ir.Sub(j, j), ir.C(2))), []string{"i", "j"}},
+	}
+	for _, c := range cases {
+		f := Analyze(c.e)
+		if f.IsConst() || f.HasIndirect() {
+			t.Errorf("%s = %v, want non-affine in %v", c.name, f, c.flags)
+			continue
+		}
+		for _, v := range c.flags {
+			if !f.NonAffine[v] {
+				t.Errorf("%s = %v, want non-affine in %s", c.name, f, v)
+			}
+		}
+	}
+}

@@ -212,17 +212,29 @@ func scaleForm(f Form, k int64) Form {
 	return out
 }
 
-// demote merges two forms whose combination is not affine: every involved
-// variable becomes non-affine (indirect wins over non-affine).
+// demote merges two forms whose combination is not affine: every variable
+// an operand names becomes non-affine (indirect wins over non-affine).
+// That includes a variable whose coefficient cancelled to zero: demote
+// drops both constants, so without its flag max(8, i - i) would come out
+// as the constant 0.
 func demote(l, r Form) Form {
 	f := newForm()
 	for _, src := range []Form{l, r} {
-		for _, v := range src.Vars() {
+		flag := func(v string) {
 			if src.Indirect[v] {
 				f.Indirect[v] = true
 			} else {
 				f.NonAffine[v] = true
 			}
+		}
+		for v := range src.Coeff {
+			flag(v)
+		}
+		for v := range src.NonAffine {
+			flag(v)
+		}
+		for v := range src.Indirect {
+			flag(v)
 		}
 	}
 	return f
