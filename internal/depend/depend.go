@@ -148,6 +148,10 @@ type refInfo struct {
 	loops   []*ir.Loop
 	subs    []ir.Expr
 	guarded bool // under an If: may not execute
+	// stale names an enclosing loop's variable that a subscript reads
+	// after a nested loop, Let, branch or call may have rebound it; the
+	// value is then not the loop's own, and the pair is Unknown.
+	stale string
 }
 
 // loopInfo caches per-loop facts: substituted bounds, the value range
@@ -196,7 +200,7 @@ func Analyze(info *ir.Info, params map[string]int64) *Analysis {
 		a.Params[k] = v
 	}
 	for _, rt := range info.Prog.Routines {
-		a.walk(rt, rt.Body, nil, map[string]ir.Expr{}, false)
+		a.walk(rt, rt.Body, nil, map[string]ir.Expr{}, map[string]bool{}, false)
 	}
 	a.pairAll()
 	return a
@@ -223,8 +227,11 @@ func (a *Analysis) Covers(r1, r2 trace.RefID) bool {
 // walk collects refInfo/loopInfo for one routine. env carries Let
 // bindings that are still valid at the current program point. A name a
 // nested body may rebind is forgotten, together with every binding that
-// mentions it, so a substituted expression is always exact.
-func (a *Analysis) walk(rt *ir.Routine, body []ir.Stmt, loops []*ir.Loop, env map[string]ir.Expr, guarded bool) {
+// mentions it, so a substituted expression is always exact. stale holds
+// the enclosing loops' variables that may no longer hold their loop's
+// value here: an expression that still reads one after substitution
+// does not vary with that loop.
+func (a *Analysis) walk(rt *ir.Routine, body []ir.Stmt, loops []*ir.Loop, env map[string]ir.Expr, stale map[string]bool, guarded bool) {
 	for _, s := range body {
 		switch st := s.(type) {
 		case *ir.Loop:
@@ -232,21 +239,30 @@ func (a *Analysis) walk(rt *ir.Routine, body []ir.Stmt, loops []*ir.Loop, env ma
 			hi := substExpr(st.Hi, env)
 			step := int64(st.Step.(ir.Const))
 			li := &loopInfo{loop: st, routine: rt, lo: lo, hi: hi, step: step, guarded: guarded}
-			res := a.resolver(loops)
+			res := a.resolver(loops, stale)
 			li.rng, li.empty = symbolic.LoopRange(symbolic.EvalInterval(lo, res), symbolic.EvalInterval(hi, res), step)
 			li.loConst, li.loConstOK = symbolic.EvalInterval(lo, a.param).Const()
 			a.loops[st] = li
 			// Bindings rebound inside the body change across
 			// iterations, and their values are stale once the loop
 			// ran: forget them (and the loop variable) on both sides.
+			// An enclosing loop variable the body rebinds is stale in
+			// the whole body from its second iteration on; the loop's
+			// own variable is fresh at the top of every iteration.
 			killed := Rebound(st.Body)
+			inner := maps.Clone(stale)
+			markStale(inner, killed, loops)
+			delete(inner, st.Var.Name)
 			killed[st.Var.Name] = true
 			forget(env, killed)
-			a.walk(rt, st.Body, append(loops, st), env, guarded)
+			a.walk(rt, st.Body, append(loops, st), env, inner, guarded)
 			forget(env, killed)
+			markStale(stale, killed, loops)
 		case *ir.Let:
 			e := substExpr(st.E, env)
-			forget(env, map[string]bool{st.Var.Name: true})
+			name := map[string]bool{st.Var.Name: true}
+			forget(env, name)
+			markStale(stale, name, loops)
 			if !ir.Mentions(e, st.Var.Name) {
 				// A self-referential rebinding (accumulator) stays
 				// opaque from here on.
@@ -256,27 +272,45 @@ func (a *Analysis) walk(rt *ir.Routine, body []ir.Stmt, loops []*ir.Loop, env ma
 			// Each branch sees a private copy so one branch's
 			// bindings cannot leak into the other; afterwards any
 			// name either branch bound is ambiguous.
-			a.walk(rt, st.Then, loops, maps.Clone(env), true)
-			a.walk(rt, st.Else, loops, maps.Clone(env), true)
-			forget(env, Rebound(st.Then, st.Else))
+			a.walk(rt, st.Then, loops, maps.Clone(env), maps.Clone(stale), true)
+			a.walk(rt, st.Else, loops, maps.Clone(env), maps.Clone(stale), true)
+			rebound := Rebound(st.Then, st.Else)
+			forget(env, rebound)
+			markStale(stale, rebound, loops)
 		case *ir.Access:
 			for _, ref := range st.Refs {
-				subs := make([]ir.Expr, len(ref.Index))
-				for i, e := range ref.Index {
-					subs[i] = substExpr(e, env)
-				}
-				a.refs[ref.ID()] = &refInfo{
+				ri := &refInfo{
 					ref:     ref,
 					routine: rt,
 					loops:   append([]*ir.Loop(nil), loops...),
-					subs:    subs,
+					subs:    make([]ir.Expr, len(ref.Index)),
 					guarded: guarded,
 				}
+				for i, e := range ref.Index {
+					ri.subs[i] = substExpr(e, env)
+					for _, l := range loops {
+						if ri.stale == "" && stale[l.Var.Name] && ir.Mentions(ri.subs[i], l.Var.Name) {
+							ri.stale = l.Var.Name
+						}
+					}
+				}
+				a.refs[ref.ID()] = ri
 			}
 		case *ir.Call:
 			// Callee bodies are walked through Prog.Routines; what a
 			// callee binds is stale here once it returns.
-			forget(env, Rebound([]ir.Stmt{st}))
+			rebound := Rebound([]ir.Stmt{st})
+			forget(env, rebound)
+			markStale(stale, rebound, loops)
+		}
+	}
+}
+
+// markStale adds to stale each loop variable of loops that names holds.
+func markStale(stale map[string]bool, names map[string]bool, loops []*ir.Loop) {
+	for _, l := range loops {
+		if names[l.Var.Name] {
+			stale[l.Var.Name] = true
 		}
 	}
 }
@@ -330,9 +364,12 @@ func substExpr(e ir.Expr, env map[string]ir.Expr) ir.Expr {
 
 // resolver resolves variable ranges in the context of a loop nest:
 // loop variables (innermost shadowing outermost) first, then
-// parameters; anything else is unbounded.
-func (a *Analysis) resolver(loops []*ir.Loop) func(string) symbolic.Interval {
+// parameters; a stale loop variable and anything else is unbounded.
+func (a *Analysis) resolver(loops []*ir.Loop, stale map[string]bool) func(string) symbolic.Interval {
 	return func(name string) symbolic.Interval {
+		if stale[name] {
+			return symbolic.Interval{}
+		}
 		for i := len(loops) - 1; i >= 0; i-- {
 			if loops[i].Var.Name == name {
 				return a.loops[loops[i]].rng
@@ -430,6 +467,14 @@ func (a *Analysis) pairDeps(x, y *refInfo, align *fusePair) *Dep {
 	}
 	common := commonPrefix(x.loops, y.loops)
 	d := &Dep{Src: x.ref, Dst: y.ref, Kind: pairKind(x.ref.Write, y.ref.Write), Loops: common, SiblingOK: true}
+	for _, side := range []*refInfo{x, y} {
+		if side.stale != "" {
+			d.Unknown = true
+			d.Reason = fmt.Sprintf("a subscript of %s reads %q after a nested loop, Let, branch or call may have rebound it",
+				side.ref.Name(), side.stale)
+			return d
+		}
+	}
 	nslots := len(common)
 	if align != nil {
 		nslots++

@@ -5,7 +5,9 @@ import (
 	"strings"
 	"testing"
 
+	"reusetool/internal/interp"
 	"reusetool/internal/ir"
+	"reusetool/internal/trace"
 )
 
 func TestStrongSIVForcedDistance(t *testing.T) {
@@ -431,5 +433,94 @@ func TestCallForgetsCalleeBindings(t *testing.T) {
 	}
 	if subs := an.Subscripts(1); len(subs) != 1 || subs[0].String() != "t" {
 		t.Errorf("A[t] after the call: subscripts %v, want [t]", subs)
+	}
+}
+
+// TestStaleLoopVariableDependence: once a nested loop, a Let, a branch or
+// a call rebinds an enclosing loop's variable, a subscript that reads it
+// no longer varies with that loop. Each program below writes the same
+// element of A in every outer iteration, which its run confirms, so the
+// analysis must cover A's self dependence: Unknown, unless a Let gives
+// the variable a value the subscript can be rewritten with.
+func TestStaleLoopVariableDependence(t *testing.T) {
+	cases := []struct {
+		name  string
+		build func(p *ir.Program, i, j *ir.Var, a, b *ir.Array, sub *ir.Routine) []ir.Stmt
+		exact bool // the dependence is decided, not Unknown
+	}{
+		{"nested loop", func(p *ir.Program, i, j *ir.Var, a, b *ir.Array, sub *ir.Routine) []ir.Stmt {
+			// for i = 0 .. 3 { for i = 5 .. 6 { access B[i] }; access A[i]! }
+			return []ir.Stmt{ir.For(i, ir.C(0), ir.C(3),
+				ir.For(i, ir.C(5), ir.C(6), ir.Do(b.Read(i))),
+				ir.Do(a.WriteRef(i)))}
+		}, false},
+		{"self-referential let", func(p *ir.Program, i, j *ir.Var, a, b *ir.Array, sub *ir.Routine) []ir.Stmt {
+			return []ir.Stmt{ir.For(i, ir.C(0), ir.C(3),
+				ir.Set(i, ir.Add(ir.Div(i, ir.C(4)), ir.C(6))),
+				ir.Do(a.WriteRef(i)))}
+		}, false},
+		{"call", func(p *ir.Program, i, j *ir.Var, a, b *ir.Array, sub *ir.Routine) []ir.Stmt {
+			sub.Body = []ir.Stmt{ir.For(i, ir.C(5), ir.C(6), ir.Do(b.Read(i)))}
+			return []ir.Stmt{ir.For(i, ir.C(0), ir.C(3), ir.CallTo(sub), ir.Do(a.WriteRef(i)))}
+		}, false},
+		{"branch", func(p *ir.Program, i, j *ir.Var, a, b *ir.Array, sub *ir.Routine) []ir.Stmt {
+			return []ir.Stmt{ir.For(i, ir.C(0), ir.C(3),
+				ir.When(ir.Ge(i, ir.C(0)), ir.Set(i, ir.C(6))),
+				ir.Do(a.WriteRef(i)))}
+		}, false},
+		{"later iteration of an inner loop", func(p *ir.Program, i, j *ir.Var, a, b *ir.Array, sub *ir.Routine) []ir.Stmt {
+			// The second j iteration writes A[6]: the first one set i.
+			return []ir.Stmt{ir.For(i, ir.C(0), ir.C(3),
+				ir.For(j, ir.C(0), ir.C(1), ir.Do(a.WriteRef(i)), ir.Set(i, ir.C(6))))}
+		}, false},
+		{"let with a value", func(p *ir.Program, i, j *ir.Var, a, b *ir.Array, sub *ir.Routine) []ir.Stmt {
+			return []ir.Stmt{ir.For(i, ir.C(0), ir.C(3), ir.Set(i, ir.C(6)), ir.Do(a.WriteRef(i)))}
+		}, true},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			p := ir.NewProgram("stale")
+			i, j := p.Var("i"), p.Var("j")
+			a := p.AddArray("A", 8, ir.C(8))
+			b := p.AddArray("B", 8, ir.C(8))
+			main := p.AddRoutine("main", "t.loop", 1)
+			sub := p.AddRoutine("sub", "t.loop", 20)
+			main.Body = c.build(p, i, j, a, b, sub)
+			info, err := p.Finalize()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var w *ir.Ref
+			for _, ref := range info.Refs {
+				if ref.Array == a {
+					w = ref
+				}
+			}
+			rec := &trace.Recorder{}
+			if _, err := interp.Run(info, nil, rec); err != nil {
+				t.Fatal(err)
+			}
+			writes := map[uint64]int{}
+			for _, ev := range rec.Events {
+				if ev.Kind == trace.EvAccess && ev.Ref == w.ID() {
+					writes[ev.Addr]++
+				}
+			}
+			repeated := false
+			for _, n := range writes {
+				repeated = repeated || n > 1
+			}
+			if !repeated {
+				t.Fatalf("the run never writes one element of A twice: %v", writes)
+			}
+			an := Analyze(info, nil)
+			d := an.Pair(w.ID(), w.ID())
+			if !an.Covers(w.ID(), w.ID()) {
+				t.Fatalf("no self dependence for %s: %v", w.Name(), d)
+			}
+			if d.Unknown == c.exact {
+				t.Errorf("dependence %v: Unknown = %v, want %v", d, d.Unknown, !c.exact)
+			}
+		})
 	}
 }

@@ -74,10 +74,11 @@ func (a *Analysis) EmptyLoops() []EmptyLoop {
 // reaches, and the extent of that dimension. It answers only when the
 // range is attained: the reference is unguarded, every loop around it
 // has constant bounds and provably executes, the subscript is affine in
-// loop variables and parameters, and the extent is a constant.
+// loop variables and parameters and reads no stale loop variable, and
+// the extent is a constant.
 func (a *Analysis) Span(id trace.RefID, d int) (lo, hi, ext int64, ok bool) {
 	ri := a.refs[id]
-	if ri == nil || ri.guarded || !a.rectangularNest(ri.loops) {
+	if ri == nil || ri.guarded || ri.stale != "" || !a.rectangularNest(ri.loops) {
 		return 0, 0, 0, false
 	}
 	form := symbolic.Analyze(ri.subs[d])

@@ -6,6 +6,8 @@ import (
 
 	"reusetool/internal/cache"
 	"reusetool/internal/core"
+	"reusetool/internal/reusedist"
+	"reusetool/internal/sampling"
 	"reusetool/internal/trace"
 )
 
@@ -48,6 +50,55 @@ func TestHotpathFingerprintsPinned(t *testing.T) {
 			}
 			if got := col.Fingerprint(); got != want {
 				t.Errorf("fingerprint = %#x, want seed %#x (engine output changed)", got, want)
+			}
+		})
+	}
+}
+
+// sampledFingerprints pins the sampled collectors on every hotpath
+// workload: fixed rate R=8, fixed rate R=64, and adaptive with the
+// smallest cap (sampling.MinMaxBlocks), which halves the line engines'
+// threshold 7 to 10 times and the page engines' 1 to 6 times. The values
+// were recorded before the engine kept its newest marks outside the
+// tree, so they guard the sampled admission path and the adaptive
+// rescale (which must evict from those marks too) against any drift.
+var sampledFingerprints = map[string][3]uint64{
+	"fig1a":     {0x7d071aa20770545b, 0xfad2fc67e2ee60ef, 0xac0772d9741cfbd0},
+	"fig2":      {0x326cfe40fc09fe27, 0x89496f956a32aad8, 0x5700a097a6e30793},
+	"stream":    {0xadf8955d11cc6d71, 0x61b96ba4e7c7a823, 0xd47be55653045267},
+	"stencil":   {0x7eee3b3f75af7fd2, 0x1b2a11ec12be6029, 0x9fda29685b9cb270},
+	"transpose": {0x4ec1c893ca8d3d26, 0xdd0720a7d8cd1d1a, 0xfee572f196ac0e79},
+	"sweep3d":   {0x7a9ef4003721230d, 0x1e0c1a1f783cefca, 0x9c993460f76ee46c},
+	"gtc":       {0x5b2af67089edb918, 0x0c32315ca1da7416, 0x47972e5a0dd6d889},
+}
+
+// TestSampledFingerprintsPinned replays every hotpath workload through
+// sampled collectors and checks each finished collector against its pin.
+// The adaptive run must rescale the line engine at least three times.
+func TestSampledFingerprintsPinned(t *testing.T) {
+	hier := cache.ScaledItanium2()
+	modes := [3]sampling.Config{{Rate: 8}, {Rate: 64}, {MaxBlocks: sampling.MinMaxBlocks}}
+	for _, name := range HotpathWorkloads() {
+		t.Run(name, func(t *testing.T) {
+			if testing.Short() && (name == "sweep3d" || name == "gtc") {
+				t.Skip("large trace; skipped in -short")
+			}
+			events, err := HotpathTrace(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, mode := range modes {
+				col := reusedist.NewCollectorWith(hier.Granularities(), reusedist.Config{Sampling: mode})
+				trace.ReplayEvents(events, col)
+				if mode.MaxBlocks > 0 {
+					if r := col.Engines[0].Sample().Rate; r < 8 {
+						t.Errorf("%v: line engine ended at rate %d, want at least 3 rescales", mode, r)
+					}
+				}
+				col.Finish()
+				if got, want := col.Fingerprint(), sampledFingerprints[name][i]; got != want {
+					t.Errorf("%v: fingerprint = %#x, want %#x (sampled engine output changed)", mode, got, want)
+				}
 			}
 		})
 	}

@@ -5,14 +5,19 @@
 // tree: given the time t of the previous access to a memory block, count how
 // many distinct blocks have been accessed more recently than t. Keys are the
 // last-access times of live memory blocks; they are unique (one access per
-// clock tick) and new keys are always larger than all existing keys.
+// clock tick) and new keys are always larger than all existing keys. They
+// need not be consecutive: the engine keeps its newest marks outside the
+// tree and hands it a mark only when the mark ages out of that front, so
+// inserted times skip the ticks of blocks reused while still in front.
 //
 // Two implementations are provided:
 //
-//   - Epoch: a binary indexed tree over a periodically compacted slot
-//     window. Slots are located arithmetically within the current affine
-//     run of consecutive timestamps, or by binary search in the compacted
-//     prefix, so no operation hashes. The engine uses it.
+//   - Epoch: a live-slot bitmap over a periodically compacted slot
+//     window, with a binary indexed tree over the bitmap's per-word
+//     popcounts. Slots are located arithmetically within the current
+//     affine run (an insert that skips ahead leaves the skipped slots
+//     dead), or by binary search in the compacted prefix, so no operation
+//     hashes. The engine uses it.
 //   - AVL: a size-augmented AVL tree, the paper's "balanced binary tree with
 //     a node for each memory block ... sorting key is the logical time of the
 //     last access" (Section II). O(log M) per operation. It is the reference

@@ -2,6 +2,7 @@ package ostree
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -21,34 +22,40 @@ type Tree interface {
 }
 
 // checkInvariants verifies the epoch tree's slot window, as
-// AVL.checkInvariants does the AVL tree's shape: slot times strictly
-// increase over [0, next), no slot at or past next is live, the BIT counts
-// exactly n live slots, and [runStart, next) is an affine run.
+// AVL.checkInvariants does the AVL tree's shape: the window is a whole
+// number of bitmap words, prefix slot times strictly increase over
+// [0, runStart) and stay below the run's base, no slot at or past next is
+// live, every Fenwick prefix equals the popcount of the words below it,
+// and the bitmap holds exactly n live slots.
 func (e *Epoch) checkInvariants() error {
-	for s := int32(1); s < e.next; s++ {
+	if len(e.slotTime) != 64*len(e.words) || len(e.bit) != len(e.words)+1 {
+		return fmt.Errorf("window %d slots, %d words, %d Fenwick entries", len(e.slotTime), len(e.words), len(e.bit))
+	}
+	if e.runStart > e.next || int(e.next) > len(e.slotTime) {
+		return fmt.Errorf("runStart %d, next %d, window %d", e.runStart, e.next, len(e.slotTime))
+	}
+	for s := int32(1); s < e.runStart; s++ {
 		if e.slotTime[s] <= e.slotTime[s-1] {
 			return fmt.Errorf("slotTime[%d] = %d not above slotTime[%d] = %d", s, e.slotTime[s], s-1, e.slotTime[s-1])
 		}
 	}
-	for s := int(e.next); s < len(e.live); s++ {
-		if e.live[s] {
+	if e.runStart > 0 && e.runStart < e.next && e.slotTime[e.runStart-1] >= e.runBase {
+		return fmt.Errorf("prefix ends at time %d, not below the run's base %d", e.slotTime[e.runStart-1], e.runBase)
+	}
+	for s := int(e.next); s < len(e.slotTime); s++ {
+		if e.live(int32(s)) {
 			return fmt.Errorf("slot %d live at or past next = %d", s, e.next)
 		}
 	}
-	if e.next > 0 {
-		if got := e.prefix(e.next - 1); int(got) != e.n {
-			return fmt.Errorf("BIT prefix(%d) = %d, want n = %d", e.next-1, got, e.n)
+	var sum uint32
+	for w := range e.words {
+		if got := e.below(int32(w) << 6); got != sum {
+			return fmt.Errorf("Fenwick count below word %d = %d, popcounts give %d", w, got, sum)
 		}
-	} else if e.n != 0 {
-		return fmt.Errorf("n = %d with no slots assigned", e.n)
+		sum += uint32(bits.OnesCount64(e.words[w]))
 	}
-	if e.runStart > e.next {
-		return fmt.Errorf("runStart %d past next %d", e.runStart, e.next)
-	}
-	for s := e.runStart; s < e.next; s++ {
-		if e.slotTime[s] != e.slotTime[e.runStart]+uint64(s-e.runStart) {
-			return fmt.Errorf("affine run broken at slot %d: %d != %d + %d", s, e.slotTime[s], e.slotTime[e.runStart], s-e.runStart)
-		}
+	if int(sum) != e.n {
+		return fmt.Errorf("bitmap holds %d live slots, want n = %d", sum, e.n)
 	}
 	return nil
 }
@@ -271,9 +278,11 @@ func TestAVLNodeReuse(t *testing.T) {
 
 // TestAllKindsAgreeWithOracle drives the epoch tree and the paper's AVL
 // tree through the same random insert/delete/count interleavings and
-// checks every query against the brute-force oracle. The engine counts
-// every reuse distance with the epoch tree, so any divergence here would
-// silently change reported reuse distances.
+// checks every query against the brute-force oracle. Inserts skip ahead
+// as the engine's front makes them do, by up to more than the epoch
+// window's free room. The engine counts every reuse distance with the
+// epoch tree, so any divergence here would silently change reported
+// reuse distances.
 func TestAllKindsAgreeWithOracle(t *testing.T) {
 	f := func(seed int64, nOps uint16) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -284,8 +293,15 @@ func TestAllKindsAgreeWithOracle(t *testing.T) {
 		inserted := []uint64{}
 		for i := 0; i < int(nOps)%2000+1; i++ {
 			switch rng.Intn(4) {
-			case 0, 1: // insert, sometimes with a clock gap to break affine runs
-				now += uint64(rng.Intn(3) + 1)
+			case 0, 1: // insert, skipping ahead as the engine's front does
+				switch r := rng.Intn(16); {
+				case r == 0:
+					now += uint64(64 + rng.Intn(4096)) // past the window's free room
+				case r < 4:
+					now += uint64(4 + rng.Intn(40))
+				default:
+					now += uint64(rng.Intn(3) + 1)
+				}
 				for _, tr := range trees {
 					tr.Insert(now)
 				}
@@ -299,9 +315,9 @@ func TestAllKindsAgreeWithOracle(t *testing.T) {
 					}
 					ref.Delete(k)
 				}
-			default: // query any previously seen (possibly deleted) key
+			default: // query any previously seen (possibly deleted) key, or the tick before it
 				if len(inserted) > 0 {
-					k := inserted[rng.Intn(len(inserted))]
+					k := inserted[rng.Intn(len(inserted))] - uint64(rng.Intn(2))
 					want := ref.CountGreater(k)
 					for _, tr := range trees {
 						if got := tr.CountGreater(k); got != want {
@@ -324,6 +340,32 @@ func TestAllKindsAgreeWithOracle(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestEpochInsertPastFreeRoom: a 64-slot window with 40 slots in use
+// takes an insert 1000 ticks ahead, past its free room, so compaction
+// runs on a gapped insert and starts the new run at that time.
+func TestEpochInsertPastFreeRoom(t *testing.T) {
+	e := NewEpoch(64)
+	for ts := uint64(1); ts <= 40; ts++ {
+		e.Insert(ts)
+	}
+	for ts := uint64(2); ts <= 40; ts += 3 {
+		e.Delete(ts)
+	}
+	e.Insert(1040)
+	if err := e.checkInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if got := e.CountGreater(1); got != 27 {
+		t.Errorf("CountGreater(1) = %d, want 27", got)
+	}
+	if got := e.CountGreater(40); got != 1 {
+		t.Errorf("CountGreater(40) = %d, want 1", got)
+	}
+	if got := e.CountGreater(1039); got != 1 {
+		t.Errorf("CountGreater(1039) = %d, want 1", got)
 	}
 }
 
@@ -435,8 +477,8 @@ func TestEpochCompactionAllocatesNothing(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("steady live set: %v allocations per %d compactions, want 0", allocs, compactions)
 	}
-	if len(e.live) != window {
-		t.Errorf("window grew to %d for a live set of %d", len(e.live), liveSet)
+	if len(e.slotTime) != window {
+		t.Errorf("window grew to %d for a live set of %d", len(e.slotTime), liveSet)
 	}
 	if err := e.checkInvariants(); err != nil {
 		t.Fatal(err)
@@ -449,23 +491,23 @@ func TestEpochCompactionAllocatesNothing(t *testing.T) {
 	var before, after runtime.MemStats
 	doublings := 0
 	for ts := uint64(1); ts <= 4096; ts++ {
-		w := len(g.live)
+		w := len(g.slotTime)
 		runtime.ReadMemStats(&before)
 		g.Insert(ts)
 		runtime.ReadMemStats(&after)
-		grew := len(g.live) != w
+		grew := len(g.slotTime) != w
 		if grew {
 			doublings++
-			if len(g.live) != 2*w {
-				t.Fatalf("insert %d: window %d -> %d, want a doubling", ts, w, len(g.live))
+			if len(g.slotTime) != 2*w {
+				t.Fatalf("insert %d: window %d -> %d, want a doubling", ts, w, len(g.slotTime))
 			}
 		}
 		if allocated := after.Mallocs > before.Mallocs; allocated != grew {
-			t.Fatalf("insert %d: allocated %d objects, window %d -> %d", ts, after.Mallocs-before.Mallocs, w, len(g.live))
+			t.Fatalf("insert %d: allocated %d objects, window %d -> %d", ts, after.Mallocs-before.Mallocs, w, len(g.slotTime))
 		}
 	}
-	if doublings != 8 { // 16 -> 4096
-		t.Errorf("window doubled %d times, want 8", doublings)
+	if doublings != 6 { // 64 (one bitmap word) -> 4096
+		t.Errorf("window doubled %d times, want 6", doublings)
 	}
 	if err := g.checkInvariants(); err != nil {
 		t.Fatal(err)

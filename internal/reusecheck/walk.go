@@ -115,6 +115,21 @@ func (p *pending) killArray(arr *ir.Array) { delete(p.byArray, arr) }
 // killAll drops everything (an opaque call may read anything).
 func (p *pending) killAll() { p.byArray = map[*ir.Array]map[string]*pendingStore{} }
 
+// killNames drops the stores whose subscripts read one of names: once a
+// name is rebound, the same subscript text may denote another element.
+func (p *pending) killNames(names map[string]bool) {
+	for _, m := range p.byArray {
+		for key, ps := range m {
+			for name := range names {
+				if !subsInvariant(ps.subs, name) {
+					delete(m, key)
+					break
+				}
+			}
+		}
+	}
+}
+
 // regionKey renders substituted subscripts as the canonical identity of
 // the written region within one body.
 func regionKey(subs []ir.Expr) string {
@@ -133,6 +148,7 @@ func (w *walker) walkBody(rt *ir.Routine, body []ir.Stmt, nest []*ir.Loop,
 		case *ir.Let:
 			w.killExprReads(pend, st.E)
 			env[st.Var.Name] = evalIval(st.E, env)
+			pend.killNames(map[string]bool{st.Var.Name: true})
 
 		case *ir.Loop:
 			w.killExprReads(pend, st.Lo)
@@ -152,7 +168,9 @@ func (w *walker) walkBody(rt *ir.Routine, body []ir.Stmt, nest []*ir.Loop,
 			elseEnv := maps.Clone(refine(env, st.Cond, true))
 			w.walkBody(rt, st.Then, nest, thenEnv, true, dead || verdict < 0, newPending())
 			w.walkBody(rt, st.Else, nest, elseEnv, true, dead || verdict > 0, newPending())
-			havoc(env, depend.Rebound(st.Then, st.Else))
+			rebound := depend.Rebound(st.Then, st.Else)
+			havoc(env, rebound)
+			pend.killNames(rebound)
 			for arr := range bodyReads(st.Then) {
 				pend.killArray(arr)
 			}
@@ -248,6 +266,7 @@ func (w *walker) walkLoop(rt *ir.Routine, l *ir.Loop, nest []*ir.Loop,
 	for arr := range reads {
 		pend.killArray(arr)
 	}
+	pend.killNames(rebound)
 }
 
 // recordRef registers a reference fact and decides bounds provability.

@@ -451,8 +451,9 @@ func (w *writeAddrs) Access(_ trace.RefID, addr uint64, _ uint32, write bool) {
 
 // TestStaleSubstitutionNoDeadStore: in each program the two stores
 // write different elements, because a name the first store's subscript
-// was substituted from changed in between. Substituting the stale
-// binding would make them one region and the first store dead.
+// reads, or was substituted from, changed in between. Substituting the
+// stale binding, or keying both by the same text, would make them one
+// region and the first store dead.
 func TestStaleSubstitutionNoDeadStore(t *testing.T) {
 	const head = "program p\nparam N 8\narray A f64 [N]\narray B f64 [N]\nroutine main file p.f line 1 {\n"
 	cases := map[string]string{
@@ -475,6 +476,36 @@ func TestStaleSubstitutionNoDeadStore(t *testing.T) {
   let s = s + 1
   access A[t]!
   access A[s]!
+}
+`,
+		// The loop rebinds i itself: i is 0, then 2.
+		"a loop rebinds the subscript": `  access A[i]!
+  for i = 0 .. 2 line 3 {
+    access B[i]
+  }
+  access A[i]!
+}
+`,
+		// A self-referential Let: s is 0, then 1.
+		"a Let rebinds the subscript": `  access A[s]!
+  let s = s + 1
+  access A[s]!
+}
+`,
+		// A branch rebinds i: i is 0, then 3.
+		"a branch rebinds the subscript": `  access A[i]!
+  if N > 4 {
+    let i = 3
+  }
+  access A[i]!
+}
+`,
+		// The body rebinds i after the store: the next iteration writes
+		// A[6], not A[0] again.
+		"the next iteration reads a rebound subscript": `  for j = 0 .. 1 line 2 {
+    access A[i]!
+    let i = 6
+  }
 }
 `,
 		// t = s, then a loop rebinds s: t is 1, s is 2.

@@ -1,10 +1,14 @@
 package reusedist
 
 import (
+	"encoding/binary"
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
+	"reusetool/internal/histo"
 	"reusetool/internal/trace"
 )
 
@@ -240,52 +244,167 @@ func randomTrace(seed int64, events int, h trace.Handler) {
 	}
 }
 
-func patternsEqual(t *testing.T, a, b *RefData) bool {
-	t.Helper()
+// sameRefData reports the first difference between two references'
+// collected data: totals, cold counts, pattern keys and counts, per
+// threshold miss counts and every histogram bin; nil when they agree.
+func sameRefData(a, b *RefData) error {
 	if a.Total != b.Total || a.Cold != b.Cold || a.Scope != b.Scope {
-		return false
+		return fmt.Errorf("ref %d: total %d cold %d scope %d, want %d %d %d", a.Ref, a.Total, a.Cold, a.Scope, b.Total, b.Cold, b.Scope)
 	}
 	if len(a.Patterns) != len(b.Patterns) {
-		return false
+		return fmt.Errorf("ref %d: %d patterns, want %d", a.Ref, len(a.Patterns), len(b.Patterns))
 	}
 	for key, pa := range a.Patterns {
 		pb := b.Patterns[key]
-		if pb == nil || pa.Count != pb.Count {
-			return false
+		if pb == nil {
+			return fmt.Errorf("ref %d: pattern %+v missing", a.Ref, key)
 		}
-		for i := range pa.MissAt {
-			if pa.MissAt[i] != pb.MissAt[i] {
-				return false
-			}
-		}
-		if pa.Hist.Total() != pb.Hist.Total() || pa.Hist.Max() != pb.Hist.Max() ||
-			pa.Hist.Mean() != pb.Hist.Mean() {
-			return false
+		if pa.Count != pb.Count || !slices.Equal(pa.MissAt, pb.MissAt) ||
+			pa.Hist.Cold() != pb.Hist.Cold() || pa.Hist.Max() != pb.Hist.Max() ||
+			!slices.Equal(bins(pa.Hist), bins(pb.Hist)) {
+			return fmt.Errorf("ref %d pattern %+v: count %d miss %v max %d bins %v, want %d %v %d %v", a.Ref, key,
+				pa.Count, pa.MissAt, pa.Hist.Max(), bins(pa.Hist), pb.Count, pb.MissAt, pb.Hist.Max(), bins(pb.Hist))
 		}
 	}
-	return true
+	return nil
+}
+
+// bins lists a histogram's occupied bins in order.
+func bins(h *histo.Histogram) []histo.Bin {
+	var out []histo.Bin
+	h.Each(func(b histo.Bin) { out = append(out, b) })
+	return out
+}
+
+// sameAsNaive compares every reference of the engine with the naive
+// engine's, and the miss totals at every threshold.
+func sameAsNaive(e *Engine, n *Naive) error {
+	if len(e.Refs()) != len(n.Refs()) {
+		return fmt.Errorf("%d references, naive %d", len(e.Refs()), len(n.Refs()))
+	}
+	for _, rd := range e.Refs() {
+		nd := n.Ref(rd.Ref)
+		if nd == nil {
+			return fmt.Errorf("ref %d missing from the naive engine", rd.Ref)
+		}
+		if err := sameRefData(rd, nd); err != nil {
+			return err
+		}
+		for i := range e.Thresholds() {
+			if got, want := rd.MissAt(i), nd.MissAt(i); got != want {
+				return fmt.Errorf("ref %d: MissAt(%d) = %d, naive %d", rd.Ref, i, got, want)
+			}
+		}
+	}
+	return nil
 }
 
 // TestEngineMatchesNaive is the central differential test: the O(log M)
 // engine must agree exactly with the O(N·M) reference implementation,
-// pattern by pattern.
+// pattern by pattern and bin by bin.
 func TestEngineMatchesNaive(t *testing.T) {
 	f := func(seed int64) bool {
 		thresholds := []uint64{4, 16, 64}
 		e := New(Config{BlockBits: 6, Thresholds: thresholds})
 		n := NewNaive(6, thresholds)
 		randomTrace(seed, 2000, trace.Multi{e, n})
-		for _, rd := range e.Refs() {
-			nd := n.Ref(rd.Ref)
-			if nd == nil || !patternsEqual(t, rd, nd) {
-				return false
-			}
+		if err := sameAsNaive(e, n); err != nil {
+			t.Logf("seed %d: %v", seed, err)
+			return false
 		}
-		return len(e.Refs()) == len(n.Refs())
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)
 	}
+}
+
+// phasedTrace drives h with the stream that in describes, four bytes a
+// phase (missing bytes read as zero):
+//
+//   - b0: the working set, 1 to 3*frontK blocks, so reuses land on both
+//     sides of the engine's front of newest marks;
+//   - b1: the phase length, 64 to 16384 block-sized accesses;
+//   - b2: scope nesting (enter one of six scopes, leave one, or stay) and
+//     the reference;
+//   - b3: the access order (cyclic sweep, zigzag, uniform, or uniform
+//     with accesses that span two or three blocks) and the working set's
+//     offset.
+//
+// A phase with a small working set keeps every mark in the front, so the
+// next larger one hands the tree an insert far past its window. Runs stop
+// at 1<<16 accesses; long ones cross many epoch compactions.
+func phasedTrace(in []byte, h trace.Handler) {
+	open := []trace.ScopeID{0}
+	h.EnterScope(0)
+	accesses := 0
+	for p := 0; p < len(in) && accesses < 1<<16; p += 4 {
+		var b [4]byte
+		copy(b[:], in[p:])
+		ws := 1 + int(b[0])%(3*frontK)
+		n := 64 * (1 + int(b[1]))
+		switch b[2] % 4 {
+		case 0:
+			if len(open) < 8 {
+				s := trace.ScopeID(1 + int(b[2]>>2)%6)
+				h.EnterScope(s)
+				open = append(open, s)
+			}
+		case 1:
+			if len(open) > 1 {
+				h.ExitScope(open[len(open)-1])
+				open = open[:len(open)-1]
+			}
+		}
+		ref := trace.RefID(b[2] >> 5)
+		base := uint64(b[3]>>2) % 16
+		rng := rand.New(rand.NewSource(int64(binary.LittleEndian.Uint32(b[:]))))
+		for i := 0; i < n && accesses < 1<<16; i++ {
+			accesses++
+			blk, size := uint64(i%ws), uint32(8)
+			switch b[3] % 4 {
+			case 1:
+				if (i/ws)%2 == 1 {
+					blk = uint64(ws - 1 - i%ws)
+				}
+			case 2:
+				blk = uint64(rng.Intn(ws))
+			case 3:
+				blk = uint64(rng.Intn(ws))
+				if rng.Intn(4) == 0 {
+					size = uint32(65 + rng.Intn(128))
+				}
+			}
+			h.Access(ref, (base+blk)*64+uint64(rng.Intn(8))*8, size, i%3 == 0)
+		}
+	}
+	for len(open) > 0 {
+		h.ExitScope(open[len(open)-1])
+		open = open[:len(open)-1]
+	}
+}
+
+// FuzzEngineMatchesNaive: on generated phased streams, the engine (front
+// of newest marks, epoch tree behind it) agrees with the naive LRU stack
+// on every reference's totals, cold counts, patterns, miss counts at
+// thresholds around the front's size, and every histogram bin.
+func FuzzEngineMatchesNaive(f *testing.F) {
+	f.Add([]byte{20, 255, 0, 0, 21, 255, 3, 1, 22, 255, 2, 2})           // 48k accesses over 21-23 blocks: many compactions
+	f.Add([]byte{3, 255, 0, 2, 23, 40, 4, 7, 7, 200, 1, 3})              // all-front phase, then a gap past the window
+	f.Add([]byte{8, 100, 0, 0, 9, 100, 4, 1, 16, 100, 8, 2})             // working sets at frontK and frontK+1
+	f.Add([]byte{0, 10, 0, 3, 17, 50, 33, 3, 5, 255, 65, 2, 1, 1, 2, 0}) // multi-block accesses, nested scopes
+	f.Fuzz(func(t *testing.T, in []byte) {
+		thresholds := []uint64{2, frontK - 1, frontK, frontK + 1, 2 * frontK}
+		e := New(Config{BlockBits: 6, Thresholds: thresholds})
+		n := NewNaive(6, thresholds)
+		phasedTrace(in, trace.Multi{e, n})
+		if e.Clock() != n.clock {
+			t.Fatalf("clock %d, naive %d", e.Clock(), n.clock)
+		}
+		if err := sameAsNaive(e, n); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 func TestCollectorLevelsAndEngines(t *testing.T) {

@@ -91,11 +91,13 @@ func (e *Engine) Sample() SampleInfo {
 // rescale restores the adaptive invariant table.Blocks() <= maxSample:
 // halve the admission threshold, evict no-longer-admitted blocks from
 // the block table and the order-statistic tree, and halve retained
-// counts. Out of line — it runs at most log2(P) times per engine
-// lifetime.
+// counts. The front's marks go into the tree first, so every evicted
+// mark is found there. Out of line — it runs at most log2(P) times per
+// engine lifetime.
 //
 //reuse:coldpath
 func (e *Engine) rescale() {
+	e.flushFront()
 	for e.table.Blocks() > e.maxSample && e.sampler.CanHalve() {
 		e.sampler.Halve()
 		threshold := e.sampler.Threshold()

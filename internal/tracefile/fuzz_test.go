@@ -8,7 +8,8 @@ import (
 )
 
 // FuzzRead asserts the trace parser never panics and never hands invalid
-// scope or reference IDs to the handler, whatever the input.
+// scope or reference IDs, or an access that wraps past 2^64-1, to the
+// handler, whatever the input.
 func FuzzRead(f *testing.F) {
 	f.Add(sampleTrace)
 	f.Add("")
@@ -16,6 +17,7 @@ func FuzzRead(f *testing.F) {
 	f.Add("trace v1\nscope 0 -1 program 0 x\nref 0 A A\nE 0\nA 0 ff 8 w\nX 0\n")
 	f.Add("trace v1\nscope 0 -1 program 0 x\nscope 1 0 loop 5 i\n# c\n\nE 0\nE 1\nX 1\nX 0\n")
 	f.Add("scope -5 0 loop x\nA 0\nE\n")
+	f.Add("trace v1\nscope 0 -1 program 0 x\nref 0 A A\nE 0\nA 0 fffffffffffffff0 32 r\nA 0 10 8 r\nX 0\n")
 	f.Fuzz(func(t *testing.T, input string) {
 		var v validatingHandler
 		meta, err := Read(strings.NewReader(input), &v)
@@ -36,6 +38,9 @@ func FuzzRead(f *testing.F) {
 				t.Fatalf("handler saw undeclared ref %d", r)
 			}
 		}
+		if v.wrapped {
+			t.Fatal("handler saw an access that wraps past 2^64-1")
+		}
 		if v.depth != 0 {
 			t.Fatalf("accepted trace with unbalanced scopes (depth %d)", v.depth)
 		}
@@ -43,9 +48,10 @@ func FuzzRead(f *testing.F) {
 }
 
 type validatingHandler struct {
-	scopes []trace.ScopeID
-	refs   []trace.RefID
-	depth  int
+	scopes  []trace.ScopeID
+	refs    []trace.RefID
+	depth   int
+	wrapped bool
 }
 
 func (v *validatingHandler) EnterScope(s trace.ScopeID) {
@@ -53,6 +59,9 @@ func (v *validatingHandler) EnterScope(s trace.ScopeID) {
 	v.depth++
 }
 func (v *validatingHandler) ExitScope(s trace.ScopeID) { v.depth-- }
-func (v *validatingHandler) Access(r trace.RefID, _ uint64, _ uint32, _ bool) {
+func (v *validatingHandler) Access(r trace.RefID, addr uint64, size uint32, _ bool) {
 	v.refs = append(v.refs, r)
+	if size > 0 && addr+uint64(size-1) < addr {
+		v.wrapped = true
+	}
 }

@@ -18,13 +18,16 @@
 //	A <refID> <addr-hex> <size> <r|w>
 //
 // Scopes must be declared parent-before-child with dense IDs starting at
-// 0 (the program root). References must be declared before use.
+// 0 (the program root). References must be declared before use. An access
+// must end at or below address 2^64-1: its last byte, addr+size-1, may
+// not wrap.
 package tracefile
 
 import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 
@@ -178,6 +181,9 @@ func Read(r io.Reader, h trace.Handler) (*Meta, error) {
 			size, err := strconv.ParseUint(fields[3], 10, 32)
 			if err != nil {
 				return nil, fail("bad size %q", fields[3])
+			}
+			if size > 0 && addr > math.MaxUint64-(size-1) {
+				return nil, fail("access of %d bytes at %#x wraps past the end of the address space", size, addr)
 			}
 			var write bool
 			switch fields[4] {

@@ -92,6 +92,27 @@ func TestReadRejectsMalformed(t *testing.T) {
 	}
 }
 
+// TestReadRejectsWrappingAccess: an access whose last byte lies past
+// 2^64-1 is refused with its line number. Such an access used to reach
+// the engines, which dropped it: this trace was reported as one access.
+func TestReadRejectsWrappingAccess(t *testing.T) {
+	const head = "trace v1\nscope 0 -1 program 0 x\nref 0 A A\nE 0\n"
+	src := head + "A 0 fffffffffffffff0 32 r\nA 0 fffffffffffffff0 32 r\nA 0 10 8 r\nX 0\n"
+	var rec trace.Recorder
+	_, err := Read(strings.NewReader(src), &rec)
+	if err == nil || !strings.Contains(err.Error(), "line 5:") || !strings.Contains(err.Error(), "wraps") {
+		t.Errorf("err = %v, want line 5 refused as wrapping", err)
+	}
+	if len(rec.Events) != 1 {
+		t.Errorf("handler saw %d events before the refusal, want 1 (the scope entry)", len(rec.Events))
+	}
+	// The last byte may be 2^64-1 itself.
+	ok := head + "A 0 fffffffffffffff0 16 r\nA 0 ffffffffffffffff 1 w\nA 0 ffffffffffffffff 0 r\nX 0\n"
+	if _, err := Read(strings.NewReader(ok), trace.Discard{}); err != nil {
+		t.Errorf("accesses ending at 2^64-1 refused: %v", err)
+	}
+}
+
 func TestCommentsAndBlanksIgnored(t *testing.T) {
 	src := "# a comment\n\ntrace v1\n  # indented comment\nscope 0 -1 program 0 x\nE 0\nX 0\n"
 	if _, err := Read(strings.NewReader(src), trace.Discard{}); err != nil {
