@@ -223,9 +223,9 @@ func BenchmarkFig11d_TimeVsMicell(b *testing.B) {
 // BenchmarkHotpath is the per-workload engine-throughput suite: each
 // sub-benchmark replays one recorded trace through a fresh collector and
 // reports ns per reference access, with B/op and allocs/op beside it.
-// BENCH_hotpath.json records measured before/after numbers for the
-// hot-path overhaul; CI replays every workload once (-bench=Hotpath
-// -benchtime=1x) as a smoke test.
+// It is the engine-only timing; TestHotpathFingerprintsPinned
+// (internal/experiments) pins the same replays' output. CI replays every
+// workload once (-bench=Hotpath -benchtime=1x) as a smoke test.
 func BenchmarkHotpath(b *testing.B) {
 	h := hier()
 	for _, name := range experiments.HotpathWorkloads() {
@@ -407,7 +407,7 @@ func fanoutHier() *cache.Hierarchy {
 // benchFanout drives the full analysis (three engines + simulator) over
 // a ~1M-access streaming workload, sequentially or through the
 // goroutine fan-out. CI runs both with -bench=Fanout -benchtime=1x as a
-// smoke test; BENCH_fanout.json records a measured baseline.
+// smoke test; compare the two with -bench=Fanout -count=N.
 func benchFanout(b *testing.B, parallel bool) {
 	info, err := workloads.Stream(1<<18, 4).Finalize()
 	if err != nil {

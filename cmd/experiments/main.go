@@ -2,9 +2,11 @@
 //
 // Usage:
 //
-//	experiments [-exp all|fig1|fig2|fig5|table2|fig8|fig9|fig10|fig11]
-//	            [-mesh N] [-meshes 8,12,16,...] [-grid G] [-micell M]
-//	            [-micells 2,5,10,...] [-full] [-jobs N]
+//	experiments [-exp all|NAME] [-mesh N] [-meshes 8,12,16,...] [-grid G]
+//	            [-micell M] [-micells 2,5,10,...] [-full] [-jobs N]
+//
+// NAME is one of the experiments that -h lists under -exp; an unknown
+// name exits 2 and lists the valid ones.
 //
 // Results print as aligned text tables with the paper's normalization
 // (per cell / per particle / per time step). -full selects the unscaled
@@ -28,9 +30,38 @@ import (
 	"reusetool/internal/workloads"
 )
 
+// experiment is one -exp choice.
+type experiment struct {
+	name string
+	run  func() error
+}
+
+// selectExperiments returns the experiments -exp name selects, in table
+// order: every one for "all", else the one so named. An unknown name is
+// an error that lists the valid ones.
+func selectExperiments(exps []experiment, name string) ([]experiment, error) {
+	if name == "all" {
+		return exps, nil
+	}
+	for _, e := range exps {
+		if e.name == name {
+			return []experiment{e}, nil
+		}
+	}
+	return nil, fmt.Errorf("unknown experiment %q; valid: %s", name, experimentNames(exps))
+}
+
+// experimentNames renders the valid -exp values.
+func experimentNames(exps []experiment) string {
+	names := []string{"all"}
+	for _, e := range exps {
+		names = append(names, e.name)
+	}
+	return strings.Join(names, ", ")
+}
+
 func main() {
 	var (
-		exp     = flag.String("exp", "all", "experiment to run: all, fig1, fig2, fig5, table2, fig8, fig9, fig10, fig11, predict, static, hotpath, sampling")
 		mesh    = flag.Int64("mesh", 12, "Sweep3D mesh size for fig5/table2")
 		meshes  = flag.String("meshes", "6,8,10,12,16,20", "comma-separated mesh sizes for fig8")
 		grid    = flag.Int64("grid", 2048, "GTC grid size")
@@ -40,76 +71,67 @@ func main() {
 		csvDir  = flag.String("csv", "", "also write fig8.csv and fig11.csv curve data into this directory")
 		jobs    = flag.Int("jobs", 0, "max sweep points evaluated concurrently (0 = one per CPU)")
 
-		hotOut      = flag.String("hotpath-out", "", "write hotpath suite results as JSON to this file")
-		hotBaseline = flag.String("hotpath-baseline", "", "previously written hotpath JSON to compute speedups against")
-		hotRepeat   = flag.Int("hotpath-repeat", 3, "replay repetitions per hotpath workload (fastest wins)")
-
-		sampOut    = flag.String("sampling-out", "", "write sampling suite results as JSON to this file")
 		sampNames  = flag.String("sampling-workloads", "", "comma-separated workloads for the sampling suite (default: all built-ins)")
 		sampRates  = flag.String("sampling-rates", "1,8,64", "comma-separated sampling rates to compare against exact")
 		sampRepeat = flag.Int("sampling-repeat", 3, "replay repetitions per sampling point (fastest wins)")
-		sampDemo   = flag.Uint64("sampling-demo-accesses", 0, "also stream this many synthetic accesses through the adaptive bounded-memory demo (0 = skip; the ISSUE configuration is 1000000000)")
+		sampDemo   = flag.Uint64("sampling-demo-accesses", 0, "also stream this many synthetic accesses through the adaptive bounded-memory demo (0 = skip; the documented configuration is 1000000000)")
 		sampDemoB  = flag.Int("sampling-demo-max-blocks", 1<<16, "adaptive tracked-block cap per engine for the demo")
-
-		predOut = flag.String("predict-out", "", "write the scaling-model suite results as JSON to this file")
 	)
+	hier, hierName := cache.ScaledItanium2(), "scaled"
+	exps := []experiment{
+		{"fig1", func() error { return runFig1(hier) }},
+		{"fig2", runFig2},
+		{"fig5", func() error { return runFig5(*mesh, hier) }},
+		{"table2", func() error { return runTable2(*mesh, hier) }},
+		{"fig8", func() error { return runFig8(parseInts(*meshes), hier, *csvDir) }},
+		{"fig9", func() error { return runFig9(*grid, *micell, hier) }},
+		{"fig10", func() error { return runFig10(*grid, *micell, hier) }},
+		{"fig11", func() error { return runFig11(*grid, parseInts(*micells), hier, *csvDir) }},
+		{"predict", func() error {
+			if err := runPredict(hier); err != nil {
+				return err
+			}
+			fmt.Println()
+			return runPredictModel(hier, hierName)
+		}},
+		{"static", runStatic},
+		{"sampling", func() error {
+			var rates []uint64
+			for _, v := range parseInts(*sampRates) {
+				rates = append(rates, uint64(v))
+			}
+			names := experiments.SamplingWorkloads()
+			if *sampNames != "" {
+				names = nil
+				for _, n := range strings.Split(*sampNames, ",") {
+					if n = strings.TrimSpace(n); n != "" {
+						names = append(names, n)
+					}
+				}
+			}
+			return runSampling(names, hier, rates, *sampRepeat, *sampDemo, *sampDemoB)
+		}},
+	}
+	exp := flag.String("exp", "all", "experiment to run: "+experimentNames(exps))
 	flag.Parse()
 	experiments.SetJobs(*jobs)
-
-	hier := cache.ScaledItanium2()
 	if *full {
-		hier = cache.Itanium2()
+		hier, hierName = cache.Itanium2(), "full"
 	}
 
-	run := func(name string, f func() error) {
-		if *exp != "all" && *exp != name {
-			return
-		}
-		fmt.Printf("==== %s ====\n", name)
-		if err := f(); err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", name, err)
+	todo, err := selectExperiments(exps, *exp)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
+		os.Exit(2)
+	}
+	for _, e := range todo {
+		fmt.Printf("==== %s ====\n", e.name)
+		if err := e.run(); err != nil {
+			fmt.Fprintf(os.Stderr, "%s: %v\n", e.name, err)
 			os.Exit(1)
 		}
 		fmt.Println()
 	}
-
-	run("fig1", func() error { return runFig1(hier) })
-	run("fig2", func() error { return runFig2() })
-	run("fig5", func() error { return runFig5(*mesh, hier) })
-	run("table2", func() error { return runTable2(*mesh, hier) })
-	run("fig8", func() error { return runFig8(parseInts(*meshes), hier, *csvDir) })
-	run("fig9", func() error { return runFig9(*grid, *micell, hier) })
-	run("fig10", func() error { return runFig10(*grid, *micell, hier) })
-	run("fig11", func() error { return runFig11(*grid, parseInts(*micells), hier, *csvDir) })
-	run("predict", func() error {
-		if err := runPredict(hier); err != nil {
-			return err
-		}
-		fmt.Println()
-		hierName := "scaled"
-		if *full {
-			hierName = "full"
-		}
-		return runPredictModel(hier, hierName, *predOut)
-	})
-	run("static", runStatic)
-	run("hotpath", func() error { return runHotpath(hier, *hotRepeat, *hotOut, *hotBaseline) })
-	run("sampling", func() error {
-		var rates []uint64
-		for _, v := range parseInts(*sampRates) {
-			rates = append(rates, uint64(v))
-		}
-		names := experiments.SamplingWorkloads()
-		if *sampNames != "" {
-			names = nil
-			for _, n := range strings.Split(*sampNames, ",") {
-				if n = strings.TrimSpace(n); n != "" {
-					names = append(names, n)
-				}
-			}
-		}
-		return runSampling(names, hier, rates, *sampRepeat, *sampOut, *sampDemo, *sampDemoB)
-	})
 }
 
 func runStatic() error {

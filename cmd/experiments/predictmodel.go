@@ -1,48 +1,16 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
+	"math"
 	"os"
-	"runtime"
 	"sort"
 	"strings"
 	"text/tabwriter"
-	"time"
 
 	"reusetool/internal/cache"
 	"reusetool/internal/experiments"
 )
-
-// predictFile is the JSON schema of -predict-out (and of the checked-in
-// BENCH_predict.json): per-workload predicted-vs-measured miss counts
-// at the target binding, the fit cost, and the serving latency.
-type predictFile struct {
-	Benchmark string                  `json:"benchmark"`
-	Command   string                  `json:"command"`
-	Date      string                  `json:"date"`
-	Goos      string                  `json:"goos"`
-	Goarch    string                  `json:"goarch"`
-	NumCPU    int                     `json:"num_cpu"`
-	Level     string                  `json:"level"`
-	Unit      string                  `json:"unit"`
-	Bound     float64                 `json:"documented_bound"`
-	MaxAbsErr float64                 `json:"max_abs_rel_err"`
-	Workloads map[string]predictEntry `json:"workloads"`
-	Order     []string                `json:"order"`
-	Note      string                  `json:"note,omitempty"`
-}
-
-type predictEntry struct {
-	Train     []string `json:"train"`
-	Target    string   `json:"target"`
-	Scale     float64  `json:"scale"`
-	Predicted float64  `json:"predicted_misses"`
-	Measured  float64  `json:"measured_misses"`
-	RelErr    float64  `json:"rel_err"`
-	FitMS     float64  `json:"fit_ms"`
-	PredictUS float64  `json:"predict_us"`
-}
 
 // bindingString renders a parameter binding deterministically
 // (sorted name=value pairs).
@@ -63,27 +31,12 @@ func bindingString(b map[string]int64) string {
 // built-in workload: fit from 3 small exact runs, predict the >= 16x
 // larger target, compare against the exact pipeline, and time the
 // microsecond serving path. Asserts the documented error bound and the
-// scale floor, and optionally records JSON.
-func runPredictModel(hier *cache.Hierarchy, hierName, outPath string) error {
+// scale floor.
+func runPredictModel(hier *cache.Hierarchy, hierName string) error {
 	cases := experiments.PredictModelCases()
 	rows, err := experiments.PredictModel(cases, "L2", hier, hierName)
 	if err != nil {
 		return err
-	}
-
-	out := predictFile{
-		Benchmark: "predict suite: cross-input scaling models fitted on 3 small exact runs vs exact pipeline at the target",
-		Command:   "go run ./cmd/experiments -exp predict -predict-out BENCH_predict.json",
-		Date:      time.Now().UTC().Format("2006-01-02"),
-		Goos:      runtime.GOOS,
-		Goarch:    runtime.GOARCH,
-		NumCPU:    runtime.NumCPU(),
-		Level:     "L2",
-		Unit:      fmt.Sprintf("expected L2 misses, %s hierarchy; predict_us is the fastest full reconstruction of %d repeats", hier.Name, 32),
-		Bound:     experiments.PredictModelErrBound,
-		Workloads: map[string]predictEntry{},
-		Note: "rel_err is signed (predicted - measured) / measured; scale is the target size over the " +
-			"largest training size in the varying parameter; fit_ms includes the training runs",
 	}
 
 	fmt.Printf("Cross-input scaling models (%s, L2): fit 3 small runs, predict the >=16x target\n", hier.Name)
@@ -91,34 +44,17 @@ func runPredictModel(hier *cache.Hierarchy, hierName, outPath string) error {
 	fmt.Fprintln(tw, "WORKLOAD\tTRAIN\tTARGET\tSCALE\tPREDICTED\tMEASURED\tERROR\tFIT ms\tPREDICT µs")
 	var maxAbs float64
 	for _, r := range rows {
-		e := predictEntry{
-			Target:    bindingString(r.Target),
-			Scale:     round2(r.Scale),
-			Predicted: round2(r.Predicted),
-			Measured:  round2(r.Measured),
-			RelErr:    round4(r.RelErr),
-			FitMS:     round2(r.FitMS),
-			PredictUS: round2(r.PredictUS),
-		}
 		var train []string
 		for _, b := range r.Train {
 			train = append(train, bindingString(b))
 		}
-		e.Train = train
-		out.Workloads[r.Workload] = e
-		out.Order = append(out.Order, r.Workload)
-		if abs := r.RelErr; abs < 0 {
-			if -abs > maxAbs {
-				maxAbs = -abs
-			}
-		} else if abs > maxAbs {
+		if abs := math.Abs(r.RelErr); abs > maxAbs {
 			maxAbs = abs
 		}
 		fmt.Fprintf(tw, "%s\t%s\t%s\t%.0fx\t%.0f\t%.0f\t%+.1f%%\t%.0f\t%.1f\n",
-			r.Workload, strings.Join(train, " "), e.Target, r.Scale,
+			r.Workload, strings.Join(train, " "), bindingString(r.Target), r.Scale,
 			r.Predicted, r.Measured, r.RelErr*100, r.FitMS, r.PredictUS)
 	}
-	out.MaxAbsErr = round4(maxAbs)
 	if err := tw.Flush(); err != nil {
 		return err
 	}
@@ -129,11 +65,7 @@ func runPredictModel(hier *cache.Hierarchy, hierName, outPath string) error {
 	// the documented bound, or a target that is not actually >= 16x the
 	// training sizes, fails the command.
 	for _, r := range rows {
-		abs := r.RelErr
-		if abs < 0 {
-			abs = -abs
-		}
-		if abs > experiments.PredictModelErrBound {
+		if abs := math.Abs(r.RelErr); abs > experiments.PredictModelErrBound {
 			return fmt.Errorf("predict: %s: error %.1f%% exceeds documented bound %.0f%%",
 				r.Workload, abs*100, experiments.PredictModelErrBound*100)
 		}
@@ -141,17 +73,6 @@ func runPredictModel(hier *cache.Hierarchy, hierName, outPath string) error {
 			return fmt.Errorf("predict: %s: target only %.1fx the largest training size, want >= 16x",
 				r.Workload, r.Scale)
 		}
-	}
-
-	if outPath != "" {
-		data, err := json.MarshalIndent(&out, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(outPath, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("results written to %s\n", outPath)
 	}
 	return nil
 }

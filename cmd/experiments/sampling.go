@@ -1,73 +1,19 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
-	"runtime"
 	"text/tabwriter"
-	"time"
 
 	"reusetool/internal/cache"
 	"reusetool/internal/experiments"
 )
 
-// samplingFile is the JSON schema of -sampling-out (and of the
-// checked-in BENCH_sampling.json): per-workload exact replay cost and
-// per-rate sampled cost, speedup, and per-level miss error.
-type samplingFile struct {
-	Benchmark string                   `json:"benchmark"`
-	Command   string                   `json:"command"`
-	Date      string                   `json:"date"`
-	Goos      string                   `json:"goos"`
-	Goarch    string                   `json:"goarch"`
-	NumCPU    int                      `json:"num_cpu"`
-	Unit      string                   `json:"unit"`
-	Workloads map[string]samplingEntry `json:"workloads"`
-	Order     []string                 `json:"order"`
-	// AdaptiveDemo is present when -sampling-demo-accesses was given.
-	AdaptiveDemo *samplingDemo `json:"adaptive_demo,omitempty"`
-	Note         string        `json:"note,omitempty"`
-}
-
-type samplingEntry struct {
-	Accesses         uint64                  `json:"accesses"`
-	ExactNsPerAccess float64                 `json:"exact_ns_per_access"`
-	ExactFingerprint string                  `json:"exact_fingerprint"`
-	Rates            map[string]samplingRate `json:"rates"`
-}
-
-type samplingRate struct {
-	EffectiveRate  uint64  `json:"effective_rate"`
-	Identical      bool    `json:"identical"`
-	AdmittedBlocks int     `json:"admitted_blocks"`
-	SampledArcs    uint64  `json:"sampled_arcs"`
-	NsPerAccess    float64 `json:"ns_per_access"`
-	Speedup        float64 `json:"speedup"`
-	// MaxBoundedRelErr is the worst relative error over in-contract
-	// levels (capacity >= 16R blocks); RelErr reports every level,
-	// bounded or not.
-	MaxBoundedRelErr float64            `json:"max_bounded_rel_err"`
-	RelErr           map[string]float64 `json:"rel_err"`
-}
-
-type samplingDemo struct {
-	Accesses        uint64  `json:"accesses"`
-	FootprintBlocks uint64  `json:"footprint_blocks"`
-	MaxBlocks       int     `json:"max_blocks"`
-	PeakBlocks      int     `json:"peak_blocks"`
-	FinalRate       uint64  `json:"final_rate"`
-	EstAccesses     uint64  `json:"est_accesses"`
-	RelErr          float64 `json:"rel_err"`
-	NsPerAccess     float64 `json:"ns_per_access"`
-	Seconds         float64 `json:"seconds"`
-}
-
 // runSampling runs the SHARDS differential suite over the named
 // workloads, prints the comparison table, asserts the documented error
-// bound and R=1 identity, and optionally records JSON and the adaptive
+// bound and R=1 identity, and optionally runs the adaptive
 // bounded-memory demo.
-func runSampling(names []string, hier *cache.Hierarchy, rates []uint64, repeat int, outPath string, demoAccesses uint64, demoBlocks int) error {
+func runSampling(names []string, hier *cache.Hierarchy, rates []uint64, repeat int, demoAccesses uint64, demoBlocks int) error {
 	if len(rates) == 0 {
 		rates = []uint64{1, 8, 64}
 	}
@@ -77,53 +23,16 @@ func runSampling(names []string, hier *cache.Hierarchy, rates []uint64, repeat i
 		return err
 	}
 
-	out := samplingFile{
-		Benchmark: "sampling suite: SHARDS sampled collector replay vs exact (engine-only, no interpreter)",
-		Command:   "go run ./cmd/experiments -exp sampling -sampling-out BENCH_sampling.json",
-		Date:      time.Now().UTC().Format("2006-01-02"),
-		Goos:      runtime.GOOS,
-		Goarch:    runtime.GOARCH,
-		NumCPU:    runtime.NumCPU(),
-		Unit:      fmt.Sprintf("ns per reference access, fastest of repeats, %s granularities", hier.Name),
-		Workloads: map[string]samplingEntry{},
-		Note: fmt.Sprintf("identical = R=1 fingerprint contract; max_bounded_rel_err covers in-contract levels "+
-			"(line granularity with capacity >= %dR blocks, documented bound %.0f%%); other levels' errors "+
-			"are reported in rel_err but not bounded",
-			experiments.SamplingContractCapacity, experiments.SamplingErrBound*100),
-	}
-
 	fmt.Printf("Sampling suite (%s, fastest of %d):\n", hier.Name, repeat)
 	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "WORKLOAD\tACCESSES\tRATE\tNS/ACCESS\tSPEEDUP\tIDENTICAL\tBOUNDED ERR\tBLOCKS\tARCS")
 	for _, r := range rows {
-		e := samplingEntry{
-			Accesses:         r.Accesses,
-			ExactNsPerAccess: round2(r.ExactNs),
-			ExactFingerprint: fmt.Sprintf("%016x", r.ExactFP),
-			Rates:            map[string]samplingRate{},
-		}
 		fmt.Fprintf(tw, "%s\t%d\texact\t%.1f\t\t\t\t\t\n", r.Workload, r.Accesses, r.ExactNs)
 		for _, rr := range r.Rates {
-			sr := samplingRate{
-				EffectiveRate:    rr.EffectiveRate,
-				Identical:        rr.Identical,
-				AdmittedBlocks:   rr.AdmittedBlocks,
-				SampledArcs:      rr.SampledArcs,
-				NsPerAccess:      round2(rr.NsPerAccess),
-				Speedup:          round2(rr.Speedup),
-				MaxBoundedRelErr: round4(rr.MaxContractErr()),
-				RelErr:           map[string]float64{},
-			}
-			for _, l := range rr.Levels {
-				sr.RelErr[l.Level] = round4(l.RelErr)
-			}
-			e.Rates[fmt.Sprint(rr.Rate)] = sr
 			fmt.Fprintf(tw, "\t\t1/%d\t%.1f\t%.2fx\t%v\t%.1f%%\t%d\t%d\n",
 				rr.Rate, rr.NsPerAccess, rr.Speedup, rr.Identical, rr.MaxContractErr()*100,
 				rr.AdmittedBlocks, rr.SampledArcs)
 		}
-		out.Workloads[r.Workload] = e
-		out.Order = append(out.Order, r.Workload)
 	}
 	if err := tw.Flush(); err != nil {
 		return err
@@ -145,30 +54,15 @@ func runSampling(names []string, hier *cache.Hierarchy, rates []uint64, repeat i
 	}
 
 	if demoAccesses > 0 {
-		demo, err := runSamplingDemo(hier, demoAccesses, demoBlocks)
-		if err != nil {
-			return err
-		}
-		out.AdaptiveDemo = demo
-	}
-
-	if outPath != "" {
-		data, err := json.MarshalIndent(&out, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(outPath, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("results written to %s\n", outPath)
+		return runSamplingDemo(hier, demoAccesses, demoBlocks)
 	}
 	return nil
 }
 
-// runSamplingDemo streams the synthetic adaptive-cap demonstration: the
-// billion-access configuration of the ISSUE completes in bounded memory
-// because the tracked-block count never exceeds the cap.
-func runSamplingDemo(hier *cache.Hierarchy, accesses uint64, maxBlocks int) (*samplingDemo, error) {
+// runSamplingDemo streams the synthetic adaptive-cap demonstration: a
+// billion accesses complete in bounded memory because the tracked-block
+// count never exceeds the cap.
+func runSamplingDemo(hier *cache.Hierarchy, accesses uint64, maxBlocks int) error {
 	footprint := accesses / 16
 	if footprint < 1<<20 {
 		footprint = 1 << 20
@@ -177,26 +71,14 @@ func runSamplingDemo(hier *cache.Hierarchy, accesses uint64, maxBlocks int) (*sa
 		accesses, footprint, maxBlocks)
 	r, err := experiments.SamplingAdaptiveDemo(accesses, footprint, maxBlocks, hier)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	fmt.Printf("  completed in %.1fs (%.1f ns/access); peak tracked blocks %d (cap %d), final rate 1/%d\n",
 		r.Seconds, r.NsPerAccess, r.PeakBlocks, r.MaxBlocks, r.FinalRate)
 	fmt.Printf("  estimated accesses %d vs true %d (%.2f%% error)\n",
 		r.EstAccesses, r.Accesses, r.RelErr*100)
 	if r.PeakBlocks > r.MaxBlocks {
-		return nil, fmt.Errorf("sampling demo: peak tracked blocks %d exceeded cap %d", r.PeakBlocks, r.MaxBlocks)
+		return fmt.Errorf("sampling demo: peak tracked blocks %d exceeded cap %d", r.PeakBlocks, r.MaxBlocks)
 	}
-	return &samplingDemo{
-		Accesses:        r.Accesses,
-		FootprintBlocks: r.FootprintBlocks,
-		MaxBlocks:       r.MaxBlocks,
-		PeakBlocks:      r.PeakBlocks,
-		FinalRate:       r.FinalRate,
-		EstAccesses:     r.EstAccesses,
-		RelErr:          round4(r.RelErr),
-		NsPerAccess:     round2(r.NsPerAccess),
-		Seconds:         round2(r.Seconds),
-	}, nil
+	return nil
 }
-
-func round4(v float64) float64 { return float64(int64(v*10000+0.5)) / 10000 }

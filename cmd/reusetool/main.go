@@ -68,14 +68,16 @@
 // -static symbolic prediction, -load of saved reuse-distance data,
 // -from-trace replay of a recorded event stream, and -static-validate
 // which runs the dynamic and static pipelines side by side. Flags that
-// require executing the workload (-save, -dump-trace, -cct) conflict
-// with modes that do not execute it; conflicts are reported in one
-// consistent error listing the offending flags.
+// require executing the workload (-save, -dump-trace, -cct, -parallel)
+// conflict with modes that do not execute it; conflicts are reported in
+// one consistent error listing the offending flags.
 //
 // -parallel (default on) fans the event stream out to the analysis
 // consumers on dedicated goroutines (one per reuse-distance granularity,
 // plus the simulator and trace recorder); results are bit-identical to
-// -parallel=false, which keeps the sequential reference path.
+// -parallel=false, which keeps the sequential reference path. The
+// training runs of -fit and -predict always fan out, so those modes
+// refuse it.
 //
 // -sample-rate R enables SHARDS-style spatial sampling: roughly 1 in R
 // memory blocks is analyzed and every reported count is a scaled
@@ -170,7 +172,7 @@ var modeTable = []struct {
 	},
 	{
 		selector: "static", mode: modeStatic,
-		rejects: []string{"save", "dump-trace", "cct", "json", "notes", "train", "model", "sample-rate", "sample-max-blocks", "sample-seed"},
+		rejects: []string{"save", "dump-trace", "cct", "parallel", "json", "notes", "train", "model", "sample-rate", "sample-max-blocks", "sample-seed"},
 		reason:  "they require executing the workload or belong to another mode; the symbolic prediction cannot sample",
 	},
 	{
@@ -180,7 +182,7 @@ var modeTable = []struct {
 	},
 	{
 		selector: "load", mode: modeSaved,
-		rejects: []string{"save", "dump-trace", "cct", "json", "notes", "train", "model", "sample-rate", "sample-max-blocks", "sample-seed"},
+		rejects: []string{"save", "dump-trace", "cct", "parallel", "json", "notes", "train", "model", "sample-rate", "sample-max-blocks", "sample-seed"},
 		reason:  "they require executing the workload, which -load skips, or belong to another mode; saved data keeps its collection-time sampling",
 	},
 	{
@@ -190,28 +192,28 @@ var modeTable = []struct {
 	},
 	{
 		selector: "dump-program", mode: modeDumpProgram,
-		rejects: []string{"save", "dump-trace", "cct", "compare", "xml", "json", "notes", "train", "model", "sample-rate", "sample-max-blocks", "sample-seed"},
+		rejects: []string{"save", "dump-trace", "cct", "parallel", "compare", "xml", "json", "notes", "train", "model", "sample-rate", "sample-max-blocks", "sample-seed"},
 		reason:  "no analysis runs in this mode",
 	},
 	{
 		selector: "check", mode: modeCheck,
-		rejects: []string{"save", "dump-trace", "cct", "compare", "xml", "train", "model", "sample-rate", "sample-max-blocks", "sample-seed"},
+		rejects: []string{"save", "dump-trace", "cct", "parallel", "compare", "xml", "train", "model", "sample-rate", "sample-max-blocks", "sample-seed"},
 		reason:  "the checker runs no analysis",
 	},
 	{
 		selector: "remote", mode: modeRemote,
-		rejects: []string{"save", "dump-trace", "cct", "compare", "xml", "json", "notes", "train", "model"},
-		reason:  "the analysis runs on the daemon, which serves the text and JSON reports only",
+		rejects: []string{"save", "dump-trace", "cct", "parallel", "compare", "xml", "json", "notes", "train", "model"},
+		reason:  "the analysis runs on the daemon, which picks its own fan-out and serves the text and JSON reports only",
 	},
 	{
 		selector: "fit", mode: modeFit,
-		rejects: []string{"save", "dump-trace", "cct", "compare", "xml", "json", "notes", "param", "level"},
-		reason:  "fitting runs the -train bindings only; -param and -level shape the -predict report",
+		rejects: []string{"save", "dump-trace", "cct", "parallel", "compare", "xml", "json", "notes", "param", "level"},
+		reason:  "fitting runs the -train bindings only, always fanned out; -param and -level shape the -predict report",
 	},
 	{
 		selector: "predict", mode: modePredict,
-		rejects: []string{"save", "dump-trace", "cct", "compare", "xml", "json", "notes"},
-		reason:  "prediction reconstructs the report from the fitted model without executing the workload",
+		rejects: []string{"save", "dump-trace", "cct", "parallel", "compare", "xml", "json", "notes"},
+		reason:  "prediction reconstructs the report from the fitted model without executing the workload; its training runs always fan out",
 	},
 }
 

@@ -166,6 +166,29 @@ func TestResolveMode(t *testing.T) {
 			wantErr: []string{"-fit", "-static", "choose one"}},
 		{name: "check train", set: set("check", "train"),
 			wantErr: []string{"-check", "-train"}},
+
+		// -parallel fans the event stream out in-process; a mode that
+		// runs none refuses it, and so do -fit and -predict, whose
+		// training runs always fan out (-remote is dropped from the set
+		// before resolveMode when either is given).
+		{name: "static parallel", set: set("static", "parallel"),
+			wantErr: []string{"-static", "-parallel"}},
+		{name: "load parallel", set: set("load", "parallel"),
+			wantErr: []string{"-load", "-parallel"}},
+		{name: "dump program parallel", set: set("dump-program", "parallel"),
+			wantErr: []string{"-dump-program", "-parallel"}},
+		{name: "check parallel", set: set("check", "parallel"),
+			wantErr: []string{"-check", "-parallel"}},
+		{name: "remote parallel", set: set("remote", "parallel"),
+			wantErr: []string{"-remote", "-parallel"}},
+		{name: "trace parallel", set: set("from-trace", "parallel"), want: modeTrace},
+		{name: "validate parallel", set: set("static-validate", "parallel"), want: modeValidate},
+		{name: "fit parallel", set: set("fit", "train", "parallel"),
+			wantErr: []string{"-fit", "-parallel"}},
+		{name: "predict parallel", set: set("predict", "train", "parallel"),
+			wantErr: []string{"-predict", "-parallel"}},
+		{name: "predict model parallel", set: set("predict", "model", "param", "parallel"),
+			wantErr: []string{"-predict", "-parallel"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

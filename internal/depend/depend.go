@@ -171,15 +171,21 @@ type loopInfo struct {
 
 // Analysis holds the dependence results for one finalized program.
 type Analysis struct {
-	Info   *ir.Info
+	Info *ir.Info
+	// Params holds every parameter's bound value, as the interpreter's
+	// layout sees it; rebound ones included.
 	Params map[string]int64
 	// Deps lists all dependences between reference pairs (Src.ID <=
 	// Dst.ID), sorted by endpoint IDs.
 	Deps []*Dep
 
-	refs  map[trace.RefID]*refInfo
-	loops map[*ir.Loop]*loopInfo
-	pairs map[[2]trace.RefID]*Dep
+	// rebound holds the parameters some routine rebinds (a loop over
+	// one, a Let). Where a subscript or a loop bound reads one, it need
+	// not hold its bound value, so Param never reads it as one.
+	rebound map[string]bool
+	refs    map[trace.RefID]*refInfo
+	loops   map[*ir.Loop]*loopInfo
+	pairs   map[[2]trace.RefID]*Dep
 }
 
 // Analyze runs dependence analysis on a finalized program. params
@@ -199,6 +205,15 @@ func Analyze(info *ir.Info, params map[string]int64) *Analysis {
 	for k, v := range params {
 		a.Params[k] = v
 	}
+	bodies := make([][]ir.Stmt, len(info.Prog.Routines))
+	for i, rt := range info.Prog.Routines {
+		bodies[i] = rt.Body
+	}
+	a.rebound = Rebound(bodies...)
+	maps.DeleteFunc(a.rebound, func(name string, _ bool) bool {
+		_, ok := a.Params[name]
+		return !ok
+	})
 	for _, rt := range info.Prog.Routines {
 		a.walk(rt, rt.Body, nil, map[string]ir.Expr{}, map[string]bool{}, false)
 	}
@@ -241,7 +256,7 @@ func (a *Analysis) walk(rt *ir.Routine, body []ir.Stmt, loops []*ir.Loop, env ma
 			li := &loopInfo{loop: st, routine: rt, lo: lo, hi: hi, step: step, guarded: guarded}
 			res := a.resolver(loops, stale)
 			li.rng, li.empty = symbolic.LoopRange(symbolic.EvalInterval(lo, res), symbolic.EvalInterval(hi, res), step)
-			li.loConst, li.loConstOK = symbolic.EvalInterval(lo, a.param).Const()
+			li.loConst, li.loConstOK = symbolic.EvalInterval(lo, a.Param).Const()
 			a.loops[st] = li
 			// Bindings rebound inside the body change across
 			// iterations, and their values are stale once the loop
@@ -375,13 +390,22 @@ func (a *Analysis) resolver(loops []*ir.Loop, stale map[string]bool) func(string
 				return a.loops[loops[i]].rng
 			}
 		}
-		return a.param(name)
+		return a.Param(name)
 	}
 }
 
-// param is a parameter's value as a point interval; any other name is
-// unbounded.
-func (a *Analysis) param(name string) symbolic.Interval {
+// Param is the value of a parameter no routine rebinds, as a point
+// interval; any other name is unbounded.
+func (a *Analysis) Param(name string) symbolic.Interval {
+	if a.rebound[name] {
+		return symbolic.Interval{}
+	}
+	return a.bound(name)
+}
+
+// bound is a parameter's bound value as a point interval, rebound or
+// not; any other name is unbounded.
+func (a *Analysis) bound(name string) symbolic.Interval {
 	if v, ok := a.Params[name]; ok {
 		return symbolic.Point(v)
 	}
@@ -705,7 +729,7 @@ func (a *Analysis) buildEqn(x, y *refInfo, dim int, common []*ir.Loop, align *fu
 			}
 			l := findLoop(side.loops, v)
 			if l == nil {
-				if val, ok := a.Params[v]; ok {
+				if val, ok := a.Param(v).Const(); ok {
 					if dst {
 						e.c += coeff * val
 					} else {
@@ -713,7 +737,7 @@ func (a *Analysis) buildEqn(x, y *refInfo, dim int, common []*ir.Loop, align *fu
 					}
 					continue
 				}
-				return fmt.Sprintf("subscript %s of %s depends on %q, which is not a loop variable or parameter",
+				return fmt.Sprintf("subscript %s of %s depends on %q, which is neither a loop variable around it nor a parameter that keeps its bound value",
 					side.subs[dim], side.ref.Name(), v)
 			}
 			slot := -1

@@ -436,6 +436,88 @@ func TestCallForgetsCalleeBindings(t *testing.T) {
 	}
 }
 
+// TestReboundParameterDependence: a parameter that a loop rebinds does
+// not hold its bound value afterwards, in the routine that rebinds it or
+// in a routine it calls. Each program below writes A at a subscript that
+// reads N after the rebinding and reads A[i] in the same iteration of i;
+// the run shows a write and a read of one element, so the analysis must
+// report the pair (Unknown: N is not the bound value 8).
+func TestReboundParameterDependence(t *testing.T) {
+	cases := []struct {
+		name  string
+		build func(n, i *ir.Var, a, b *ir.Array, sub *ir.Routine) []ir.Stmt
+	}{
+		{"nested loop", func(n, i *ir.Var, a, b *ir.Array, sub *ir.Routine) []ir.Stmt {
+			// for i = 0 .. 3 { for N = 0 .. 1 { access B[N] }; access A[N]!; access A[i] }
+			return []ir.Stmt{ir.For(i, ir.C(0), ir.C(3),
+				ir.For(n, ir.C(0), ir.C(1), ir.Do(b.Read(n))),
+				ir.Do(a.WriteRef(n)),
+				ir.Do(a.Read(i)))}
+		}},
+		{"callee reads it", func(n, i *ir.Var, a, b *ir.Array, sub *ir.Routine) []ir.Stmt {
+			sub.Body = []ir.Stmt{ir.Do(a.WriteRef(n))}
+			return []ir.Stmt{ir.For(i, ir.C(0), ir.C(3),
+				ir.For(n, ir.C(0), ir.C(1), ir.Do(b.Read(n))),
+				ir.CallTo(sub),
+				ir.Do(a.Read(i)))}
+		}},
+		{"callee rebinds it", func(n, i *ir.Var, a, b *ir.Array, sub *ir.Routine) []ir.Stmt {
+			sub.Body = []ir.Stmt{ir.For(n, ir.C(0), ir.C(1), ir.Do(b.Read(n)))}
+			return []ir.Stmt{ir.For(i, ir.C(0), ir.C(3),
+				ir.CallTo(sub),
+				ir.Do(a.WriteRef(n)),
+				ir.Do(a.Read(i)))}
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			p := ir.NewProgram("rebound")
+			n, i := p.Param("N", 8), p.Var("i")
+			a := p.AddArray("A", 8, ir.C(16))
+			b := p.AddArray("B", 8, ir.C(16))
+			main := p.AddRoutine("main", "t.loop", 1)
+			sub := p.AddRoutine("sub", "t.loop", 20)
+			main.Body = c.build(n, i, a, b, sub)
+			info, err := p.Finalize()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var w, r *ir.Ref
+			for _, ref := range info.Refs {
+				switch {
+				case ref.Array == a && ref.Write:
+					w = ref
+				case ref.Array == a:
+					r = ref
+				}
+			}
+			rec := &trace.Recorder{}
+			if _, err := interp.Run(info, nil, rec); err != nil {
+				t.Fatal(err)
+			}
+			written, shared := map[uint64]bool{}, false
+			for _, ev := range rec.Events {
+				if ev.Kind != trace.EvAccess {
+					continue
+				}
+				switch ev.Ref {
+				case w.ID():
+					written[ev.Addr] = true
+				case r.ID():
+					shared = shared || written[ev.Addr]
+				}
+			}
+			if !shared {
+				t.Fatalf("the run never reads an element of A that %s wrote", w.Name())
+			}
+			an := Analyze(info, nil)
+			if d := an.Pair(w.ID(), r.ID()); !an.Covers(w.ID(), r.ID()) || !d.Unknown {
+				t.Fatalf("dependence %s -> %s = %v, want Unknown", w.Name(), r.Name(), d)
+			}
+		})
+	}
+}
+
 // TestStaleLoopVariableDependence: once a nested loop, a Let, a branch or
 // a call rebinds an enclosing loop's variable, a subscript that reads it
 // no longer varies with that loop. Each program below writes the same

@@ -74,8 +74,8 @@ func (a *Analysis) EmptyLoops() []EmptyLoop {
 // reaches, and the extent of that dimension. It answers only when the
 // range is attained: the reference is unguarded, every loop around it
 // has constant bounds and provably executes, the subscript is affine in
-// loop variables and parameters and reads no stale loop variable, and
-// the extent is a constant.
+// loop variables and parameters and reads no stale loop variable or
+// rebound parameter, and the extent is a constant.
 func (a *Analysis) Span(id trace.RefID, d int) (lo, hi, ext int64, ok bool) {
 	ri := a.refs[id]
 	if ri == nil || ri.guarded || ri.stale != "" || !a.rectangularNest(ri.loops) {
@@ -88,8 +88,15 @@ func (a *Analysis) Span(id trace.RefID, d int) (lo, hi, ext int64, ok bool) {
 	if lo, hi, ok = a.affineExtent(form, ri.loops); !ok {
 		return 0, 0, 0, false
 	}
-	ext, ok = symbolic.EvalInterval(ri.ref.Array.Dims[d], a.param).Const()
+	ext, ok = a.Extent(ri.ref.Array, d)
 	return lo, hi, ext, ok
+}
+
+// Extent is the constant extent of dimension d of arr. The layout sizes
+// every array once, before any routine runs, so a rebound parameter
+// counts at its bound value here.
+func (a *Analysis) Extent(arr *ir.Array, d int) (int64, bool) {
+	return symbolic.EvalInterval(arr.Dims[d], a.bound).Const()
 }
 
 // rectangularNest reports whether every loop around a reference has
@@ -101,8 +108,8 @@ func (a *Analysis) rectangularNest(nest []*ir.Loop) bool {
 		if li.guarded {
 			return false
 		}
-		lo, ok1 := symbolic.EvalInterval(li.lo, a.param).Const()
-		hi, ok2 := symbolic.EvalInterval(li.hi, a.param).Const()
+		lo, ok1 := symbolic.EvalInterval(li.lo, a.Param).Const()
+		hi, ok2 := symbolic.EvalInterval(li.hi, a.Param).Const()
 		if !ok1 || !ok2 {
 			return false
 		}
@@ -118,20 +125,17 @@ func (a *Analysis) rectangularNest(nest []*ir.Loop) bool {
 
 // affineExtent computes the exact attained [min,max] of an affine
 // subscript form over a rectangular nest. Every variable must resolve
-// to a constant-bounded loop of the nest or a parameter.
+// to a constant-bounded loop of the nest or a parameter no routine
+// rebinds.
 func (a *Analysis) affineExtent(form symbolic.Form, nest []*ir.Loop) (lo, hi int64, ok bool) {
 	lo, hi = form.Const, form.Const
 	for name, coeff := range form.Coeff {
 		if coeff == 0 {
 			continue
 		}
-		var r symbolic.Interval
+		r := a.Param(name)
 		if l := findLoop(nest, name); l != nil {
 			r = a.loops[l].rng
-		} else if v, okp := a.Params[name]; okp {
-			r = symbolic.Point(v)
-		} else {
-			return 0, 0, false
 		}
 		if !r.Bounded() {
 			return 0, 0, false

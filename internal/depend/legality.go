@@ -146,8 +146,8 @@ func (a *Analysis) Fuse(l1, l2 *ir.Loop) Verdict {
 	if i1.step != i2.step {
 		return Verdict{Legality: LegalityUnknown, Note: "loop steps differ"}
 	}
-	lo1, ok1 := symbolic.EvalInterval(i1.lo, a.param).Const()
-	lo2, ok2 := symbolic.EvalInterval(i2.lo, a.param).Const()
+	lo1, ok1 := symbolic.EvalInterval(i1.lo, a.Param).Const()
+	lo2, ok2 := symbolic.EvalInterval(i2.lo, a.Param).Const()
 	if !ok1 || !ok2 || lo1 != lo2 {
 		return Verdict{Legality: LegalityUnknown, Note: "loop lower bounds are not provably aligned"}
 	}

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"time"
 
 	"reusetool/internal/cache"
 	"reusetool/internal/interp"
@@ -12,33 +11,14 @@ import (
 	"reusetool/internal/workloads"
 )
 
-// HotpathRow is one workload's engine-throughput measurement: the cost of
-// replaying a recorded event stream through the reuse-distance collector,
-// isolated from the interpreter that generated it.
-type HotpathRow struct {
-	Workload string
-	// Events is the recorded instrumentation event count (scope + access).
-	Events int
-	// Accesses is the number of reference access events replayed.
-	Accesses uint64
-	// BlockAccesses sums the per-granularity engine clocks: the number of
-	// per-block handler invocations the collector executed.
-	BlockAccesses uint64
-	// NsPerAccess is the best observed replay cost per reference access.
-	NsPerAccess float64
-	// Fingerprint hashes the collected histograms and miss counts
-	// (reusedist.Collector.Fingerprint); optimized engines must reproduce
-	// it bit-identically.
-	Fingerprint uint64
-}
-
-// HotpathWorkloads names the workloads the hot-path suite measures, in
-// reporting order.
+// HotpathWorkloads names the workloads the hot-path set replays, in
+// reporting order: BenchmarkHotpath times them, and the pinned-fingerprint
+// tests check the engines' output on them.
 func HotpathWorkloads() []string {
 	return []string{"fig1a", "fig2", "stream", "stencil", "transpose", "sweep3d", "gtc"}
 }
 
-// hotpathProgram builds the named workload at the suite's fixed sizes
+// hotpathProgram builds the named workload at the set's fixed sizes
 // (large enough for stable ns/access, small enough to replay in
 // milliseconds).
 func hotpathProgram(name string) (*ir.Program, func(*interp.Machine) error, error) {
@@ -90,51 +70,9 @@ func HotpathTrace(name string) ([]trace.Event, error) {
 	return rec.Events, nil
 }
 
-// HotpathCollector builds the collector configuration the suite measures:
+// HotpathCollector builds the collector configuration the set replays into:
 // one engine per granularity of the target hierarchy, default histogram
 // resolution and tree.
 func HotpathCollector(hier *cache.Hierarchy) *reusedist.Collector {
 	return reusedist.NewCollectorWith(hier.Granularities(), reusedist.Config{})
-}
-
-// Hotpath measures the reuse-distance collector's replay throughput for
-// each named workload on the given hierarchy. Each trace is recorded once
-// and replayed repeat times through a fresh collector; the row keeps the
-// fastest run (ns per reference access) and the output fingerprint.
-func Hotpath(names []string, hier *cache.Hierarchy, repeat int) ([]HotpathRow, error) {
-	if repeat < 1 {
-		repeat = 1
-	}
-	var rows []HotpathRow
-	for _, name := range names {
-		events, err := HotpathTrace(name)
-		if err != nil {
-			return nil, err
-		}
-		var accesses uint64
-		for i := range events {
-			if events[i].Kind == trace.EvAccess {
-				accesses++
-			}
-		}
-		row := HotpathRow{Workload: name, Events: len(events), Accesses: accesses}
-		for r := 0; r < repeat; r++ {
-			col := HotpathCollector(hier)
-			start := time.Now()
-			trace.ReplayEvents(events, col)
-			elapsed := time.Since(start)
-			ns := float64(elapsed.Nanoseconds()) / float64(accesses)
-			if row.NsPerAccess == 0 || ns < row.NsPerAccess {
-				row.NsPerAccess = ns
-			}
-			if r == 0 {
-				row.Fingerprint = col.Fingerprint()
-				for _, e := range col.Engines {
-					row.BlockAccesses += e.Clock()
-				}
-			}
-		}
-		rows = append(rows, row)
-	}
-	return rows, nil
 }

@@ -13,12 +13,13 @@ import (
 // PredictModelErrBound is the documented accuracy contract of the
 // cross-input scaling models: fitting from a handful of small exact
 // runs predicts the level miss count of an input >= 16x larger within
-// this relative error. The BENCH_predict suite asserts it per workload.
+// this relative error. `cmd/experiments -exp predict` asserts it on
+// every case of PredictModelCases, and CI runs that command.
 const PredictModelErrBound = 0.30
 
 // predictRepeats is how many times the serving latency is sampled per
 // workload; the fastest repetition is reported (same convention as the
-// hotpath and sampling suites).
+// sampling suite).
 const predictRepeats = 32
 
 // PredictModelCase is one workload of the scaling-model suite: the

@@ -111,8 +111,8 @@ type SamplingRow struct {
 // R=1 identity check runs over.
 func SamplingWorkloads() []string { return workloads.Names() }
 
-// samplingProgram builds a workload at the suite's sizes: the hotpath
-// sizes for the workloads that suite measures (large enough that the
+// samplingProgram builds a workload at the suite's sizes: the hot-path
+// sizes for the workloads HotpathWorkloads names (large enough that the
 // per-access speedup is meaningful), comparable sizes for the rest.
 func samplingProgram(name string) (*ir.Program, func(*interp.Machine) error, error) {
 	switch name {
@@ -185,7 +185,7 @@ func levelMisses(col *reusedist.Collector, rate uint64) []SamplingLevelRow {
 
 // Sampling runs the differential suite: each named workload is recorded
 // once and replayed exactly and at every rate in rates; each replay is
-// repeated repeat times and the fastest wins, as in the hotpath suite.
+// repeated repeat times and the fastest wins.
 func Sampling(names []string, hier *cache.Hierarchy, rates []uint64, repeat int) ([]SamplingRow, error) {
 	if repeat < 1 {
 		repeat = 1
@@ -269,9 +269,8 @@ func Sampling(names []string, hier *cache.Hierarchy, rates []uint64, repeat int)
 // synthetic access stream far larger than any recorded workload, driven
 // straight into a sampled collector under an adaptive block cap.
 type SamplingDemoResult struct {
-	Accesses        uint64
-	FootprintBlocks uint64
-	MaxBlocks       int
+	Accesses  uint64
+	MaxBlocks int
 	// PeakBlocks is the largest per-engine tracked-block count observed
 	// while streaming — the bounded-memory claim is PeakBlocks <=
 	// MaxBlocks at every checkpoint.
@@ -307,9 +306,8 @@ func SamplingAdaptiveDemo(accesses, footprintBlocks uint64, maxBlocks int, hier 
 		Sampling: cfg,
 	})
 	res := &SamplingDemoResult{
-		Accesses:        accesses,
-		FootprintBlocks: footprintBlocks,
-		MaxBlocks:       maxBlocks,
+		Accesses:  accesses,
+		MaxBlocks: maxBlocks,
 	}
 	col.EnterScope(0)
 	const checkEvery = 1 << 20

@@ -94,8 +94,8 @@ func TestSamplingHighRateFullHierarchy(t *testing.T) {
 }
 
 // TestSamplingDeterministicRows reruns one workload and requires
-// byte-identical estimates — the property that makes BENCH_sampling
-// errors stable across machines.
+// byte-identical estimates — the property that makes the sampling
+// suite's asserted errors stable across machines.
 func TestSamplingDeterministicRows(t *testing.T) {
 	run := func() SamplingRow {
 		rows, err := Sampling([]string{"fig2"}, cache.ScaledItanium2(), []uint64{8}, 1)

@@ -485,32 +485,47 @@ func TestEpochCompactionAllocatesNothing(t *testing.T) {
 	}
 
 	// Growth: with no deletes every compaction finds the window full, so
-	// each one doubles it, and only those inserts allocate.
+	// each one doubles it, and an insert allocates if and only if the
+	// window doubles. Mallocs counts the whole process, so a one-off
+	// allocation by another goroutine can land inside an insert. Insert
+	// is deterministic, so the same inserts run twice, each time on a
+	// fresh tree, and only a violation both runs show is the epoch's.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	g := NewEpoch(16)
-	var before, after runtime.MemStats
-	doublings := 0
-	for ts := uint64(1); ts <= 4096; ts++ {
-		w := len(g.slotTime)
-		runtime.ReadMemStats(&before)
-		g.Insert(ts)
-		runtime.ReadMemStats(&after)
-		grew := len(g.slotTime) != w
-		if grew {
-			doublings++
-			if len(g.slotTime) != 2*w {
-				t.Fatalf("insert %d: window %d -> %d, want a doubling", ts, w, len(g.slotTime))
+	const inserts = 4096
+	growth := func() map[uint64]string {
+		violations := map[uint64]string{}
+		g := NewEpoch(16)
+		var before, after runtime.MemStats
+		doublings := 0
+		for ts := uint64(1); ts <= inserts; ts++ {
+			w := len(g.slotTime)
+			runtime.ReadMemStats(&before)
+			g.Insert(ts)
+			runtime.ReadMemStats(&after)
+			grew := len(g.slotTime) != w
+			if grew {
+				doublings++
+				if len(g.slotTime) != 2*w {
+					t.Fatalf("insert %d: window %d -> %d, want a doubling", ts, w, len(g.slotTime))
+				}
+			}
+			if allocated := after.Mallocs > before.Mallocs; allocated != grew {
+				violations[ts] = fmt.Sprintf("allocated %d objects, window %d -> %d", after.Mallocs-before.Mallocs, w, len(g.slotTime))
 			}
 		}
-		if allocated := after.Mallocs > before.Mallocs; allocated != grew {
-			t.Fatalf("insert %d: allocated %d objects, window %d -> %d", ts, after.Mallocs-before.Mallocs, w, len(g.slotTime))
+		if doublings != 6 { // 64 (one bitmap word) -> 4096
+			t.Errorf("window doubled %d times, want 6", doublings)
 		}
+		if err := g.checkInvariants(); err != nil {
+			t.Fatal(err)
+		}
+		return violations
 	}
-	if doublings != 6 { // 64 (one bitmap word) -> 4096
-		t.Errorf("window doubled %d times, want 6", doublings)
-	}
-	if err := g.checkInvariants(); err != nil {
-		t.Fatal(err)
+	first, second := growth(), growth()
+	for ts := uint64(1); ts <= inserts; ts++ {
+		if v, ok := first[ts]; ok && second[ts] != "" {
+			t.Errorf("insert %d: %s (replay: %s)", ts, v, second[ts])
+		}
 	}
 }
 

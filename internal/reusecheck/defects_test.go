@@ -69,6 +69,41 @@ func TestDefectCodes(t *testing.T) {
 			code: "oob",
 		},
 		{
+			// N is 3 after the loop, so the run stays in bounds; the
+			// checker must not read N as its bound value 20.
+			name: "oob silent after a loop rebinds a parameter",
+			src: `program p
+param N 20
+array A f64 [16]
+array B f64 [16]
+routine main file p.f line 1 {
+  for N = 0 .. 3 line 2 {
+    access B[N]
+  }
+  access A[N]
+}
+`,
+			code: "oob",
+		},
+		{
+			// The layout sizes A from N's bound value, 8, although a
+			// loop rebinds N.
+			name: "oob against an extent a rebound parameter sized",
+			src: head + `array B f64 [16]
+routine main file p.f line 1 {
+  for i = 0 .. 8 line 2 {
+    access A[i]
+  }
+  for N = 0 .. 3 line 5 {
+    access B[N]
+  }
+}
+`,
+			code: "oob",
+			want: []Diagnostic{{File: "p.f", Line: 7, Code: "oob", Severity: SevDefect,
+				Msg: "subscript 0 of A[i] spans [0,8], outside [0,7]"}},
+		},
+		{
 			name: "uninit-data",
 			src: head + `dataarray idx i64 [N]
 routine main file p.f line 1 {

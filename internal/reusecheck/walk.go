@@ -45,7 +45,7 @@ type walker struct {
 	info   *ir.Info
 	deps   *depend.Analysis
 	fileOf func(*ir.Routine) string
-	params map[string]symbolic.Interval // every parameter as a point
+	params map[string]symbolic.Interval // every parameter no routine rebinds, as a point
 
 	facts []*refFact // indexed by trace.RefID
 	loops map[*ir.Loop]loopFact
@@ -63,8 +63,12 @@ func walk(info *ir.Info, deps *depend.Analysis, fileOf func(*ir.Routine) string)
 		facts:  make([]*refFact, len(info.Refs)),
 		loops:  map[*ir.Loop]loopFact{},
 	}
-	for name, v := range deps.Params {
-		w.params[name] = symbolic.Point(v)
+	// A routine may run after a caller rebound a parameter, so only
+	// one that no routine rebinds starts at its bound value.
+	for name := range deps.Params {
+		if iv := deps.Param(name); iv.Bounded() {
+			w.params[name] = iv
+		}
 	}
 	for _, rt := range info.Prog.Routines {
 		w.walkBody(rt, rt.Body, nil, maps.Clone(w.params), false, false, newPending())
@@ -284,7 +288,7 @@ func (w *walker) recordRef(rt *ir.Routine, ref *ir.Ref, nest []*ir.Loop,
 		fact.inBounds = true
 		for d, idx := range ref.Index {
 			iv := evalIval(idx, env)
-			ext, ok := evalIval(ref.Array.Dims[d], w.params).Const()
+			ext, ok := w.deps.Extent(ref.Array, d)
 			if !ok || !iv.Bounded() || iv.Lo < 0 || iv.Hi > ext-1 {
 				fact.inBounds = false
 				break

@@ -412,6 +412,56 @@ routine main file p.f line 1 {
 	}
 }
 
+// TestCalleeReboundParameterNotProvedInBounds: main's loop leaves N at
+// 20 before it calls sub, so sub's A[N] reads A[20], not A[4].
+func TestCalleeReboundParameterNotProvedInBounds(t *testing.T) {
+	info := parseInfo(t, `program p
+param N 4
+array A f64 [8]
+array B f64 [32]
+routine main file p.f line 1 {
+  for N = 0 .. 20 line 2 {
+    access B[N]
+  }
+  call sub
+}
+routine sub file p.f line 10 {
+  access A[N]
+}
+`)
+	if got := claimsAt(Check(info, Options{AssumeInitialized: true}), "bounds-proved", 12); len(got) != 0 {
+		t.Errorf("A[N] proved in bounds in a routine called after a loop rebound N: %v", got)
+	}
+	if _, err := interp.Run(info, nil, trace.Discard{}); err == nil || !strings.Contains(err.Error(), "20 not in [0,8)") {
+		t.Errorf("run error = %v, want A[N] out of bounds at 20", err)
+	}
+}
+
+// TestReboundParameterExtentProvedInBounds: the layout sizes A from N's
+// bound value, 8, although main's second loop rebinds N, so A[i] over
+// 0 .. 7 stays proved in bounds.
+func TestReboundParameterExtentProvedInBounds(t *testing.T) {
+	info := parseInfo(t, `program p
+param N 8
+array A f64 [N]
+array B f64 [16]
+routine main file p.f line 1 {
+  for i = 0 .. 7 line 2 {
+    access A[i]
+  }
+  for N = 0 .. 3 line 5 {
+    access B[N]
+  }
+}
+`)
+	if got := claimsAt(Check(info, Options{AssumeInitialized: true}), "bounds-proved", 7); len(got) != 1 {
+		t.Errorf("A[i] over an array a rebound parameter sized: bounds-proved notes = %v, want 1", got)
+	}
+	if _, err := interp.Run(info, nil, trace.Discard{}); err != nil {
+		t.Errorf("run error = %v, want none", err)
+	}
+}
+
 // TestNestedLoopVariableNotProvedInBounds: the inner loop rebinds k,
 // which ends at N+2 = 10.
 func TestNestedLoopVariableNotProvedInBounds(t *testing.T) {
