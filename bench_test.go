@@ -12,11 +12,15 @@ package repro
 // internal/experiments tests; EXPERIMENTS.md records measured vs paper.
 
 import (
+	"sync"
 	"testing"
+	"time"
 
 	"reusetool/internal/cache"
 	"reusetool/internal/core"
 	"reusetool/internal/experiments"
+	"reusetool/internal/interp"
+	"reusetool/internal/ir"
 	"reusetool/internal/metrics"
 	"reusetool/internal/staticreuse"
 	"reusetool/internal/trace"
@@ -252,6 +256,50 @@ func BenchmarkHotpath(b *testing.B) {
 	}
 }
 
+// BenchmarkEnginePair is the fan-out's false-sharing check. It replays
+// the sweep3d hot-path trace into the two engines of a scaled Itanium 2
+// collector (128-byte lines and 4 KB pages), first one engine after the
+// other and then each on its own goroutine, and reports both times and
+// their ratio. On two idle CPUs, engines that share no written cache
+// line take little more than the larger engine's share of the work
+// (pair/seq ≤ 0.65; the 128-byte engine does 50–59% of it); a line
+// that one engine writes while the other reads it holds the pair near
+// 1.0. CI runs it once (-bench=EnginePair -benchtime=1x) as a smoke
+// test.
+func BenchmarkEnginePair(b *testing.B) {
+	events, err := experiments.HotpathTrace("sweep3d")
+	if err != nil {
+		b.Fatal(err)
+	}
+	h := hier()
+	var seq, pair time.Duration
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		col := experiments.HotpathCollector(h)
+		t0 := time.Now()
+		for _, e := range col.Engines {
+			trace.ReplayEvents(events, e)
+		}
+		seq += time.Since(t0)
+
+		col = experiments.HotpathCollector(h)
+		t0 = time.Now()
+		var wg sync.WaitGroup
+		for _, e := range col.Engines {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				trace.ReplayEvents(events, e)
+			}()
+		}
+		wg.Wait()
+		pair += time.Since(t0)
+	}
+	b.ReportMetric(seq.Seconds()*1e3/float64(b.N), "seq_ms")
+	b.ReportMetric(pair.Seconds()*1e3/float64(b.N), "pair_ms")
+	b.ReportMetric(pair.Seconds()/seq.Seconds(), "pair/seq")
+}
+
 // BenchmarkStaticEstimate times one static reuse-distance estimate
 // (internal/staticreuse) per built-in workload, with B/op and allocs/op
 // beside it: the cost a static request pays once, for its report and
@@ -404,23 +452,39 @@ func fanoutHier() *cache.Hierarchy {
 	}
 }
 
-// benchFanout drives the full analysis (three engines + simulator) over
-// a ~1M-access streaming workload, sequentially or through the
-// goroutine fan-out. CI runs both with -bench=Fanout -benchtime=1x as a
-// smoke test; compare the two with -bench=Fanout -count=N.
+// benchFanout times a whole dynamic analysis, sequentially or through
+// the goroutine fan-out, in two shapes:
+//
+//   - stream: a ~1M-access streaming workload through three engines and
+//     the simulator (fanoutHier), four consumers;
+//   - sweep3d: what the daemon runs for a cold {"workload": "sweep3d"}
+//     request: the scaled Itanium 2's two engines and no simulator.
+//
+// CI runs each once (-bench=Fanout -benchtime=1x) as a smoke test;
+// compare the two paths with -bench=Fanout -count=N.
 func benchFanout(b *testing.B, parallel bool) {
-	info, err := workloads.Stream(1<<18, 4).Finalize()
+	b.Run("stream", func(b *testing.B) {
+		fanoutRun(b, workloads.Stream(1<<18, 4), nil,
+			core.Options{Hierarchy: fanoutHier(), Simulate: true, Parallel: parallel})
+	})
+	b.Run("sweep3d", func(b *testing.B) {
+		prog, init, err := workloads.Build("sweep3d")
+		if err != nil {
+			b.Fatal(err)
+		}
+		fanoutRun(b, prog, init, core.Options{Hierarchy: hier(), Parallel: parallel})
+	})
+}
+
+func fanoutRun(b *testing.B, prog *ir.Program, init func(*interp.Machine) error, opts core.Options) {
+	info, err := prog.Finalize()
 	if err != nil {
 		b.Fatal(err)
 	}
-	hier := fanoutHier()
 	var accesses uint64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := core.Pipeline{
-			Source:  core.DynamicSource{Info: info},
-			Options: core.Options{Hierarchy: hier, Simulate: true, Parallel: parallel},
-		}.Run()
+		res, err := core.Pipeline{Source: core.DynamicSource{Info: info, Init: init}, Options: opts}.Run()
 		if err != nil {
 			b.Fatal(err)
 		}

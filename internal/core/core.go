@@ -64,7 +64,8 @@ type Options struct {
 	// per-granularity reuse-distance engine, the simulator, the Tee — on
 	// dedicated goroutines with bounded ring buffers instead of invoking
 	// them inline (see internal/pipeline). Results are bit-identical to
-	// the sequential path; only wall-clock time changes.
+	// the sequential path; only wall-clock time changes. It has no
+	// effect when GOMAXPROCS is 1.
 	Parallel bool
 	// TrackContext collects reuse patterns separately per calling context
 	// (routine call path) — the paper's Section IV extension. Off by

@@ -3,9 +3,14 @@ package core
 import (
 	"bytes"
 	"reflect"
+	"runtime"
 	"testing"
+	"time"
 
+	"reusetool/internal/interp"
 	"reusetool/internal/ir"
+	"reusetool/internal/pipeline"
+	"reusetool/internal/reusedist"
 	"reusetool/internal/trace"
 	"reusetool/internal/workloads"
 	"reusetool/internal/xmlout"
@@ -115,5 +120,75 @@ func TestParallelSimulateOnly(t *testing.T) {
 	}
 	if seq, par := run(false), run(true); !reflect.DeepEqual(seq, par) {
 		t.Errorf("simulate-only misses differ: sequential %v, parallel %v", seq, par)
+	}
+}
+
+// atLeastTwoCPUs raises GOMAXPROCS to 2 for the rest of the test when it
+// is 1, so the fan-out really starts its goroutines.
+func atLeastTwoCPUs(t *testing.T) {
+	t.Helper()
+	if prev := runtime.GOMAXPROCS(0); prev < 2 {
+		runtime.GOMAXPROCS(2)
+		t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+	}
+}
+
+// TestParallelPanicJoinsConsumers runs a program whose Init panics under
+// the fan-out. The panic must reach the caller, and once it is recovered
+// no consumer goroutine may be left parked on its ring: a daemon that
+// recovers a job's panic would otherwise leak them, with their batches,
+// per panicking job.
+func TestParallelPanicJoinsConsumers(t *testing.T) {
+	atLeastTwoCPUs(t)
+	base := runtime.NumGoroutine()
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("Init's panic did not reach the caller")
+			}
+		}()
+		_, _ = Pipeline{
+			Source: DynamicSource{Prog: workloads.Fig2(), Init: func(*interp.Machine) error {
+				panic("init failed")
+			}},
+			Options: Options{Parallel: true},
+		}.Run()
+	}()
+	// A joined consumer has closed its done channel but may not have
+	// returned yet; give it a moment to leave the count.
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > base {
+		t.Errorf("%d goroutines after the recovered panic, want at most %d", n, base)
+	}
+}
+
+// TestFanOutNeedsTwoCPUs checks the fan-out's CPU gate: with Parallel
+// and two engines it builds a Fanout only when GOMAXPROCS exceeds 1; on
+// one CPU the collector stays whole on the inline path.
+func TestFanOutNeedsTwoCPUs(t *testing.T) {
+	atLeastTwoCPUs(t)
+	p := Pipeline{Options: Options{Parallel: true}}
+	col := p.newCollector(nil, 0)
+	if len(col.Engines) < 2 {
+		t.Fatalf("%d engines, want at least 2", len(col.Engines))
+	}
+	h, join := p.fanOut(col)
+	if _, ok := h.(*pipeline.Fanout); !ok {
+		t.Errorf("GOMAXPROCS %d: handler is %T, want *pipeline.Fanout", runtime.GOMAXPROCS(0), h)
+	}
+	if err := join(); err != nil {
+		t.Fatal(err)
+	}
+
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	h, join = p.fanOut(col)
+	if c, ok := h.(*reusedist.Collector); !ok || c != col {
+		t.Errorf("GOMAXPROCS 1: handler is %T, want the collector inline", h)
+	}
+	if err := join(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"runtime"
 
 	"reusetool/internal/cachesim"
 	"reusetool/internal/depend"
@@ -154,26 +155,29 @@ func (p Pipeline) newCollector(info *ir.Info, footprint uint64) *reusedist.Colle
 }
 
 // fanOut wires the consumer set into a single trace.Handler. With
-// Options.Parallel and more than one consumer it builds a
-// pipeline.Fanout — every consumer drains its own bounded ring on a
-// dedicated goroutine, which is bit-identical to the sequential path
-// because each consumer still sees the exact ordered stream. Otherwise
-// it returns the sequential reference path: the consumers invoked inline
-// (via trace.Multi when there are several). The returned close function
-// must be called after the producer finishes; it joins the consumer
-// goroutines and surfaces the first consumer error.
+// Options.Parallel, more than one consumer and more than one CPU
+// (GOMAXPROCS) it builds a pipeline.Fanout — every consumer drains its
+// own bounded ring on a dedicated goroutine, which is bit-identical to
+// the sequential path because each consumer still sees the exact ordered
+// stream. Otherwise it returns the sequential reference path: the
+// consumers invoked inline (via trace.Multi when there are several); on
+// one CPU the goroutines could only take turns, so a Fanout would be
+// pure overhead. The returned close function must be called after the
+// producer finishes; it joins the consumer goroutines and surfaces the
+// first consumer error.
 //
 // In parallel mode a Collector is split into its per-granularity
 // engines, so a 3-granularity hierarchy overlaps its three O(log M)
 // tree updates instead of paying them serially per event.
 func (p Pipeline) fanOut(consumers ...trace.Handler) (trace.Handler, func() error) {
 	noop := func() error { return nil }
+	parallel := p.Parallel && runtime.GOMAXPROCS(0) > 1
 	flat := make([]trace.Handler, 0, len(consumers)+2)
 	for _, h := range consumers {
 		if h == nil {
 			continue
 		}
-		if col, ok := h.(*reusedist.Collector); ok && p.Parallel {
+		if col, ok := h.(*reusedist.Collector); ok && parallel {
 			for _, e := range col.Engines {
 				flat = append(flat, e)
 			}
@@ -186,11 +190,25 @@ func (p Pipeline) fanOut(consumers ...trace.Handler) (trace.Handler, func() erro
 		return trace.Discard{}, noop
 	case len(flat) == 1:
 		return flat[0], noop
-	case p.Parallel:
+	case parallel:
 		f := pipeline.NewFanout(pipeline.Config{}, flat...)
 		return f, f.Close
 	}
 	return trace.Multi(flat), noop
+}
+
+// stream runs produce into the consumers, wired by fanOut, and joins the
+// consumers on every exit path — a panicking producer included, so a
+// recovered panic leaves no consumer goroutine parked on its ring. It
+// returns produce's error, else the first consumer error.
+func (p Pipeline) stream(produce func(trace.Handler) error, consumers ...trace.Handler) (err error) {
+	handler, join := p.fanOut(consumers...)
+	defer func() {
+		if jerr := join(); err == nil {
+			err = jerr
+		}
+	}()
+	return produce(handler)
 }
 
 // checkpoint reports the context's error at a stage boundary, wrapped
@@ -234,18 +252,16 @@ func (s DynamicSource) run(ctx context.Context, p Pipeline) (*Result, error) {
 	if p.Tee != nil {
 		consumers = append(consumers, p.Tee)
 	}
-	handler, join := p.fanOut(consumers...)
-
 	var runOpts []interp.Option
 	if s.Init != nil {
 		runOpts = append(runOpts, interp.WithInit(s.Init))
 	}
-	run, runErr := interp.RunContext(ctx, info, p.Params, handler, runOpts...)
-	if err := join(); runErr == nil {
-		runErr = err
-	}
-	if runErr != nil {
-		return nil, fmt.Errorf("core: run: %w", runErr)
+	var run *interp.Result
+	if err := p.stream(func(h trace.Handler) (err error) {
+		run, err = interp.RunContext(ctx, info, p.Params, h, runOpts...)
+		return err
+	}, consumers...); err != nil {
+		return nil, fmt.Errorf("core: run: %w", err)
 	}
 
 	res := &Result{Info: info, Hier: hier, Run: run, Sim: sim, Params: p.Params}
@@ -365,13 +381,12 @@ func (s TraceSource) run(ctx context.Context, p Pipeline) (*Result, error) {
 	if p.Tee != nil {
 		consumers = append(consumers, p.Tee)
 	}
-	handler, join := p.fanOut(consumers...)
-	meta, readErr := tracefile.Read(s.R, handler)
-	if err := join(); readErr == nil {
-		readErr = err
-	}
-	if readErr != nil {
-		return nil, fmt.Errorf("core: trace: %w", readErr)
+	var meta *tracefile.Meta
+	if err := p.stream(func(h trace.Handler) (err error) {
+		meta, err = tracefile.Read(s.R, h)
+		return err
+	}, consumers...); err != nil {
+		return nil, fmt.Errorf("core: trace: %w", err)
 	}
 	res := &Result{Hier: hier, Sim: sim}
 	if p.SimulateOnly {

@@ -169,17 +169,27 @@ type CapacityHints struct {
 
 // Engine is the online reuse-distance collector. It implements
 // trace.Handler. Create with New.
+//
+// Its fields are read, and many are written, on every access: the block
+// table's and the tree's headers are embedded for that reason. A
+// collector allocates its engines back to back, and a fanned-out
+// collector runs each on its own CPU, so a cache line holding one
+// engine's tail and the next engine's head would bounce between the two
+// CPUs on every access. A cache line of padding at each end of the
+// struct keeps every line of the state private to this engine, whatever
+// the allocator's size class or alignment.
 type Engine struct {
+	_     [cacheLine]byte
 	cfg   Config
 	clock uint64
-	table *blocktable.Radix
+	table blocktable.Radix
 	// front holds the frontN newest last-access marks, oldest first; tree
 	// holds every older mark. Every tree mark is older than every front
 	// mark, so a reuse of a front mark counts only front marks, and the
 	// tree sees strictly increasing inserts (see accessBlock).
 	front  [frontK]uint64
 	frontN int
-	tree   *ostree.Epoch
+	tree   ostree.Epoch
 	stack  scope.Stack
 	refs   []*RefData // indexed by RefID, nil until first access
 	res    int
@@ -217,6 +227,22 @@ type Engine struct {
 	maxSample int
 	arcs      uint64
 	finished  bool
+
+	_ [cacheLine]byte
+}
+
+// cacheLine is the cache-line size, in bytes, the engine's layout keeps
+// its per-access state apart by: the line size of amd64 and of most
+// arm64 cores.
+const cacheLine = 64
+
+// lineIsolated returns n zeroed counters with a cache line of unused
+// padding before and after them, so no other allocation shares a line
+// with any of them.
+func lineIsolated(n int) []uint64 {
+	const pad = cacheLine / 8
+	buf := make([]uint64, n+2*pad)
+	return buf[pad : pad+n : pad+n]
 }
 
 // frontK is the number of newest last-access marks the engine keeps
@@ -264,8 +290,8 @@ func New(cfg Config) *Engine {
 	}
 	e := &Engine{
 		cfg:   cfg,
-		table: blocktable.NewRadixHint(blocks),
-		tree:  ostree.NewEpoch(window),
+		table: *blocktable.NewRadixHint(blocks),
+		tree:  *ostree.NewEpoch(window),
 		res:   res,
 		scale: 1,
 		minTh: histo.Cold, // MaxUint64: no threshold ever reached
@@ -293,7 +319,7 @@ func New(cfg Config) *Engine {
 		e.refs = make([]*RefData, 0, cfg.Hints.Refs)
 	}
 	if cfg.Hints.Scopes > 0 {
-		e.scopeAccesses = make([]uint64, cfg.Hints.Scopes)
+		e.scopeAccesses = lineIsolated(cfg.Hints.Scopes)
 	}
 	return e
 }
@@ -305,9 +331,6 @@ func (e *Engine) Clock() uint64 { return e.clock }
 // DistinctBlocks reports the number of distinct memory blocks touched
 // (0 for an engine restored from persisted data).
 func (e *Engine) DistinctBlocks() int {
-	if e.table == nil {
-		return 0
-	}
 	return e.table.Blocks()
 }
 
@@ -459,13 +482,18 @@ func (e *Engine) flushFront() {
 }
 
 // growScopeAccesses extends the per-scope counters to cover scope index i;
-// kept out of line so the hot path carries only the bounds check.
+// kept out of line so the hot path carries only the bounds check. The
+// counters stay line-isolated: a new backing array is padded like the
+// one New allocates, and it at least doubles.
 //
 //reuse:coldpath
 func (e *Engine) growScopeAccesses(i int) {
-	for i >= len(e.scopeAccesses) {
-		e.scopeAccesses = append(e.scopeAccesses, 0)
+	if i >= cap(e.scopeAccesses) {
+		grown := lineIsolated(max(i+1, 2*cap(e.scopeAccesses)))
+		copy(grown, e.scopeAccesses)
+		e.scopeAccesses = grown[:len(e.scopeAccesses)]
 	}
+	e.scopeAccesses = e.scopeAccesses[:i+1]
 }
 
 // pattern interns key for this reference: scan the dense pattern table (or
@@ -592,8 +620,8 @@ func (e *Engine) TotalMissAt(i int) uint64 {
 
 // Restore rebuilds a read-only engine from persisted per-reference data
 // (see internal/persist). The returned engine serves all query methods but
-// must not receive further events, so it carries no block table and no
-// order-statistic tree; cfg supplies only the block size and thresholds
+// must not receive further events, so its block table and order-statistic
+// tree stay empty; cfg supplies only the block size and thresholds
 // the data was collected at. RefIDs must be non-negative, and the largest
 // one sizes the dense reference table.
 func Restore(cfg Config, refs []*RefData, clock uint64) *Engine {

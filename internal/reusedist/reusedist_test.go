@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -523,7 +524,7 @@ func TestRestoreBuildsNoIndex(t *testing.T) {
 	randomTrace(9, 3000, live)
 	refs := live.Refs()
 	r := Restore(cfg, refs, live.Clock())
-	if r.table != nil || r.tree != nil {
+	if !reflect.ValueOf(r.table).IsZero() || !reflect.ValueOf(r.tree).IsZero() {
 		t.Fatal("restored engine built a block table or a tree")
 	}
 	if r.Fingerprint() != live.Fingerprint() {

@@ -82,9 +82,7 @@ func (e *Engine) Sample() SampleInfo {
 		Seed:      e.sampler.Seed(),
 		Arcs:      e.arcs,
 	}
-	if e.table != nil {
-		info.AdmittedBlocks = e.table.Blocks()
-	}
+	info.AdmittedBlocks = e.table.Blocks()
 	return info
 }
 

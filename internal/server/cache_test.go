@@ -194,7 +194,7 @@ func sweep3dEntry(tb testing.TB, mode string) *CacheEntry {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	e, err := rr.execute(context.Background())
+	e, err := rr.execute(context.Background(), false)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -223,7 +223,7 @@ func TestMemoryHitDoesNotDecode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	model, err := s.fit(ctx, rf)
+	model, err := s.fit(ctx, rf, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -221,8 +221,9 @@ func FitSpec(req client.PredictRequest) client.FitRequest {
 // from the result cache) and fits the model. Runs before it in the
 // worker pool give it their cache entries for free — the coordinator
 // exploits this by scheduling the training analyses as related jobs
-// first.
-func (s *Server) fit(ctx context.Context, rf *resolvedFit) (*CacheEntry, error) {
+// first. parallel is the job's fan-out grant, which every cold training
+// run uses.
+func (s *Server) fit(ctx context.Context, rf *resolvedFit, parallel bool) (*CacheEntry, error) {
 	runs := make([]*predict.TrainingRun, len(rf.req.TrainParams))
 	for i := range rf.req.TrainParams {
 		child, err := resolve(rf.trainingRequest(i), s.cfg.MaxJobTimeout)
@@ -234,7 +235,7 @@ func (s *Server) fit(ctx context.Context, rf *resolvedFit) (*CacheEntry, error) 
 		if ok {
 			s.metrics.FitWarmHits.Add(1)
 		} else {
-			if entry, err = child.execute(ctx); err != nil {
+			if entry, err = child.execute(ctx, parallel); err != nil {
 				return nil, fmt.Errorf("training run %d: %w", i, err)
 			}
 			s.cache.Put(entry)
@@ -309,8 +310,8 @@ func (s *Server) handleFit(w http.ResponseWriter, r *http.Request) {
 	if hit != nil && len(hit.Model) == 0 {
 		hit = nil
 	}
-	s.serve(w, key, rf.timeout, hit, func(ctx context.Context) (*CacheEntry, error) {
-		return s.fit(ctx, rf)
+	s.serve(w, key, rf.timeout, hit, func(ctx context.Context, parallel bool) (*CacheEntry, error) {
+		return s.fit(ctx, rf, parallel)
 	})
 }
 

@@ -223,12 +223,15 @@ func (r *resolved) cacheKey() string {
 // execute runs the pipeline for a cache miss and packages the result as
 // a cache entry: rendered report, deterministic JSON, persist artifact,
 // and the collector fingerprint the cache verifies hits against.
-func (r *resolved) execute(ctx context.Context) (*CacheEntry, error) {
+// parallel is the scheduler's fan-out grant (core.Options.Parallel); the
+// entry is byte-identical either way.
+func (r *resolved) execute(ctx context.Context, parallel bool) (*CacheEntry, error) {
 	opts := core.Options{
 		Hierarchy: r.hier,
 		Params:    r.req.Params,
 		HistRes:   r.req.HistRes,
 		Sampling:  r.sample,
+		Parallel:  parallel,
 	}
 	var src core.Source
 	switch {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"runtime/debug"
 	"sync"
 	"time"
@@ -34,7 +35,9 @@ var (
 
 // Job is one scheduled analysis. The run closure is supplied by the
 // server and does the actual pipeline work; the scheduler owns status
-// transitions, the per-job deadline, and cancellation.
+// transitions, the per-job deadline, cancellation, and the fan-out
+// grant: run's parallel argument says whether the job may fan its event
+// stream out across CPUs (core.Options.Parallel).
 type Job struct {
 	ID  string
 	Key string
@@ -43,7 +46,7 @@ type Job struct {
 	// running (queue wait does not count against it).
 	Timeout time.Duration
 
-	run func(ctx context.Context) (*CacheEntry, error)
+	run func(ctx context.Context, parallel bool) (*CacheEntry, error)
 
 	mu        sync.Mutex
 	status    JobStatus          // guarded by mu
@@ -146,7 +149,7 @@ func NewScheduler(workers, queueDepth int, defaultTimeout time.Duration, m *Metr
 // NewJob allocates a job record in a terminal or schedulable state.
 // Completed cache hits pass run==nil and are recorded done immediately;
 // misses get queued by Submit.
-func (s *Scheduler) NewJob(key string, timeout time.Duration, run func(ctx context.Context) (*CacheEntry, error)) *Job {
+func (s *Scheduler) NewJob(key string, timeout time.Duration, run func(ctx context.Context, parallel bool) (*CacheEntry, error)) *Job {
 	if timeout <= 0 {
 		timeout = s.defaultTimeout
 	}
@@ -383,10 +386,15 @@ func (s *Scheduler) runJob(j *Job) {
 
 	s.active.Lock()
 	s.activeN++
+	// Grant the fan-out only while a CPU would otherwise sit idle:
+	// counting this job, fewer jobs run than there are CPUs. Jobs that
+	// start on a busy daemon run inline, so concurrent jobs do not
+	// oversubscribe the CPUs.
+	parallel := s.activeN < runtime.GOMAXPROCS(0)
 	s.active.Unlock()
 
 	start := time.Now()
-	entry, err := runRecovered(ctx, j.run)
+	entry, err := runRecovered(ctx, j.run, parallel)
 	s.metrics.AnalyzeNanos.Add(uint64(time.Since(start)))
 	cancel()
 
@@ -417,11 +425,11 @@ func (s *Scheduler) runJob(j *Job) {
 // runRecovered calls run and turns a panic into an error carrying the
 // panic value and the stack, so a bug reached by one job fails that job
 // instead of killing the worker and every job queued behind it.
-func runRecovered(ctx context.Context, run func(context.Context) (*CacheEntry, error)) (entry *CacheEntry, err error) {
+func runRecovered(ctx context.Context, run func(context.Context, bool) (*CacheEntry, error), parallel bool) (entry *CacheEntry, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			entry, err = nil, fmt.Errorf("server: job panicked: %v\n%s", p, debug.Stack())
 		}
 	}()
-	return run(ctx)
+	return run(ctx, parallel)
 }

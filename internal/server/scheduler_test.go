@@ -28,7 +28,7 @@ func TestSchedulerRunsJobsFIFO(t *testing.T) {
 	jobs := make([]*Job, 3)
 	for i := range jobs {
 		id := string(rune('a' + i))
-		jobs[i] = s.NewJob("k"+id, 0, func(ctx context.Context) (*CacheEntry, error) {
+		jobs[i] = s.NewJob("k"+id, 0, func(ctx context.Context, _ bool) (*CacheEntry, error) {
 			order = append(order, id) // single worker: no data race
 			return &CacheEntry{Key: "k" + id}, nil
 		})
@@ -57,7 +57,7 @@ func TestSchedulerQueueBound(t *testing.T) {
 	defer s.Drain(context.Background())
 
 	release := make(chan struct{})
-	blocker := s.NewJob("blocker", 0, func(ctx context.Context) (*CacheEntry, error) {
+	blocker := s.NewJob("blocker", 0, func(ctx context.Context, _ bool) (*CacheEntry, error) {
 		<-release
 		return nil, nil
 	})
@@ -73,11 +73,11 @@ func TestSchedulerQueueBound(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	// One fits in the queue; the next must be rejected, not block.
-	q := s.NewJob("queued", 0, func(ctx context.Context) (*CacheEntry, error) { return nil, nil })
+	q := s.NewJob("queued", 0, func(ctx context.Context, _ bool) (*CacheEntry, error) { return nil, nil })
 	if err := s.Submit(q); err != nil {
 		t.Fatal(err)
 	}
-	rej := s.NewJob("rejected", 0, func(ctx context.Context) (*CacheEntry, error) { return nil, nil })
+	rej := s.NewJob("rejected", 0, func(ctx context.Context, _ bool) (*CacheEntry, error) { return nil, nil })
 	if err := s.Submit(rej); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("err = %v, want ErrQueueFull", err)
 	}
@@ -92,7 +92,7 @@ func TestSchedulerPerJobDeadline(t *testing.T) {
 	s := NewScheduler(1, 4, time.Minute, NewMetrics())
 	defer s.Drain(context.Background())
 
-	j := s.NewJob("slow", 20*time.Millisecond, func(ctx context.Context) (*CacheEntry, error) {
+	j := s.NewJob("slow", 20*time.Millisecond, func(ctx context.Context, _ bool) (*CacheEntry, error) {
 		select {
 		case <-ctx.Done():
 			return nil, ctx.Err()
@@ -114,7 +114,7 @@ func TestSchedulerCancelQueuedAndRunning(t *testing.T) {
 	defer s.Drain(context.Background())
 
 	release := make(chan struct{})
-	running := s.NewJob("running", 0, func(ctx context.Context) (*CacheEntry, error) {
+	running := s.NewJob("running", 0, func(ctx context.Context, _ bool) (*CacheEntry, error) {
 		close(release)
 		<-ctx.Done()
 		return nil, ctx.Err()
@@ -122,7 +122,7 @@ func TestSchedulerCancelQueuedAndRunning(t *testing.T) {
 	if err := s.Submit(running); err != nil {
 		t.Fatal(err)
 	}
-	queued := s.NewJob("queued", 0, func(ctx context.Context) (*CacheEntry, error) {
+	queued := s.NewJob("queued", 0, func(ctx context.Context, _ bool) (*CacheEntry, error) {
 		return nil, errors.New("canceled job ran")
 	})
 	if err := s.Submit(queued); err != nil {
@@ -152,7 +152,7 @@ func TestSchedulerDrain(t *testing.T) {
 	var ran atomic.Int32
 	jobs := make([]*Job, 5)
 	for i := range jobs {
-		jobs[i] = s.NewJob("k", 0, func(ctx context.Context) (*CacheEntry, error) {
+		jobs[i] = s.NewJob("k", 0, func(ctx context.Context, _ bool) (*CacheEntry, error) {
 			time.Sleep(5 * time.Millisecond)
 			ran.Add(1)
 			return nil, nil
@@ -168,7 +168,7 @@ func TestSchedulerDrain(t *testing.T) {
 		t.Fatalf("drain finished %d of 5 jobs", got)
 	}
 	// Post-drain submissions are refused.
-	late := s.NewJob("late", 0, func(ctx context.Context) (*CacheEntry, error) { return nil, nil })
+	late := s.NewJob("late", 0, func(ctx context.Context, _ bool) (*CacheEntry, error) { return nil, nil })
 	if err := s.Submit(late); !errors.Is(err, ErrDraining) {
 		t.Fatalf("err = %v, want ErrDraining", err)
 	}
@@ -181,7 +181,7 @@ func TestSchedulerDrain(t *testing.T) {
 func TestSchedulerDrainDeadlineCancelsStragglers(t *testing.T) {
 	s := NewScheduler(1, 4, time.Minute, NewMetrics())
 	started := make(chan struct{})
-	j := s.NewJob("straggler", 0, func(ctx context.Context) (*CacheEntry, error) {
+	j := s.NewJob("straggler", 0, func(ctx context.Context, _ bool) (*CacheEntry, error) {
 		close(started)
 		<-ctx.Done()
 		return nil, ctx.Err()
@@ -216,7 +216,7 @@ func TestSchedulerPrunesOldestTerminalJobs(t *testing.T) {
 		return j
 	}
 	live := func() *Job {
-		j := s.NewJob("live", 0, func(ctx context.Context) (*CacheEntry, error) {
+		j := s.NewJob("live", 0, func(ctx context.Context, _ bool) (*CacheEntry, error) {
 			<-release
 			return &CacheEntry{}, nil
 		})
@@ -256,10 +256,10 @@ func TestSchedulerPanicFailsOnlyItsJob(t *testing.T) {
 	s := NewScheduler(1, 8, time.Minute, m)
 	defer s.Drain(context.Background())
 
-	bad := s.NewJob("bad", 0, func(ctx context.Context) (*CacheEntry, error) {
+	bad := s.NewJob("bad", 0, func(ctx context.Context, _ bool) (*CacheEntry, error) {
 		panic("boom")
 	})
-	good := s.NewJob("good", 0, func(ctx context.Context) (*CacheEntry, error) {
+	good := s.NewJob("good", 0, func(ctx context.Context, _ bool) (*CacheEntry, error) {
 		return &CacheEntry{Key: "good"}, nil
 	})
 	for _, j := range []*Job{bad, good} {

@@ -200,7 +200,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	// The request context bounds the remote-tier lookup, so a sick cache
 	// peer delays this submission only, not the daemon.
 	hit, _ := s.cache.Get(r.Context(), key)
-	s.serve(w, key, rr.timeout, hit, func(ctx context.Context) (*CacheEntry, error) {
+	s.serve(w, key, rr.timeout, hit, func(ctx context.Context, parallel bool) (*CacheEntry, error) {
 		if s.cfg.SimulateLatency > 0 {
 			select {
 			case <-time.After(s.cfg.SimulateLatency):
@@ -208,7 +208,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 				return nil, ctx.Err()
 			}
 		}
-		entry, err := rr.execute(ctx)
+		entry, err := rr.execute(ctx, parallel)
 		if err != nil {
 			return nil, err
 		}
@@ -226,7 +226,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 // recorded as a finished job and answered 200 without scheduling;
 // otherwise run is queued as a job and answered 202, or refused with
 // 429 when the queue is full and 503 while the daemon drains.
-func (s *Server) serve(w http.ResponseWriter, key string, timeout time.Duration, hit *CacheEntry, run func(context.Context) (*CacheEntry, error)) {
+func (s *Server) serve(w http.ResponseWriter, key string, timeout time.Duration, hit *CacheEntry, run func(context.Context, bool) (*CacheEntry, error)) {
 	if hit != nil {
 		j := s.sched.NewJob(key, timeout, nil)
 		s.sched.Complete(j, hit, true)

@@ -104,13 +104,16 @@ const (
 	EvAccess
 )
 
-// Event is one recorded instrumentation event.
+// Event is one recorded instrumentation event. Its fields are ordered
+// for packing: 24 bytes, where Kind first pads it to 32. The fan-out
+// holds events in batches of thousands, so the order sets the size of
+// its batches.
 type Event struct {
-	Kind  EventKind
+	Addr  uint64
 	Scope ScopeID
 	Ref   RefID
-	Addr  uint64
 	Size  uint32
+	Kind  EventKind
 	Write bool
 }
 

@@ -3,7 +3,16 @@ package trace
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
+
+// TestEventIs24Bytes pins Event's packed size: a 4096-event fan-out
+// batch is 96 KB, where the field order Kind-first made it 128 KB.
+func TestEventIs24Bytes(t *testing.T) {
+	if got := unsafe.Sizeof(Event{}); got != 24 {
+		t.Errorf("unsafe.Sizeof(Event{}) = %d, want 24", got)
+	}
+}
 
 func TestCounter(t *testing.T) {
 	var c Counter
