@@ -22,6 +22,7 @@ import (
 	"reusetool/internal/interp"
 	"reusetool/internal/ir"
 	"reusetool/internal/metrics"
+	"reusetool/internal/sampling"
 	"reusetool/internal/staticreuse"
 	"reusetool/internal/trace"
 	"reusetool/internal/workloads"
@@ -458,7 +459,10 @@ func fanoutHier() *cache.Hierarchy {
 //   - stream: a ~1M-access streaming workload through three engines and
 //     the simulator (fanoutHier), four consumers;
 //   - sweep3d: what the daemon runs for a cold {"workload": "sweep3d"}
-//     request: the scaled Itanium 2's two engines and no simulator.
+//     request: the scaled Itanium 2's two engines and no simulator;
+//   - sweep3d-sampled: the same at perfbench's sampled-large shape
+//     (it=jt=kt=24, SHARDS R=64), where the engines reject most blocks
+//     and the producer's side of the fan-out dominates.
 //
 // CI runs each once (-bench=Fanout -benchtime=1x) as a smoke test;
 // compare the two paths with -bench=Fanout -count=N.
@@ -473,6 +477,14 @@ func benchFanout(b *testing.B, parallel bool) {
 			b.Fatal(err)
 		}
 		fanoutRun(b, prog, init, core.Options{Hierarchy: hier(), Parallel: parallel})
+	})
+	b.Run("sweep3d-sampled", func(b *testing.B) {
+		prog, init, err := workloads.Build("sweep3d")
+		if err != nil {
+			b.Fatal(err)
+		}
+		fanoutRun(b, prog, init, core.Options{Hierarchy: hier(), Parallel: parallel,
+			Params: map[string]int64{"it": 24, "jt": 24, "kt": 24}, Sampling: sampling.Config{Rate: 64}})
 	})
 }
 

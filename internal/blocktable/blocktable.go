@@ -76,6 +76,12 @@ type Radix struct {
 	// lookup and both pointer chases entirely.
 	lastHi   uint64
 	lastLeaf *leaf
+	// One-entry mid cache: a leaf-cache miss mostly lands in another
+	// leaf of the same mid node (45–80% of the 128-byte engine's block
+	// accesses in the exact sweep3d and gtc runs miss the leaf cache),
+	// and then skips the top-level map.
+	lastTop uint64
+	lastMid *mid
 }
 
 type mid struct {
@@ -91,8 +97,9 @@ func NewRadix() *Radix { return NewRadixHint(0) }
 func NewRadixHint(blockHint int) *Radix {
 	topHint := blockHint >> (midBits + leafBits)
 	return &Radix{
-		top:    make(map[uint64]*mid, topHint+1),
-		lastHi: ^uint64(0),
+		top:     make(map[uint64]*mid, topHint+1),
+		lastHi:  ^uint64(0),
+		lastTop: ^uint64(0),
 	}
 }
 
@@ -103,10 +110,14 @@ func (r *Radix) LookupStore(block uint64, e Entry) (Entry, bool) {
 	hi := block >> leafBits
 	lf := r.lastLeaf
 	if hi != r.lastHi {
-		m := r.top[hi>>midBits]
-		if m == nil {
-			m = &mid{}
-			r.top[hi>>midBits] = m
+		m := r.lastMid
+		if top := hi >> midBits; top != r.lastTop {
+			m = r.top[top]
+			if m == nil {
+				m = &mid{}
+				r.top[top] = m
+			}
+			r.lastTop, r.lastMid = top, m
 		}
 		lf = m.leaves[hi&midMask]
 		if lf == nil {

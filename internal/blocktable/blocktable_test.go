@@ -95,6 +95,31 @@ func TestRadixLevelBoundaries(t *testing.T) {
 			t.Errorf("block %#x: prev=%+v ok=%v", b, prev, ok)
 		}
 	}
+
+	// Accesses that alternate across two leaves of one mid node miss the
+	// leaf cache and hit the mid cache; across two mid nodes they miss
+	// both. Each lookup must find what the access two before it stored.
+	for _, pair := range [][2]uint64{
+		{5, leafSize + 5},                          // two leaves, one mid node
+		{leafSize*midSize - 1, leafSize * midSize}, // two mid nodes, adjacent blocks
+		{7, 3*leafSize*midSize + 7},                // two mid nodes, far apart
+		{1<<40 + 1, 1<<40 + 2*leafSize + 1},        // two leaves of a high mid node
+	} {
+		r := NewRadix()
+		for i := 0; i < 8; i++ {
+			b := pair[i%2]
+			prev, ok := r.LookupStore(b, Entry{Time: uint64(i + 1), Ref: trace.RefID(i), Scope: trace.ScopeID(i % 2)})
+			switch {
+			case i < 2 && ok:
+				t.Errorf("blocks %#x: block %#x reported present on first store", pair, b)
+			case i >= 2 && (!ok || prev != Entry{Time: uint64(i - 1), Ref: trace.RefID(i - 2), Scope: trace.ScopeID(i % 2)}):
+				t.Errorf("blocks %#x: access %d to %#x: prev=%+v ok=%v, want the entry of access %d", pair, i, b, prev, ok, i-2)
+			}
+		}
+		if r.Blocks() != 2 {
+			t.Errorf("blocks %#x: Blocks = %d, want 2", pair, r.Blocks())
+		}
+	}
 }
 
 func benchTable(b *testing.B, tbl Table, span uint64) {

@@ -11,6 +11,7 @@ import (
 	"reusetool/internal/ir"
 	"reusetool/internal/pipeline"
 	"reusetool/internal/reusedist"
+	"reusetool/internal/sampling"
 	"reusetool/internal/trace"
 	"reusetool/internal/workloads"
 	"reusetool/internal/xmlout"
@@ -33,19 +34,34 @@ func diffWorkloads(t *testing.T) map[string]*ir.Program {
 	}
 }
 
-// TestParallelMatchesSequential is the PR's central differential test:
-// the parallel fan-out must produce a bit-identical report (compared as
-// marshaled XML) and identical simulated miss counts on every workload.
+// TestParallelMatchesSequential is the central differential test of the
+// fan-out: it must produce a bit-identical report (compared as
+// marshaled XML) and identical simulated miss counts on every workload,
+// exact and, for sweep3d, sampled at R=64, where the engines take runs
+// whose blocks the sample mostly rejects.
 func TestParallelMatchesSequential(t *testing.T) {
+	type request struct {
+		name string
+		smp  sampling.Config
+	}
+	var reqs []request
 	for name := range diffWorkloads(t) {
+		reqs = append(reqs, request{name: name})
+	}
+	reqs = append(reqs, request{"sweep3d", sampling.Config{Rate: 64}})
+	for _, req := range reqs {
+		name := req.name
+		if req.smp.Enabled() {
+			name += "-sampled"
+		}
 		t.Run(name, func(t *testing.T) {
 			run := func(parallel bool) ([]byte, map[string]uint64) {
 				t.Helper()
 				// Rebuild the program: finalize mutates it.
 				progs := diffWorkloads(t)
 				res, err := Pipeline{
-					Source:  DynamicSource{Prog: progs[name]},
-					Options: Options{Simulate: true, Parallel: parallel},
+					Source:  DynamicSource{Prog: progs[req.name]},
+					Options: Options{Simulate: true, Parallel: parallel, Sampling: req.smp},
 				}.Run()
 				if err != nil {
 					t.Fatal(err)

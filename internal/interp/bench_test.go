@@ -11,7 +11,9 @@ import (
 
 // BenchmarkInterpreter times runs into trace.Discard: a 1000×1000
 // read-write sweep, and sweep3d and gtc at the sizes perfbench's
-// sampled-large workload analyzes.
+// sampled-large workload analyzes. Discard takes access runs, so an
+// all-affine loop's accesses are timed as the producer forms them,
+// not expanded one by one.
 func BenchmarkInterpreter(b *testing.B) {
 	p := ir.NewProgram("bench")
 	n := p.Param("N", 1000)

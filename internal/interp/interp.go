@@ -77,7 +77,9 @@ type Machine struct {
 	slots   []int64
 	arrays  []arrayState
 	handler trace.Handler
-	loops   []loopState // indexed by loop scope ID
+	// runs is handler when it takes access runs, else nil.
+	runs  trace.RunHandler
+	loops []loopState // indexed by loop scope ID
 
 	accesses    uint64
 	accessLimit uint64 // the access budget; MaxUint64 when unlimited
@@ -218,6 +220,7 @@ func RunContext(ctx context.Context, info *ir.Info, params map[string]int64, h t
 		return nil, err
 	}
 	m.handler = h
+	m.runs, _ = h.(trace.RunHandler)
 	m.accessLimit = math.MaxUint64
 	if cfg.maxAccesses > 0 {
 		m.accessLimit = cfg.maxAccesses

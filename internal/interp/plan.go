@@ -2,6 +2,7 @@ package interp
 
 import (
 	"math"
+	"math/bits"
 
 	"reusetool/internal/ir"
 	"reusetool/internal/symbolic"
@@ -25,6 +26,10 @@ import (
 type loopPlan struct {
 	refs   []plannedRef
 	affine uint64 // affine references per iteration
+	// runs is the instance's access run when every reference is affine
+	// and one iteration fits in a chunk, else nil: its Ref, Size and
+	// Write are fixed here, and runAffine sets Addr and Delta.
+	runs []trace.RunRef
 }
 
 // plannedRef is one reference of a planned loop.
@@ -71,6 +76,12 @@ func newPlan(m *Machine, l *ir.Loop) *loopPlan {
 				}
 			}
 			p.refs = append(p.refs, pr)
+		}
+	}
+	if n := len(p.refs); n > 0 && n <= interruptStride && p.affine == uint64(n) {
+		p.runs = make([]trace.RunRef, n)
+		for i, r := range p.refs {
+			p.runs[i] = trace.RunRef{Ref: r.id, Size: r.size, Write: r.write}
 		}
 	}
 	return p
@@ -165,8 +176,18 @@ func (p *loopPlan) enter(m *Machine, slot int, lo, step int64, last uint64) bool
 
 // runPlan runs iterations 0..last of an instance that enter accepted.
 // It emits the walker's events in the walker's order: only the
-// addresses of affine references are formed differently.
+// addresses of affine references are formed differently. An instance
+// whose references are all affine goes to a run handler as access runs
+// (runAffine), unless the access budget ends inside it: then it runs
+// one access at a time, so the run fails on the same access.
 func (m *Machine) runPlan(p *loopPlan, ls *loopState, slot int, lo, step int64, last uint64) error {
+	if p.runs != nil && m.runs != nil && last != math.MaxUint64 {
+		// The instance's (last+1)·n accesses, in exact arithmetic.
+		hi, total := bits.Mul64(last+1, uint64(len(p.runs)))
+		if end, carry := bits.Add64(m.accesses, total, 0); hi|carry == 0 && end <= m.accessLimit {
+			return m.runAffine(p, ls, slot, lo, step, last)
+		}
+	}
 	v := lo
 	for k := uint64(0); ; k++ {
 		m.slots[slot] = v
@@ -196,4 +217,37 @@ func (m *Machine) runPlan(p *loopPlan, ls *loopState, slot int, lo, step int64, 
 		}
 		v += step
 	}
+}
+
+// runAffine runs iterations 0..last of an all-affine instance whose
+// accesses fit in the access budget, as access runs of at most
+// interruptStride accesses each, polling the context before each one.
+// It leaves the loop variable, the counters and the trip statistics as
+// the per-access path would.
+func (m *Machine) runAffine(p *loopPlan, ls *loopState, slot int, lo, step int64, last uint64) error {
+	runs := p.runs
+	for i := range runs {
+		runs[i].Addr, runs[i].Delta = p.refs[i].addr, p.refs[i].delta
+	}
+	n := uint64(len(runs))
+	chunk := interruptStride / n
+	for left := last + 1; left > 0; {
+		if m.done != nil {
+			if err := m.interrupted(); err != nil {
+				return err
+			}
+		}
+		c := min(chunk, left)
+		m.runs.AccessRun(runs, c)
+		for i := range runs {
+			runs[i].Addr += c * runs[i].Delta
+		}
+		m.accesses += c * n
+		m.iterations += c
+		ls.trips.Iters += c
+		left -= c
+	}
+	m.slots[slot] = lo + int64(last)*step
+	m.planAccesses += (last + 1) * n
+	return nil
 }

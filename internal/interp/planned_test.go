@@ -3,6 +3,7 @@ package interp_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -13,6 +14,8 @@ import (
 	"reusetool/internal/interp"
 	"reusetool/internal/ir"
 	"reusetool/internal/lang"
+	"reusetool/internal/pipeline"
+	"reusetool/internal/reusedist"
 	"reusetool/internal/trace"
 	"reusetool/internal/workloads"
 )
@@ -50,6 +53,19 @@ func (l *eventLog) Access(ref trace.RefID, addr uint64, size uint32, write bool)
 	l.add(trace.Event{Kind: trace.EvAccess, Ref: ref, Addr: addr, Size: size, Write: write})
 }
 
+// runLog is a trace.RunHandler that expands every run into its
+// eventLog, so its log must equal that of a handler without runs. It
+// counts the accesses that came in runs.
+type runLog struct {
+	*eventLog
+	runAccesses uint64
+}
+
+func (l *runLog) AccessRun(refs []trace.RunRef, iters uint64) {
+	l.runAccesses += iters * uint64(len(refs))
+	trace.ExpandRun(l.eventLog, refs, iters)
+}
+
 func errText(err error) string {
 	if err == nil {
 		return "<nil>"
@@ -57,39 +73,62 @@ func errText(err error) string {
 	return err.Error()
 }
 
-// runBoth runs info planned and checked and fails t unless both emit the
-// same events and end with the same error text, and, when they succeed,
-// the same access count and trip statistics. It returns the planned run.
+// runBoth runs info checked, planned into a handler without runs, and
+// planned into a run handler, and fails t unless all three emit the same
+// events and end with the same error text, and, when they succeed, the
+// same access count and trip statistics. It returns the planned run.
 func runBoth(t testing.TB, info *ir.Info, params map[string]int64, opts ...interp.Option) (*interp.Result, error) {
 	t.Helper()
-	planned, checked := newEventLog(4096), newEventLog(4096)
+	res, _, err := runWays(t, info, params, opts...)
+	return res, err
+}
+
+// runWays is runBoth that also reports how many accesses the run
+// handler received in runs.
+func runWays(t testing.TB, info *ir.Info, params map[string]int64, opts ...interp.Option) (*interp.Result, uint64, error) {
+	t.Helper()
+	planned, checked, runs := newEventLog(4096), newEventLog(4096), &runLog{eventLog: newEventLog(4096)}
 	pres, perr := interp.Run(info, params, planned, opts...)
 	cres, cerr := interp.Run(info, params, checked, append(opts[:len(opts):len(opts)], interp.Checked())...)
-	if errText(perr) != errText(cerr) {
-		t.Fatalf("errors differ:\nplanned: %v\nchecked: %v", perr, cerr)
-	}
-	if planned.n != checked.n || planned.hash != checked.hash {
-		for i := range min(len(planned.kept), len(checked.kept)) {
-			if planned.kept[i] != checked.kept[i] {
-				t.Fatalf("event %d differs: planned %+v, checked %+v", i, planned.kept[i], checked.kept[i])
-			}
+	rres, rerr := interp.Run(info, params, runs, opts...)
+	for _, w := range []struct {
+		name string
+		log  *eventLog
+		res  *interp.Result
+		err  error
+	}{{"planned", planned, pres, perr}, {"run", runs.eventLog, rres, rerr}} {
+		if errText(w.err) != errText(cerr) {
+			t.Fatalf("errors differ:\n%s: %v\nchecked: %v", w.name, w.err, cerr)
 		}
-		t.Fatalf("event streams differ: planned %d events (hash %x), checked %d (hash %x)",
-			planned.n, planned.hash, checked.n, checked.hash)
+		if w.log.n != checked.n || w.log.hash != checked.hash {
+			for i := range min(len(w.log.kept), len(checked.kept)) {
+				if w.log.kept[i] != checked.kept[i] {
+					t.Fatalf("event %d differs: %s %+v, checked %+v", i, w.name, w.log.kept[i], checked.kept[i])
+				}
+			}
+			t.Fatalf("event streams differ: %s %d events (hash %x), checked %d (hash %x)",
+				w.name, w.log.n, w.log.hash, checked.n, checked.hash)
+		}
+		if w.err != nil {
+			continue
+		}
+		if w.res.Accesses != cres.Accesses {
+			t.Fatalf("accesses: %s %d, checked %d", w.name, w.res.Accesses, cres.Accesses)
+		}
+		if !reflect.DeepEqual(w.res.Trips, cres.Trips) {
+			t.Fatalf("trips differ:\n%s: %v\nchecked: %v", w.name, w.res.Trips, cres.Trips)
+		}
 	}
 	if perr != nil {
-		return nil, perr
-	}
-	if pres.Accesses != cres.Accesses {
-		t.Fatalf("accesses: planned %d, checked %d", pres.Accesses, cres.Accesses)
-	}
-	if !reflect.DeepEqual(pres.Trips, cres.Trips) {
-		t.Fatalf("trips differ:\nplanned: %v\nchecked: %v", pres.Trips, cres.Trips)
+		return nil, runs.runAccesses, perr
 	}
 	if n := interp.PlanAccesses(cres); n != 0 {
 		t.Fatalf("checked run took %d addresses from plans", n)
 	}
-	return pres, nil
+	if p, r := interp.PlanAccesses(pres), interp.PlanAccesses(rres); p != r {
+		t.Fatalf("planned accesses: %d without runs, %d with", p, r)
+	}
+	return pres, runs.runAccesses, nil
 }
 
 func initOpts(init func(*interp.Machine) error) []interp.Option {
@@ -110,13 +149,14 @@ func TestPlannedMatchesCheckedWorkloads(t *testing.T) {
 	type tc struct {
 		label, name string
 		params      map[string]int64
-		// minShare is the least share of accesses that must run from a
-		// plan, so the plans cannot silently stop engaging.
-		minShare float64
+		// minShare and minRunShare are the least shares of accesses
+		// that must run from a plan and reach a run handler in runs, so
+		// neither can silently stop engaging.
+		minShare, minRunShare float64
 	}
 	cases := []tc{
-		{"sweep3d-it=jt=kt=24", "sweep3d", map[string]int64{"it": 24, "jt": 24, "kt": 24}, 1},
-		{"gtc-micell=60", "gtc", map[string]int64{"micell": 60}, 0.7},
+		{"sweep3d-it=jt=kt=24", "sweep3d", map[string]int64{"it": 24, "jt": 24, "kt": 24}, 1, 1},
+		{"gtc-micell=60", "gtc", map[string]int64{"micell": 60}, 0.7, 0.5},
 	}
 	for _, name := range workloads.Names() {
 		cases = append(cases, tc{label: name, name: name})
@@ -127,14 +167,18 @@ func TestPlannedMatchesCheckedWorkloads(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := runBoth(t, workloads.MustFinalize(prog), c.params, initOpts(init)...)
+			res, inRuns, err := runWays(t, workloads.MustFinalize(prog), c.params, initOpts(init)...)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if share := planShare(res); share < c.minShare {
 				t.Errorf("%.1f%% of %d accesses ran from a plan, want at least %.0f%%", 100*share, res.Accesses, 100*c.minShare)
 			}
-			t.Logf("%d accesses, %.1f%% from plans", res.Accesses, 100*planShare(res))
+			runShare := float64(inRuns) / float64(res.Accesses)
+			if runShare < c.minRunShare {
+				t.Errorf("%.1f%% of %d accesses came in runs, want at least %.0f%%", 100*runShare, res.Accesses, 100*c.minRunShare)
+			}
+			t.Logf("%d accesses, %.1f%% from plans, %.1f%% in runs", res.Accesses, 100*planShare(res), 100*runShare)
 		})
 	}
 
@@ -311,6 +355,59 @@ func TestLoopAtInt64EdgeStops(t *testing.T) {
 	res, err := runBoth(t, info, nil)
 	if err != nil || res.Accesses != 8 {
 		t.Fatalf("accesses = %v, err = %v, want 8 accesses", res, err)
+	}
+}
+
+// TestBudgetEndsInsideRun: an instance inside which the access budget
+// ends runs access by access, so a run handler sees the run fail on
+// the same access with the same error; the instances before it still
+// arrive as runs.
+func TestBudgetEndsInsideRun(t *testing.T) {
+	info, _ := parseProgram(t, "program p\narray A f64 [10]\narray B f64 [4, 10]\nroutine main file p.f line 1 {\n"+
+		"for j = 0 .. 3 { for i = 0 .. 9 { access A[i], B[j, i]! } }\n}\n")
+	for budget := uint64(1); budget <= 80; budget++ {
+		_, inRuns, err := runWays(t, info, nil, interp.WithMaxAccesses(budget))
+		want := fmt.Sprintf("interp: access budget of %d exceeded", budget)
+		if budget == 80 {
+			want = "<nil>"
+		}
+		if errText(err) != want {
+			t.Errorf("budget %d: error = %v, want %s", budget, err, want)
+		}
+		if whole := budget / 20 * 20; inRuns != whole {
+			t.Errorf("budget %d: %d accesses came in runs, want the %d of the instances that fit", budget, inRuns, whole)
+		}
+	}
+}
+
+// TestDeadlineStopsRunUnderFanout: one loop instance of 2·10^11
+// accesses that all come in runs stops by its deadline under the
+// fan-out, and the fan-out's consumers, one taking runs and one not,
+// have caught up within the bound of a batch's work when Close returns.
+func TestDeadlineStopsRunUnderFanout(t *testing.T) {
+	info, _ := parseProgram(t, "program p\narray A f64 [4]\nroutine main file p.f line 1 {\n"+
+		"for i = 0 .. 100000000000 line 2 { access A[i - i], A[3]! }\n}\n")
+	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+	defer cancel()
+	eng := reusedist.New(reusedist.Config{BlockBits: 7})
+	var count trace.Counter
+	start := time.Now()
+	res, err := runWithin(t, 5*time.Second, func() (*interp.Result, error) {
+		f := pipeline.NewFanout(pipeline.Config{}, eng, &count)
+		res, err := interp.RunContext(ctx, info, nil, f)
+		if cerr := f.Close(); cerr != nil {
+			t.Errorf("fan-out: %v", cerr)
+		}
+		return res, err
+	})
+	if !errors.Is(err, context.DeadlineExceeded) || res != nil {
+		t.Fatalf("result %v, error = %v, want context.DeadlineExceeded", res, err)
+	}
+	if el := time.Since(start); el > time.Second {
+		t.Errorf("returned after %v, want within 1s", el)
+	}
+	if count.Accesses == 0 || eng.Clock() != count.Accesses {
+		t.Errorf("consumers saw %d and %d accesses, want the same nonzero count", eng.Clock(), count.Accesses)
 	}
 }
 

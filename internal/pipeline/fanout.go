@@ -17,6 +17,12 @@
 // bounded rings provide backpressure: when the slowest consumer lags by
 // RingSize batches, the producer blocks until it catches up, so memory
 // stays bounded at O(consumers × RingSize × BatchSize) events.
+//
+// An access run (trace.RunHandler) travels inside a batch in encoded
+// form, as one header event and two events per reference, and each
+// consumer expands it or hands it on as a run. A batch expands to at
+// most batchWork × BatchSize accesses and scope events, so a consumer
+// lags the producer by a bounded amount of work as well as of memory.
 package pipeline
 
 import (
@@ -33,6 +39,18 @@ const (
 	DefaultBatchSize = 4096
 	DefaultRingSize  = 8
 )
+
+// batchWork bounds, in BatchSizes, the accesses and scope events one
+// batch expands to. An encoded run of 4096 accesses takes as few as
+// three events, so without the bound a batch of runs could stand for
+// millions of accesses.
+const batchWork = 16
+
+// evRun is the kind of an encoded run's header event. The header's Addr
+// holds the run's iteration count and its Size the number of references
+// n; the 2n events after it hold, per reference, its Addr, Ref, Size and
+// Write, then its Delta in Addr.
+const evRun trace.EventKind = 255
 
 // Config sizes a Fanout. The zero value selects the defaults.
 type Config struct {
@@ -62,6 +80,8 @@ type batch struct {
 // consumer owns one handler, its ring, and its draining goroutine.
 type consumer struct {
 	h    trace.Handler
+	rh   trace.RunHandler // h when it takes runs, else nil
+	runs []trace.RunRef   // the decoded references of the current run
 	ring *ring
 	done chan struct{}
 	err  error
@@ -93,11 +113,44 @@ func (c *consumer) replay(events []trace.Event) {
 			c.err = fmt.Errorf("pipeline: consumer %T: %v", c.h, r)
 		}
 	}()
-	trace.ReplayEvents(events, c.h)
+	for i := 0; i < len(events); i++ {
+		e := &events[i]
+		switch e.Kind {
+		case trace.EvEnter:
+			c.h.EnterScope(e.Scope)
+		case trace.EvExit:
+			c.h.ExitScope(e.Scope)
+		case trace.EvAccess:
+			c.h.Access(e.Ref, e.Addr, e.Size, e.Write)
+		case evRun:
+			i = c.replayRun(events, i)
+		}
+	}
+}
+
+// replayRun decodes the run whose header is events[i] and feeds it to
+// the handler, as a run when the handler takes runs and one access at
+// a time when it does not. It returns the index of the run's last event.
+//
+//reuse:hotpath
+func (c *consumer) replayRun(events []trace.Event, i int) int {
+	hd := &events[i]
+	refs := c.runs[:0]
+	for j := i + 1; j < i+1+2*int(hd.Size); j += 2 {
+		r := &events[j]
+		refs = append(refs, trace.RunRef{Addr: r.Addr, Delta: events[j+1].Addr, Ref: r.Ref, Size: r.Size, Write: r.Write})
+	}
+	c.runs = refs
+	if c.rh != nil {
+		c.rh.AccessRun(refs, hd.Addr)
+	} else {
+		trace.ExpandRun(c.h, refs, hd.Addr)
+	}
+	return i + 2*len(refs)
 }
 
 // Fanout distributes one event stream to several handlers, each on its
-// own goroutine. It implements trace.Handler for the producer side;
+// own goroutine. It implements trace.RunHandler for the producer side;
 // events are only visible to consumers at batch boundaries. Call Close
 // exactly once after the producer finishes to flush the final partial
 // batch, join every consumer, and collect the first error.
@@ -105,24 +158,29 @@ func (c *consumer) replay(events []trace.Event) {
 // Fanout is single-producer: the Handler methods must be called from one
 // goroutine, as the interpreter does.
 type Fanout struct {
-	cfg    Config
-	cons   []*consumer
-	cur    []trace.Event
-	free   chan *batch
-	closed bool
+	cfg  Config
+	cons []*consumer
+	cur  []trace.Event
+	// work counts the accesses and scope events cur expands to;
+	// maxWork bounds it.
+	work, maxWork uint64
+	free          chan *batch
+	closed        bool
 }
 
 // NewFanout starts one draining goroutine per handler.
 func NewFanout(cfg Config, handlers ...trace.Handler) *Fanout {
 	cfg = cfg.withDefaults()
 	f := &Fanout{
-		cfg: cfg,
+		cfg:     cfg,
+		maxWork: batchWork * uint64(cfg.BatchSize),
 		// Capacity for every in-flight batch plus slack so recycling
 		// never blocks a consumer.
 		free: make(chan *batch, cfg.RingSize*len(handlers)+2*len(handlers)+2),
 	}
 	for _, h := range handlers {
 		c := &consumer{h: h, ring: newRing(cfg.RingSize), done: make(chan struct{})}
+		c.rh, _ = h.(trace.RunHandler)
 		f.cons = append(f.cons, c)
 		go c.run(f)
 	}
@@ -157,11 +215,13 @@ func (f *Fanout) publish() {
 		c.ring.push(b)
 	}
 	f.cur = f.newBatchBuf()
+	f.work = 0
 }
 
 func (f *Fanout) emit(e trace.Event) {
 	f.cur = append(f.cur, e)
-	if len(f.cur) >= f.cfg.BatchSize {
+	f.work++
+	if len(f.cur) >= f.cfg.BatchSize || f.work >= f.maxWork {
 		f.publish()
 	}
 }
@@ -179,6 +239,39 @@ func (f *Fanout) ExitScope(s trace.ScopeID) {
 // Access implements trace.Handler.
 func (f *Fanout) Access(ref trace.RefID, addr uint64, size uint32, write bool) {
 	f.emit(trace.Event{Kind: trace.EvAccess, Ref: ref, Addr: addr, Size: size, Write: write})
+}
+
+// AccessRun implements trace.RunHandler. A run of three or more
+// iterations travels encoded, split across batches where it would break
+// a batch's event or work bound; a shorter run, or one whose encoding
+// would not fit in one batch, travels one access at a time, which is no
+// larger.
+//
+//reuse:hotpath
+func (f *Fanout) AccessRun(refs []trace.RunRef, iters uint64) {
+	n, width := uint64(len(refs)), 1+2*len(refs)
+	if iters < 3 || n == 0 || width > f.cfg.BatchSize {
+		trace.ExpandRun(f, refs, iters)
+		return
+	}
+	for k := uint64(0); k < iters; {
+		if len(f.cur)+width > f.cfg.BatchSize || f.work+n > f.maxWork {
+			f.publish()
+		}
+		c := min(iters-k, (f.maxWork-f.work)/n)
+		f.cur = append(f.cur, trace.Event{Kind: evRun, Addr: c, Size: uint32(n)})
+		for i := range refs {
+			r := &refs[i]
+			f.cur = append(f.cur,
+				trace.Event{Kind: evRun, Addr: r.Addr + k*r.Delta, Ref: r.Ref, Size: r.Size, Write: r.Write},
+				trace.Event{Kind: evRun, Addr: r.Delta})
+		}
+		f.work += c * n
+		k += c
+	}
+	if len(f.cur) >= f.cfg.BatchSize || f.work >= f.maxWork {
+		f.publish()
+	}
 }
 
 // Close flushes the final partial batch, signals end-of-stream, joins

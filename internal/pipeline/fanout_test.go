@@ -217,3 +217,105 @@ func TestForEachError(t *testing.T) {
 		t.Fatalf("err = %v", err)
 	}
 }
+
+// runRecorder records the expanded stream of the runs it receives, and
+// counts them.
+type runRecorder struct {
+	trace.Recorder
+	runs int
+}
+
+func (r *runRecorder) AccessRun(refs []trace.RunRef, iters uint64) {
+	r.runs++
+	trace.ExpandRun(&r.Recorder, refs, iters)
+}
+
+// runRefs returns n run references with distinct sizes, directions and
+// read/write modes.
+func runRefs(n int) []trace.RunRef {
+	refs := make([]trace.RunRef, n)
+	for i := range refs {
+		refs[i] = trace.RunRef{Addr: uint64(1<<20 + 4096*i), Delta: uint64(8 * (i%3 - 1)), Ref: trace.RefID(i), Size: uint32(4 << (i % 2)), Write: i%2 == 0}
+	}
+	return refs
+}
+
+// driveRuns pushes runs of every shape the fan-out treats differently
+// through h, between scope events and plain accesses: runs too short to
+// encode, runs longer than a batch's work bound, a run too wide for one
+// batch, and a run with no references.
+func driveRuns(h trace.RunHandler, batch int) {
+	h.EnterScope(0)
+	for _, s := range []struct{ n, iters int }{
+		{1, 1}, {2, 2}, {3, 3}, {1, 100}, {3, 5000}, {batch, 4}, {0, 10}, {2, 1000}, {5, 37},
+	} {
+		h.EnterScope(1)
+		h.Access(99, uint64(s.n), 8, false)
+		h.AccessRun(runRefs(s.n), uint64(s.iters))
+		h.ExitScope(1)
+	}
+	h.ExitScope(0)
+}
+
+// TestFanoutRunsMatchExpansion: a consumer that takes runs and one that
+// does not each see exactly the stream the runs expand to, whatever the
+// shape of the runs.
+func TestFanoutRunsMatchExpansion(t *testing.T) {
+	const batch = 16
+	var want trace.Recorder
+	driveRuns(trace.Multi{&want}, batch)
+
+	withRuns, without := &runRecorder{}, &trace.Recorder{}
+	f := NewFanout(Config{BatchSize: batch, RingSize: 2}, withRuns, without)
+	driveRuns(f, batch)
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for name, got := range map[string][]trace.Event{"with runs": withRuns.Events, "without runs": without.Events} {
+		if !reflect.DeepEqual(got, want.Events) {
+			t.Errorf("consumer %s saw %d events, want the %d of the expanded stream", name, len(got), len(want.Events))
+		}
+	}
+	// 3×5000 accesses split at 16×16 per batch, 2×1000 at the same;
+	// the short, wide and empty runs travel as accesses.
+	if withRuns.runs < 15000/(batchWork*batch)+2000/(batchWork*batch) {
+		t.Errorf("the run consumer got %d runs, want the long runs split by the work bound", withRuns.runs)
+	}
+}
+
+// TestFanoutRunLagBound: runs cannot carry the producer further ahead
+// of a slow consumer than the rings, the fill batch and the batch being
+// replayed, each bounded by the work bound of a batch.
+func TestFanoutRunLagBound(t *testing.T) {
+	const batch, ringSize = 8, 2
+	slow := &slowHandler{delay: 20 * time.Microsecond}
+	var produced atomic.Int64
+	f := NewFanout(Config{BatchSize: batch, RingSize: ringSize}, slow)
+	done := make(chan struct{})
+	refs := []trace.RunRef{{Addr: 4096, Delta: 8, Size: 8}}
+	go func() {
+		defer close(done)
+		for i := 0; i < 16; i++ {
+			f.AccessRun(refs, 100)
+			produced.Add(100)
+		}
+	}()
+	limit := int64((ringSize + 2) * batchWork * batch)
+	for {
+		select {
+		case <-done:
+			if err := f.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if got := slow.accesses.Load(); got != 1600 {
+				t.Fatalf("slow consumer saw %d accesses, want 1600", got)
+			}
+			return
+		default:
+			if ahead := produced.Load() - slow.accesses.Load(); ahead > limit {
+				t.Fatalf("producer ran %d accesses ahead of the slow consumer (limit %d)", ahead, limit)
+			}
+			time.Sleep(100 * time.Microsecond)
+		}
+	}
+}

@@ -57,6 +57,15 @@ func (c *Collector) Access(ref trace.RefID, addr uint64, size uint32, write bool
 	}
 }
 
+// AccessRun implements trace.RunHandler: each engine takes the run.
+//
+//reuse:hotpath
+func (c *Collector) AccessRun(refs []trace.RunRef, iters uint64) {
+	for _, e := range c.Engines {
+		e.AccessRun(refs, iters)
+	}
+}
+
 // Engine returns the engine for the named granularity, or nil.
 func (c *Collector) Engine(name string) *Engine {
 	for i, g := range c.Grans {

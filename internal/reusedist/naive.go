@@ -46,6 +46,15 @@ func (n *Naive) EnterScope(s trace.ScopeID) {
 // ExitScope implements trace.Handler.
 func (n *Naive) ExitScope(trace.ScopeID) { n.stack = n.stack[:len(n.stack)-1] }
 
+// newRefData records a reference's first access.
+//
+//reuse:coldpath
+func (n *Naive) newRefData(ref trace.RefID, cur trace.ScopeID) *RefData {
+	rd := &RefData{Ref: ref, Scope: cur, Patterns: make(map[PatternKey]*Pattern)}
+	n.refs[ref] = rd
+	return rd
+}
+
 // Access implements trace.Handler.
 func (n *Naive) Access(ref trace.RefID, addr uint64, size uint32, _ bool) {
 	first := addr >> n.blockBits
@@ -66,8 +75,7 @@ func (n *Naive) accessBlock(ref trace.RefID, block uint64) {
 	}
 	rd := n.refs[ref]
 	if rd == nil {
-		rd = &RefData{Ref: ref, Scope: cur, Patterns: make(map[PatternKey]*Pattern)}
-		n.refs[ref] = rd
+		rd = n.newRefData(ref, cur)
 	}
 	rd.Total++
 

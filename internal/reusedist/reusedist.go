@@ -227,6 +227,10 @@ type Engine struct {
 	maxSample int
 	arcs      uint64
 	finished  bool
+	// rejected is the admission memo: per reference, one more than the
+	// last block the sampler rejected for it, 0 when none (see
+	// knownRejected).
+	rejected []uint64
 
 	_ [cacheLine]byte
 }
@@ -300,6 +304,7 @@ func New(cfg Config) *Engine {
 		e.sampler = sampling.New(cfg.Sampling)
 		e.scale = e.sampler.Rate()
 		e.maxSample = e.sampler.MaxBlocks()
+		e.rejected = lineIsolated(cfg.Hints.Refs)
 	}
 	if n := len(cfg.Thresholds); n > 0 {
 		e.thPerm = make([]int, n)
@@ -376,16 +381,78 @@ func (e *Engine) Access(ref trace.RefID, addr uint64, size uint32, _ bool) {
 		last = first
 	}
 	for b := first; b <= last; b++ {
+		if e.sampler != nil && (e.knownRejected(ref, b) || !e.admit(ref, b)) {
+			// Rejected by the spatial sample: the test is the entire
+			// cost of this access.
+			continue
+		}
 		e.accessBlock(ref, b)
 	}
 }
 
-func (e *Engine) accessBlock(ref trace.RefID, block uint64) {
-	if e.sampler != nil && !e.sampler.Admit(block) {
-		// Rejected by the spatial sample: the hash test above is the
-		// entire cost of this access.
-		return
+// AccessRun implements trace.RunHandler: it expands the run in order,
+// taking each access as Access does. It repeats Access's body instead of
+// calling it, since Access does not inline and a call per access would
+// cost a sampling engine about as much as the rest of its work on it.
+//
+//reuse:hotpath
+func (e *Engine) AccessRun(refs []trace.RunRef, iters uint64) {
+	bb := e.cfg.BlockBits
+	for k := uint64(0); k < iters; k++ {
+		for i := range refs {
+			r := &refs[i]
+			addr := r.Addr + k*r.Delta
+			first := addr >> bb
+			last := (addr + uint64(r.Size) - 1) >> bb
+			if r.Size == 0 {
+				last = first
+			}
+			for b := first; b <= last; b++ {
+				if e.sampler != nil && (e.knownRejected(r.Ref, b) || !e.admit(r.Ref, b)) {
+					continue
+				}
+				e.accessBlock(r.Ref, b)
+			}
+		}
 	}
+}
+
+// knownRejected reports whether block is the last block a sampling
+// engine rejected for ref. Each reference remembers that block, so a
+// reference that stays in a rejected block is turned away without a
+// hash. That is exact: the admission threshold only ever falls, so a
+// block once rejected stays rejected.
+func (e *Engine) knownRejected(ref trace.RefID, block uint64) bool {
+	return uint(ref) < uint(len(e.rejected)) && e.rejected[ref] == block+1 && block+1 != 0
+}
+
+// admit tests block against a sampling engine's admission hash, and
+// records a rejection in the memo (a negative ref is left out).
+func (e *Engine) admit(ref trace.RefID, block uint64) bool {
+	if e.sampler.Admit(block) {
+		return true
+	}
+	if ref >= 0 {
+		if int(ref) >= len(e.rejected) {
+			e.growRejected(int(ref))
+		}
+		e.rejected[ref] = block + 1
+	}
+	return false
+}
+
+// growRejected extends the rejection memo to cover index i. Like the
+// per-scope counters, the memo is written per access and stays
+// line-isolated.
+//
+//reuse:coldpath
+func (e *Engine) growRejected(i int) {
+	grown := lineIsolated(max(i+1, 2*len(e.rejected)))
+	copy(grown, e.rejected)
+	e.rejected = grown
+}
+
+func (e *Engine) accessBlock(ref trace.RefID, block uint64) {
 	e.clock++
 	now := e.clock
 	cur := e.stack.Top()
@@ -418,7 +485,9 @@ func (e *Engine) accessBlock(ref trace.RefID, block uint64) {
 			i--
 		}
 		dist = uint64(n - 1 - i)
-		copy(e.front[i:n-1], e.front[i+1:n])
+		for ; i < n-1; i++ {
+			e.front[i] = e.front[i+1]
+		}
 		e.front[n-1] = now
 	} else {
 		dist = e.tree.CountGreater(prev.Time) + uint64(n)

@@ -2,10 +2,12 @@ package reusedist
 
 import (
 	"math"
+	"math/rand"
 	"runtime"
 	"testing"
 
 	"reusetool/internal/sampling"
+	"reusetool/internal/trace"
 )
 
 // cyclicSweep replays k full passes over n 64-byte blocks: every access
@@ -243,5 +245,42 @@ func TestSamplingHintCap(t *testing.T) {
 	if rateOnly > exact/16 {
 		t.Fatalf("rate-64 engine allocated %d bytes, want well under uncapped %d/16",
 			rateOnly, exact)
+	}
+}
+
+// TestAdmissionMemoExact feeds one stream to two sampling engines, one
+// of which has its admission memo wiped after every access and so
+// hashes every block, and checks that they end identical: the memo
+// turns away only blocks the hash would reject, across the adaptive
+// sampler's halvings too.
+func TestAdmissionMemoExact(t *testing.T) {
+	for _, smp := range []sampling.Config{{Rate: 8}, {Rate: 64}, {MaxBlocks: 16}, {Rate: 4, MaxBlocks: 16}} {
+		cfg := Config{BlockBits: 6, Thresholds: []uint64{16, 256}, Sampling: smp}
+		memo, hashed := New(cfg), New(cfg)
+		rng := rand.New(rand.NewSource(1))
+		var addr [8]uint64
+		for _, e := range []*Engine{memo, hashed} {
+			e.EnterScope(0)
+		}
+		for i := 0; i < 200000; i++ {
+			ref := rng.Intn(len(addr))
+			if rng.Intn(64) == 0 {
+				addr[ref] = uint64(rng.Intn(1 << 22))
+			} else {
+				addr[ref] += 8
+			}
+			for _, e := range []*Engine{memo, hashed} {
+				e.Access(trace.RefID(ref), addr[ref], 8, false)
+			}
+			clear(hashed.rejected)
+		}
+		for _, e := range []*Engine{memo, hashed} {
+			e.ExitScope(0)
+			e.Finish()
+		}
+		if memo.Fingerprint() != hashed.Fingerprint() || memo.Sample() != hashed.Sample() {
+			t.Errorf("%v: with the memo %#x %+v, hashing every block %#x %+v", smp,
+				memo.Fingerprint(), memo.Sample(), hashed.Fingerprint(), hashed.Sample())
+		}
 	}
 }

@@ -197,6 +197,31 @@ func TestCarryingSemantics(t *testing.T) {
 			t.Errorf("CarryingLinear(%d) = %d, want %d", c.prev, got, c.want)
 		}
 	}
+
+	// A top scope entered at exactly prevTime carries nothing: the query
+	// falls through to an outer scope, past every scope entered at that
+	// clock, and to NoScope when no scope is left.
+	st.Enter(5, 25)
+	var one, empty Stack
+	one.Enter(7, 40)
+	for _, c := range []struct {
+		st   *Stack
+		prev uint64
+		want trace.ScopeID
+	}{
+		{&st, 25, 3},
+		{&st, 26, 5},
+		{&one, 40, trace.NoScope},
+		{&one, 41, 7},
+		{&empty, 1, trace.NoScope},
+	} {
+		if got := c.st.Carrying(c.prev); got != c.want {
+			t.Errorf("depth %d: Carrying(%d) = %d, want %d", c.st.Depth(), c.prev, got, c.want)
+		}
+		if got := c.st.CarryingLinear(c.prev); got != c.want {
+			t.Errorf("depth %d: CarryingLinear(%d) = %d, want %d", c.st.Depth(), c.prev, got, c.want)
+		}
+	}
 }
 
 // TestCarryingMatchesLinearQuick cross-checks binary search against the

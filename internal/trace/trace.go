@@ -6,7 +6,10 @@
 // reported. This package is the Go equivalent of that contract: anything
 // that can produce a stream of EnterScope/ExitScope/Access events (here, the
 // IR interpreter in internal/interp) can feed anything that consumes one
-// (the reuse-distance engine, the cache simulator, recorders, ...).
+// (the reuse-distance engine, the cache simulator, recorders, ...). A
+// producer that knows a loop's addresses in closed form may hand a
+// RunHandler the loop's accesses as one access run; every other handler
+// gets them one at a time.
 package trace
 
 // RefID identifies a static memory reference (a load or store site).
@@ -32,6 +35,40 @@ type Handler interface {
 	Access(ref RefID, addr uint64, size uint32, write bool)
 }
 
+// RunRef is one reference of an access run: at iteration k it accesses
+// Size bytes at Addr + k·Delta, in wrapping uint64 arithmetic.
+type RunRef struct {
+	Addr, Delta uint64
+	Ref         RefID
+	Size        uint32
+	Write       bool
+}
+
+// RunHandler is a Handler that also takes access runs: the accesses of
+// a loop instance whose every address advances by a constant step.
+//
+// AccessRun(refs, iters) is defined as exactly the loop it replaces:
+// for each iteration k from 0 to iters−1, and for each ref r in order,
+// Access(r.Ref, r.Addr+k·r.Delta, r.Size, r.Write). AccessRun must not
+// retain refs, which its caller reuses.
+type RunHandler interface {
+	Handler
+	AccessRun(refs []RunRef, iters uint64)
+}
+
+// ExpandRun feeds a run to h one access at a time: the definition of
+// RunHandler.AccessRun, for handlers that take no runs.
+//
+//reuse:hotpath
+func ExpandRun(h Handler, refs []RunRef, iters uint64) {
+	for k := uint64(0); k < iters; k++ {
+		for i := range refs {
+			r := &refs[i]
+			h.Access(r.Ref, r.Addr+k*r.Delta, r.Size, r.Write)
+		}
+	}
+}
+
 // Multi fans one event stream out to several handlers, in order.
 type Multi []Handler
 
@@ -53,6 +90,20 @@ func (m Multi) ExitScope(s ScopeID) {
 func (m Multi) Access(ref RefID, addr uint64, size uint32, write bool) {
 	for _, h := range m {
 		h.Access(ref, addr, size, write)
+	}
+}
+
+// AccessRun implements RunHandler: each handler takes the whole run,
+// as a run when it takes runs and one access at a time when it does not.
+//
+//reuse:hotpath
+func (m Multi) AccessRun(refs []RunRef, iters uint64) {
+	for _, h := range m {
+		if rh, ok := h.(RunHandler); ok {
+			rh.AccessRun(refs, iters)
+		} else {
+			ExpandRun(h, refs, iters)
+		}
 	}
 }
 
@@ -142,8 +193,7 @@ func (r *Recorder) Access(ref RefID, addr uint64, size uint32, write bool) {
 // Replay feeds the recorded events to h in order.
 func (r *Recorder) Replay(h Handler) { ReplayEvents(r.Events, h) }
 
-// ReplayEvents feeds a batch of events to h in order. It is the shared
-// decode loop of Recorder.Replay and the parallel fan-out's consumers.
+// ReplayEvents feeds a batch of recorded events to h in order.
 func ReplayEvents(events []Event, h Handler) {
 	for i := range events {
 		e := &events[i]
@@ -170,3 +220,6 @@ func (Discard) ExitScope(ScopeID) {}
 
 // Access implements Handler.
 func (Discard) Access(RefID, uint64, uint32, bool) {}
+
+// AccessRun implements RunHandler.
+func (Discard) AccessRun([]RunRef, uint64) {}

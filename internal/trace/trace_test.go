@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -112,4 +113,43 @@ func TestDiscardDoesNothing(t *testing.T) {
 	d.Access(1, 2, 3, true)
 	d.ExitScope(1)
 	// Nothing to assert: Discard must simply not panic.
+}
+
+// runRecorder records the runs it receives, expanded.
+type runRecorder struct {
+	Recorder
+	runs int
+}
+
+func (r *runRecorder) AccessRun(refs []RunRef, iters uint64) {
+	r.runs++
+	ExpandRun(&r.Recorder, refs, iters)
+}
+
+// TestMultiRuns: Multi hands a run to a handler that takes runs and
+// expands it for one that does not; both see the stream the run
+// stands for, in order, and Discard takes runs.
+func TestMultiRuns(t *testing.T) {
+	refs := []RunRef{
+		{Addr: 100, Delta: 8, Ref: 1, Size: 8},
+		{Addr: 900, Delta: ^uint64(3), Ref: 2, Size: 4, Write: true}, // steps down by 4
+		{Addr: 50, Ref: 3, Size: 2},
+	}
+	var want Recorder
+	for k := uint64(0); k < 3; k++ {
+		want.Access(1, 100+8*k, 8, false)
+		want.Access(2, 900-4*k, 4, true)
+		want.Access(3, 50, 2, false)
+	}
+	with, without := &runRecorder{}, &Recorder{}
+	m := Multi{with, without, Discard{}}
+	m.AccessRun(refs, 3)
+	if with.runs != 1 {
+		t.Errorf("the run handler got %d runs, want 1", with.runs)
+	}
+	for name, got := range map[string][]Event{"with runs": with.Events, "without runs": without.Events} {
+		if !reflect.DeepEqual(got, want.Events) {
+			t.Errorf("%s: got %+v, want %+v", name, got, want.Events)
+		}
+	}
 }
