@@ -273,7 +273,7 @@ func run() int {
 		loadFrom  = flag.String("load", "", "reuse previously saved data instead of re-running the workload")
 		dumpTrace = flag.String("dump-trace", "", "additionally record the event trace to this text file")
 		fromTrace = flag.String("from-trace", "", "analyze a recorded trace file instead of a workload")
-		cctOut    = flag.Bool("cct", false, "additionally print the calling-context tree of misses at -level")
+		cctOut    = flag.Bool("cct", false, "additionally print the calling-context tree of misses at -level, profiled on the analysis's own run")
 		compareTo = flag.String("compare", "", "additionally compare against this workload's misses (e.g. sweep3d-blk6ic)")
 		dumpProg  = flag.String("dump-program", "", "write the workload as a .loop program file and exit")
 		static    = flag.Bool("static", false, "predict reports symbolically from the IR, without executing the workload")
@@ -475,7 +475,10 @@ func run() int {
 		return 0
 	}
 
-	var res *core.Result
+	var (
+		res  *core.Result
+		prof *cct.Profiler
+	)
 	switch mode {
 	case modeSaved:
 		res, err = analyzeSaved(ctx, prog, *loadFrom, opts)
@@ -484,6 +487,14 @@ func run() int {
 	case modeDynamic:
 		src := core.DynamicSource{Prog: prog, Init: init}
 		finish := func(err error) error { return err }
+		var tee trace.Multi
+		// -cct profiles this run. Nothing is attached under -xml, which
+		// prints no tree, or under an unknown -level, which the summary
+		// reports.
+		if lvl := hier.Level(*level); *cctOut && !*xmlOut && lvl != nil {
+			prof = cct.NewProfiler(*lvl)
+			tee = append(tee, prof)
+		}
 		if *dumpTrace != "" {
 			// The trace writer needs the finalized info up front; reuse it
 			// for the run.
@@ -497,8 +508,11 @@ func run() int {
 			if err != nil {
 				break
 			}
-			opts.Tee = w
+			tee = append(tee, w)
 			src = core.DynamicSource{Info: info, Init: init}
+		}
+		if len(tee) > 0 {
+			opts.Tee = tee
 		}
 		res, err = core.Pipeline{Source: src, Options: opts}.RunContext(ctx)
 		err = finish(err)
@@ -532,11 +546,9 @@ func run() int {
 		fmt.Fprintln(os.Stderr, err)
 		return 1
 	}
-	if *cctOut {
+	if prof != nil {
 		fmt.Println()
-		if err := printCCT(ctx, *workload, *progFile, hier, *level, *share, params); err != nil {
-			return fail(os.Stderr, err)
-		}
+		prof.Print(os.Stdout, res.Info.Scopes, *share)
 	}
 	if *compareTo != "" {
 		fmt.Println()
@@ -667,43 +679,6 @@ func relErrString(static, dynamic float64) string {
 		return "inf"
 	}
 	return fmt.Sprintf("%+.1f%%", (static-dynamic)/dynamic*100)
-}
-
-// printCCT re-runs the workload through a calling-context-tree profiler
-// at the selected level and prints the tree.
-func printCCT(ctx context.Context, workload, progFile string, hier *cache.Hierarchy, level string, share float64, params map[string]int64) error {
-	lvl := hier.Level(level)
-	if lvl == nil {
-		return fmt.Errorf("unknown level %q", level)
-	}
-	// Rebuild: a finalized program cannot be re-finalized safely.
-	var (
-		prog *ir.Program
-		init func(*interp.Machine) error
-		err  error
-	)
-	if progFile != "" {
-		prog, init, err = loadProgramFile(progFile)
-	} else {
-		prog, init, err = buildWorkload(workload)
-	}
-	if err != nil {
-		return err
-	}
-	info, err := prog.Finalize()
-	if err != nil {
-		return err
-	}
-	prof := cct.NewProfiler(*lvl)
-	var opts []interp.Option
-	if init != nil {
-		opts = append(opts, interp.WithInit(init))
-	}
-	if _, err := interp.RunContext(ctx, info, params, prof, opts...); err != nil {
-		return err
-	}
-	prof.Print(os.Stdout, info.Scopes, share)
-	return nil
 }
 
 // saveDataset snapshots the collected data for later -load runs. The

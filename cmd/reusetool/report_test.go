@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"sort"
@@ -11,8 +12,9 @@ import (
 
 // TestReportGoldens runs the real binary and pins its text reports byte
 // for byte: -static on every built-in workload and shipped .loop program
-// (testdata/static), and the sequential dynamic pipeline on the small
-// built-ins (testdata/dynamic). Both end in the ranked "Static reuse
+// (testdata/static), the sequential dynamic pipeline on the small
+// built-ins (testdata/dynamic), and -cct on a small gtc and sweep3d
+// (testdata/cct). The first two end in the ranked "Static reuse
 // opportunities" section, so the goldens pin the report's ranking as
 // well as the pipeline's numbers. Run with -update to regenerate.
 func TestReportGoldens(t *testing.T) {
@@ -23,14 +25,17 @@ func TestReportGoldens(t *testing.T) {
 	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
 		t.Fatalf("go build: %v\n%s", err, out)
 	}
-	report := func(t *testing.T, golden string, args ...string) {
+	run := func(t *testing.T, args ...string) string {
 		var out, errw bytes.Buffer
 		cmd := exec.Command(bin, args...)
 		cmd.Stdout, cmd.Stderr = &out, &errw
 		if err := cmd.Run(); err != nil {
 			t.Fatalf("reusetool %s: %v\n%s", strings.Join(args, " "), err, errw.String())
 		}
-		compareGolden(t, golden, out.String())
+		return out.String()
+	}
+	report := func(t *testing.T, golden string, args ...string) {
+		compareGolden(t, golden, run(t, args...))
 	}
 
 	programs, err := filepath.Glob(filepath.Join("..", "..", "programs", "*.loop"))
@@ -54,6 +59,37 @@ func TestReportGoldens(t *testing.T) {
 	for _, w := range []string{"fig1a", "fig1b", "fig2", "stream", "stencil", "transpose"} {
 		t.Run("dynamic/"+w, func(t *testing.T) {
 			report(t, filepath.Join("testdata", "dynamic", "workload-"+w+".golden"), "-parallel=false", "-workload", w)
+		})
+	}
+	// -cct profiles the analysis's own run: the tree is the same with the
+	// fan-out on and off, and recording the run beside it changes neither
+	// the report nor the trace.
+	for _, c := range []struct {
+		workload string
+		args     []string
+	}{
+		{"gtc", []string{"-param", "micell=2", "-level", "L3"}},
+		{"sweep3d", []string{"-param", "it=6", "-param", "jt=6", "-param", "kt=6"}},
+	} {
+		golden := filepath.Join("testdata", "cct", "workload-"+c.workload+".golden")
+		args := func(flags ...string) []string {
+			return append(append(flags, "-workload", c.workload), c.args...)
+		}
+		t.Run("cct/"+c.workload, func(t *testing.T) {
+			report(t, golden, args("-cct", "-parallel=false")...)
+			report(t, golden, args("-cct")...)
+			dir := t.TempDir()
+			alone, withCCT := filepath.Join(dir, "alone.trace"), filepath.Join(dir, "cct.trace")
+			run(t, args("-dump-trace", alone)...)
+			report(t, golden, args("-cct", "-dump-trace", withCCT)...)
+			a, errA := os.ReadFile(alone)
+			b, errB := os.ReadFile(withCCT)
+			if errA != nil || errB != nil {
+				t.Fatal(errA, errB)
+			}
+			if !bytes.Equal(a, b) {
+				t.Errorf("-cct -dump-trace wrote %d trace bytes, -dump-trace alone %d; they differ", len(b), len(a))
+			}
 		})
 	}
 }

@@ -94,15 +94,14 @@ func (p *Profiler) Node(id NodeID) *Node { return &p.nodes[id] }
 // Root returns the synthetic root ID.
 func (p *Profiler) Root() NodeID { return rootID }
 
-// Children returns a node's children sorted by descending inclusive
-// misses.
-func (p *Profiler) Children(id NodeID) []NodeID {
+// children returns a node's children sorted by descending inclusive
+// misses, given every node's inclusive misses.
+func (p *Profiler) children(id NodeID, incl []uint64) []NodeID {
 	n := &p.nodes[id]
 	out := make([]NodeID, 0, len(n.children))
 	for _, c := range n.children {
 		out = append(out, c)
 	}
-	incl := p.InclusiveMisses()
 	sort.Slice(out, func(i, j int) bool {
 		if incl[out[i]] != incl[out[j]] {
 			return incl[out[i]] > incl[out[j]]
@@ -162,7 +161,7 @@ func (p *Profiler) Print(w io.Writer, tree *scope.Tree, minShare float64) {
 			fmt.Fprintf(w, "%s%s  incl=%d excl=%d\n",
 				strings.Repeat("  ", depth), label, incl[id], n.Misses)
 		}
-		for _, c := range p.Children(id) {
+		for _, c := range p.children(id, incl) {
 			walk(c, depth+1)
 		}
 	}

@@ -67,10 +67,6 @@ type Options struct {
 	// the sequential path; only wall-clock time changes. It has no
 	// effect when GOMAXPROCS is 1.
 	Parallel bool
-	// TrackContext collects reuse patterns separately per calling context
-	// (routine call path) — the paper's Section IV extension. Off by
-	// default, as in the paper, to bound overhead.
-	TrackContext bool
 	// Sampling selects SHARDS-style spatial sampling of the block stream
 	// (see internal/sampling): the reuse-distance engines admit ~1/Rate
 	// of all memory blocks and report scaled estimates, bounding memory

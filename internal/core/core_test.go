@@ -163,58 +163,6 @@ func TestAnalyzeErrors(t *testing.T) {
 	}
 }
 
-func TestTrackContextSplitsPatterns(t *testing.T) {
-	// A callee touching the same array is invoked from two call sites;
-	// context tracking must separate the patterns per call path.
-	p := irProgramWithTwoCallers(t)
-	plain, err := runDynamic(p, Options{Model: metrics.FullyAssoc})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p2 := irProgramWithTwoCallers(t)
-	ctx, err := runDynamic(p2, Options{Model: metrics.FullyAssoc, TrackContext: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	count := func(r *Result) int {
-		eng, _ := r.Collector.Level("L2")
-		n := 0
-		for _, rd := range eng.Refs() {
-			n += len(rd.Patterns)
-		}
-		return n
-	}
-	if count(ctx) <= count(plain) {
-		t.Errorf("context tracking should produce more patterns: %d vs %d", count(ctx), count(plain))
-	}
-	// Totals agree regardless of the split.
-	if plain.Report.Level("L2").TotalMisses != ctx.Report.Level("L2").TotalMisses {
-		t.Errorf("context tracking changed totals: %v vs %v",
-			plain.Report.Level("L2").TotalMisses, ctx.Report.Level("L2").TotalMisses)
-	}
-}
-
-func irProgramWithTwoCallers(t *testing.T) *ir.Program {
-	t.Helper()
-	p := ir.NewProgram("ctx")
-	n := p.Param("N", 512)
-	a := p.AddArray("A", 8, n)
-	i := p.Var("i")
-	main := p.AddRoutine("main", "f", 1)
-	callee := p.AddRoutine("work", "f", 10)
-	callee.Body = []ir.Stmt{ir.For(i, ir.C(0), ir.Sub(n, ir.C(1)), ir.Do(a.Read(i)))}
-	ra := p.AddRoutine("viaA", "f", 20)
-	ra.Body = []ir.Stmt{ir.CallTo(callee)}
-	rb := p.AddRoutine("viaB", "f", 30)
-	rb.Body = []ir.Stmt{ir.CallTo(callee)}
-	tv := p.Var("t")
-	main.Body = []ir.Stmt{
-		ir.For(tv, ir.C(0), ir.C(2), ir.CallTo(ra), ir.CallTo(rb)),
-	}
-	p.Main = main
-	return p
-}
-
 func TestAnalyzeSavedRebuildsReport(t *testing.T) {
 	// Live analysis of fig2.
 	live, err := runDynamic(workloads.Fig2(), Options{Params: map[string]int64{"N": 64, "M": 16}})

@@ -14,7 +14,6 @@ import (
 	"reusetool/internal/pipeline"
 	"reusetool/internal/reusecheck"
 	"reusetool/internal/reusedist"
-	"reusetool/internal/scope"
 	"reusetool/internal/staticanalysis"
 	"reusetool/internal/staticreuse"
 	"reusetool/internal/trace"
@@ -145,12 +144,6 @@ func (p Pipeline) newCollector(info *ir.Info, footprint uint64) *reusedist.Colle
 		base.Hints.Refs = len(info.Refs)
 		base.Hints.Scopes = info.Scopes.Len()
 	}
-	if p.TrackContext && info != nil {
-		tree := info.Scopes
-		base.ContextFilter = func(s trace.ScopeID) bool {
-			return tree.Valid(s) && tree.Node(s).Kind == scope.KindRoutine
-		}
-	}
 	return reusedist.NewCollectorWith(p.hierarchy().Granularities(), base)
 }
 
@@ -191,7 +184,7 @@ func (p Pipeline) fanOut(consumers ...trace.Handler) (trace.Handler, func() erro
 	case len(flat) == 1:
 		return flat[0], noop
 	case parallel:
-		f := pipeline.NewFanout(pipeline.Config{}, flat...)
+		f := pipeline.NewFanout(flat...)
 		return f, f.Close
 	}
 	return trace.Multi(flat), noop

@@ -393,7 +393,7 @@ func TestDeadlineStopsRunUnderFanout(t *testing.T) {
 	var count trace.Counter
 	start := time.Now()
 	res, err := runWithin(t, 5*time.Second, func() (*interp.Result, error) {
-		f := pipeline.NewFanout(pipeline.Config{}, eng, &count)
+		f := pipeline.NewFanout(eng, &count)
 		res, err := interp.RunContext(ctx, info, nil, f)
 		if cerr := f.Close(); cerr != nil {
 			t.Errorf("fan-out: %v", cerr)

@@ -17,7 +17,7 @@ import (
 	"reusetool/internal/workloads"
 )
 
-var update = flag.Bool("update", false, "rewrite the FuzzLoad seed corpus under testdata/fuzz/FuzzLoad")
+var update = flag.Bool("update", false, "add missing seeds to the FuzzLoad corpus under testdata/fuzz/FuzzLoad")
 
 // FuzzLoad feeds arbitrary bytes to the artifact decoder. Every untrusted
 // artifact the daemon accepts (an /v1/analyze upload, a peer's cache PUT,
@@ -114,16 +114,19 @@ type rawDataset struct {
 }
 
 // rawArtifact writes a one-reference artifact at every scaled-hierarchy
-// granularity whose single pattern carries hist.
-func rawArtifact(t *testing.T, hist rawHist) []byte {
+// granularity with one pattern per hist, each under the zero key and
+// holding one reuse arc.
+func rawArtifact(t *testing.T, hists ...rawHist) []byte {
 	t.Helper()
 	d := rawDataset{Version: FormatVersion, Program: "crafted", Grans: cache.ScaledItanium2().Granularities()}
+	accesses := 1 + uint64(len(hists))
 	for _, g := range d.Grans {
-		d.RefsV2 = append(d.RefsV2, []rawRef{{
-			Ref: 0, Scope: 1, Total: 2, Cold: 1,
-			Pats: []rawPattern{{Hist: hist, MissAt: make([]uint64, len(g.Thresholds)), Count: 1}},
-		}})
-		d.Clocks = append(d.Clocks, 2)
+		ref := rawRef{Ref: 0, Scope: 1, Total: accesses, Cold: 1}
+		for _, h := range hists {
+			ref.Pats = append(ref.Pats, rawPattern{Hist: h, MissAt: make([]uint64, len(g.Thresholds)), Count: 1})
+		}
+		d.RefsV2 = append(d.RefsV2, []rawRef{ref})
+		d.Clocks = append(d.Clocks, accesses)
 	}
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(&d); err != nil {
@@ -134,8 +137,9 @@ func rawArtifact(t *testing.T, hist rawHist) []byte {
 
 // craftedArtifacts returns one malformed artifact per shape Load must
 // refuse, most of them a real fig2 artifact with one field changed. All
-// but the repeated RefID, which silently dropped a reference's data,
-// crashed or exhausted the memory of a reader that trusted the stream.
+// but the repeated RefID and pattern key, which silently dropped a
+// reference's or a pattern's data, crashed or exhausted the memory of a
+// reader that trusted the stream.
 func craftedArtifacts(t *testing.T, fig2 []byte) map[string][]byte {
 	t.Helper()
 	mutate := func(f func(d *Dataset)) []byte {
@@ -173,13 +177,18 @@ func craftedArtifacts(t *testing.T, fig2 []byte) map[string][]byte {
 		"repeated-refid": mutate(func(d *Dataset) { d.Refs[0][1].Ref = d.Refs[0][0].Ref }),
 		"huge-bin":       rawArtifact(t, rawHist{Sub: 8, BinIdx: []uint32{1 << 31}, BinCnt: []uint64{1}}),
 		"bad-resolution": rawArtifact(t, rawHist{Sub: 0, BinIdx: []uint32{300}, BinCnt: []uint64{1}}),
+		"repeated-pattern-key": rawArtifact(t,
+			rawHist{Sub: 8, BinIdx: []uint32{0}, BinCnt: []uint64{1}},
+			rawHist{Sub: 8, BinIdx: []uint32{0}, BinCnt: []uint64{1}}),
 	}
 }
 
 // TestLoadRejectsCraftedArtifacts checks that Load refuses one crafted
 // artifact per malformed shape and accepts the real ones they derive
-// from, and that the FuzzLoad corpus holds all of them (-update rewrites
-// it).
+// from, and that the FuzzLoad corpus holds all of them. -update adds the
+// seeds the corpus lacks and rewrites none: all but repeated-pattern-key
+// were written while reusedist.PatternKey still had a calling-context
+// field, so they also stand for streams that carry it.
 func TestLoadRejectsCraftedArtifacts(t *testing.T) {
 	seeds := map[string][]byte{
 		"fig2":    realArtifact(t, "fig2"),
@@ -209,13 +218,15 @@ func TestLoadRejectsCraftedArtifacts(t *testing.T) {
 	}
 	for name, data := range seeds {
 		path := filepath.Join(dir, name)
-		if *update {
-			seed := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", data)
-			if err := os.WriteFile(path, []byte(seed), 0o644); err != nil {
-				t.Fatal(err)
-			}
-		} else if _, err := os.Stat(path); err != nil {
+		if _, err := os.Stat(path); err == nil {
+			continue
+		} else if !*update {
 			t.Errorf("FuzzLoad corpus lacks seed %s (run go test ./internal/persist -run TestLoadRejectsCraftedArtifacts -update): %v", name, err)
+			continue
+		}
+		seed := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", data)
+		if err := os.WriteFile(path, []byte(seed), 0o644); err != nil {
+			t.Fatal(err)
 		}
 	}
 }

@@ -80,8 +80,9 @@ func (d *Dataset) Collector() *reusedist.Collector {
 }
 
 // refWire is the version-2 serialized form of one reference: patterns as a
-// slice in (Source, Carrying, Context) key order instead of a map, so the
-// byte stream is deterministic.
+// slice in (Source, Carrying) key order instead of a map, so the byte
+// stream is deterministic. Streams written while pattern keys still had a
+// calling-context field load too: gob skips the retired field.
 type refWire struct {
 	Ref   trace.RefID
 	Scope trace.ScopeID
@@ -233,6 +234,12 @@ func Load(r io.Reader) (*Dataset, error) {
 			for _, p := range r.Pats {
 				if p == nil {
 					return nil, fmt.Errorf("persist: corrupt stream: reference %d has a nil pattern", r.Ref)
+				}
+				if rd.Patterns[p.Key] != nil {
+					// Keeping one would drop the other's counts, which Total
+					// still includes.
+					return nil, fmt.Errorf("persist: corrupt stream: reference %d lists pattern (source %d, carrying %d) twice",
+						r.Ref, p.Key.Source, p.Key.Carrying)
 				}
 				rd.Patterns[p.Key] = p
 			}

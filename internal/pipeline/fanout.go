@@ -15,13 +15,13 @@
 // are bit-identical to the sequential trace.Multi path — the consumers
 // merely run concurrently with the producer and with each other. The
 // bounded rings provide backpressure: when the slowest consumer lags by
-// RingSize batches, the producer blocks until it catches up, so memory
-// stays bounded at O(consumers × RingSize × BatchSize) events.
+// ringSize batches, the producer blocks until it catches up, so memory
+// stays bounded at O(consumers × ringSize × batchSize) events.
 //
 // An access run (trace.RunHandler) travels inside a batch in encoded
 // form, as one header event and two events per reference, and each
 // consumer expands it or hands it on as a run. A batch expands to at
-// most batchWork × BatchSize accesses and scope events, so a consumer
+// most batchWork × batchSize accesses and scope events, so a consumer
 // lags the producer by a bounded amount of work as well as of memory.
 package pipeline
 
@@ -32,15 +32,15 @@ import (
 	"reusetool/internal/trace"
 )
 
-// Default sizing: batches large enough to amortize ring synchronization
-// down to noise (a lock operation per ~4k events), rings deep enough to
-// absorb consumer jitter without ballooning memory.
+// Sizing: batches large enough to amortize ring synchronization down to
+// noise (a lock operation per ~4k events), rings deep enough to absorb
+// consumer jitter without ballooning memory.
 const (
-	DefaultBatchSize = 4096
-	DefaultRingSize  = 8
+	batchSize = 4096
+	ringSize  = 8
 )
 
-// batchWork bounds, in BatchSizes, the accesses and scope events one
+// batchWork bounds, in batch sizes, the accesses and scope events one
 // batch expands to. An encoded run of 4096 accesses takes as few as
 // three events, so without the bound a batch of runs could stand for
 // millions of accesses.
@@ -51,24 +51,6 @@ const batchWork = 16
 // n; the 2n events after it hold, per reference, its Addr, Ref, Size and
 // Write, then its Delta in Addr.
 const evRun trace.EventKind = 255
-
-// Config sizes a Fanout. The zero value selects the defaults.
-type Config struct {
-	// BatchSize is the number of events per published batch.
-	BatchSize int
-	// RingSize is the per-consumer ring capacity, in batches.
-	RingSize int
-}
-
-func (c Config) withDefaults() Config {
-	if c.BatchSize <= 0 {
-		c.BatchSize = DefaultBatchSize
-	}
-	if c.RingSize <= 0 {
-		c.RingSize = DefaultRingSize
-	}
-	return c
-}
 
 // batch is one published slice of events plus the number of consumers
 // that still have to release it; the last one recycles it.
@@ -158,9 +140,10 @@ func (c *consumer) replayRun(events []trace.Event, i int) int {
 // Fanout is single-producer: the Handler methods must be called from one
 // goroutine, as the interpreter does.
 type Fanout struct {
-	cfg  Config
-	cons []*consumer
-	cur  []trace.Event
+	// batchLen is the number of events per published batch.
+	batchLen int
+	cons     []*consumer
+	cur      []trace.Event
 	// work counts the accesses and scope events cur expands to;
 	// maxWork bounds it.
 	work, maxWork uint64
@@ -169,17 +152,22 @@ type Fanout struct {
 }
 
 // NewFanout starts one draining goroutine per handler.
-func NewFanout(cfg Config, handlers ...trace.Handler) *Fanout {
-	cfg = cfg.withDefaults()
+func NewFanout(handlers ...trace.Handler) *Fanout {
+	return newFanout(batchSize, ringSize, handlers...)
+}
+
+// newFanout is NewFanout with batches of batchLen events and rings of
+// ringLen batches; the package's tests shrink both.
+func newFanout(batchLen, ringLen int, handlers ...trace.Handler) *Fanout {
 	f := &Fanout{
-		cfg:     cfg,
-		maxWork: batchWork * uint64(cfg.BatchSize),
+		batchLen: batchLen,
+		maxWork:  batchWork * uint64(batchLen),
 		// Capacity for every in-flight batch plus slack so recycling
 		// never blocks a consumer.
-		free: make(chan *batch, cfg.RingSize*len(handlers)+2*len(handlers)+2),
+		free: make(chan *batch, ringLen*len(handlers)+2*len(handlers)+2),
 	}
 	for _, h := range handlers {
-		c := &consumer{h: h, ring: newRing(cfg.RingSize), done: make(chan struct{})}
+		c := &consumer{h: h, ring: newRing(ringLen), done: make(chan struct{})}
 		c.rh, _ = h.(trace.RunHandler)
 		f.cons = append(f.cons, c)
 		go c.run(f)
@@ -193,7 +181,7 @@ func (f *Fanout) newBatchBuf() []trace.Event {
 	case b := <-f.free:
 		return b.ev[:0]
 	default:
-		return make([]trace.Event, 0, f.cfg.BatchSize)
+		return make([]trace.Event, 0, f.batchLen)
 	}
 }
 
@@ -221,7 +209,7 @@ func (f *Fanout) publish() {
 func (f *Fanout) emit(e trace.Event) {
 	f.cur = append(f.cur, e)
 	f.work++
-	if len(f.cur) >= f.cfg.BatchSize || f.work >= f.maxWork {
+	if len(f.cur) >= f.batchLen || f.work >= f.maxWork {
 		f.publish()
 	}
 }
@@ -250,12 +238,12 @@ func (f *Fanout) Access(ref trace.RefID, addr uint64, size uint32, write bool) {
 //reuse:hotpath
 func (f *Fanout) AccessRun(refs []trace.RunRef, iters uint64) {
 	n, width := uint64(len(refs)), 1+2*len(refs)
-	if iters < 3 || n == 0 || width > f.cfg.BatchSize {
+	if iters < 3 || n == 0 || width > f.batchLen {
 		trace.ExpandRun(f, refs, iters)
 		return
 	}
 	for k := uint64(0); k < iters; {
-		if len(f.cur)+width > f.cfg.BatchSize || f.work+n > f.maxWork {
+		if len(f.cur)+width > f.batchLen || f.work+n > f.maxWork {
 			f.publish()
 		}
 		c := min(iters-k, (f.maxWork-f.work)/n)
@@ -269,7 +257,7 @@ func (f *Fanout) AccessRun(refs []trace.RunRef, iters uint64) {
 		f.work += c * n
 		k += c
 	}
-	if len(f.cur) >= f.cfg.BatchSize || f.work >= f.maxWork {
+	if len(f.cur) >= f.batchLen || f.work >= f.maxWork {
 		f.publish()
 	}
 }

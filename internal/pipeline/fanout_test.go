@@ -34,7 +34,7 @@ func TestFanoutMatchesMulti(t *testing.T) {
 	drive(trace.Multi{&seq[0], &seq[1], &seq[2]}, n)
 
 	var par [3]trace.Recorder
-	f := NewFanout(Config{BatchSize: 64, RingSize: 2}, &par[0], &par[1], &par[2])
+	f := newFanout(64, 2, &par[0], &par[1], &par[2])
 	drive(f, n)
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
@@ -49,7 +49,7 @@ func TestFanoutMatchesMulti(t *testing.T) {
 
 func TestFanoutCounters(t *testing.T) {
 	var a, b trace.Counter
-	f := NewFanout(Config{}, &a, &b)
+	f := NewFanout(&a, &b)
 	drive(f, 5000)
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
@@ -81,13 +81,13 @@ func (s *slowHandler) Access(trace.RefID, uint64, uint32, bool) {
 }
 
 // TestFanoutBackpressure checks that a slow consumer bounds the
-// producer's buffering: the slow ring can never hold more than RingSize
-// batches, so with BatchSize*RingSize slack the producer must block
-// rather than run ahead of the consumer by more than that window.
+// producer's buffering: the slow ring can never hold more than its 2
+// batches of 8 events, so the producer must block rather than run ahead
+// of the consumer by more than that window.
 func TestFanoutBackpressure(t *testing.T) {
 	slow := &slowHandler{delay: 50 * time.Microsecond}
 	var produced atomic.Int64
-	f := NewFanout(Config{BatchSize: 8, RingSize: 2}, slow)
+	f := newFanout(8, 2, slow)
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -135,7 +135,7 @@ func (p *panicHandler) Access(ref trace.RefID, addr uint64, size uint32, w bool)
 func TestFanoutSurfacesConsumerError(t *testing.T) {
 	var ok trace.Counter
 	bad := &panicHandler{k: 500}
-	f := NewFanout(Config{BatchSize: 32, RingSize: 2}, &ok, bad)
+	f := newFanout(32, 2, &ok, bad)
 	drive(f, 2000)
 	err := f.Close()
 	if err == nil {
@@ -151,7 +151,7 @@ func TestFanoutSurfacesConsumerError(t *testing.T) {
 }
 
 func TestFanoutCloseTwice(t *testing.T) {
-	f := NewFanout(Config{}, trace.Discard{})
+	f := NewFanout(trace.Discard{})
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +162,7 @@ func TestFanoutCloseTwice(t *testing.T) {
 
 func TestFanoutEmptyStream(t *testing.T) {
 	var c trace.Counter
-	f := NewFanout(Config{}, &c)
+	f := NewFanout(&c)
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +266,7 @@ func TestFanoutRunsMatchExpansion(t *testing.T) {
 	driveRuns(trace.Multi{&want}, batch)
 
 	withRuns, without := &runRecorder{}, &trace.Recorder{}
-	f := NewFanout(Config{BatchSize: batch, RingSize: 2}, withRuns, without)
+	f := newFanout(batch, 2, withRuns, without)
 	driveRuns(f, batch)
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
@@ -290,7 +290,7 @@ func TestFanoutRunLagBound(t *testing.T) {
 	const batch, ringSize = 8, 2
 	slow := &slowHandler{delay: 20 * time.Microsecond}
 	var produced atomic.Int64
-	f := NewFanout(Config{BatchSize: batch, RingSize: ringSize}, slow)
+	f := newFanout(batch, ringSize, slow)
 	done := make(chan struct{})
 	refs := []trace.RunRef{{Addr: 4096, Delta: 8, Size: 8}}
 	go func() {

@@ -92,8 +92,7 @@ type TrainingRun struct {
 }
 
 // NewTrainingRun extracts a fit input from a collector: per-pattern
-// histograms merged over calling contexts, cold counts, and the
-// sampling mode.
+// histograms, cold counts, and the sampling mode.
 func NewTrainingRun(col *reusedist.Collector, params map[string]int64) (*TrainingRun, error) {
 	if col == nil {
 		return nil, errors.New("predict: nil collector")
@@ -108,11 +107,7 @@ func NewTrainingRun(col *reusedist.Collector, params map[string]int64) (*Trainin
 				if p.Hist != nil {
 					gd.Res = p.Hist.Resolution()
 				}
-				if h, ok := gd.Patterns[k]; ok {
-					h.Merge(p.Hist)
-				} else {
-					gd.Patterns[k] = p.Hist.Clone()
-				}
+				gd.Patterns[k] = p.Hist.Clone()
 			}
 		}
 		run.Grans = append(run.Grans, gd)

@@ -37,7 +37,10 @@ func (e *Engine) Fingerprint() uint64 {
 			k := p.Key
 			w(uint64(int64(k.Source)))
 			w(uint64(int64(k.Carrying)))
-			w(k.Context)
+			// Pattern keys used to carry a calling-context hash, zero
+			// unless context tracking was on; the zero word keeps every
+			// pinned fingerprint valid.
+			w(0)
 			w(p.Count)
 			for _, m := range p.MissAt {
 				w(m)
@@ -55,19 +58,16 @@ func (e *Engine) Fingerprint() uint64 {
 	return h.Sum64()
 }
 
-// less orders pattern keys by (Source, Carrying, Context).
+// less orders pattern keys by (Source, Carrying).
 func (k PatternKey) less(o PatternKey) bool {
 	if k.Source != o.Source {
 		return k.Source < o.Source
 	}
-	if k.Carrying != o.Carrying {
-		return k.Carrying < o.Carrying
-	}
-	return k.Context < o.Context
+	return k.Carrying < o.Carrying
 }
 
 // PatternsByKey returns the reference's patterns in deterministic
-// (Source, Carrying, Context) key order — the canonical iteration order for
+// (Source, Carrying) key order — the canonical iteration order for
 // fingerprints and persisted datasets.
 func (r *RefData) PatternsByKey() []*Pattern {
 	ps := make([]*Pattern, 0, len(r.Patterns))

@@ -37,17 +37,11 @@ import (
 // PatternKey identifies a reuse pattern at a reference: the scope that
 // performed the previous access to the block (source) and the scope carrying
 // the reuse. The destination scope is implicit — it is the scope containing
-// the reference the histogram hangs off.
-//
-// Context is zero unless calling-context tracking is enabled
-// (Config.ContextFilter); it then holds a hash of the dynamic call path
-// active at the reuse's destination — the extension Section IV describes
-// as possible future work ("the data collection infrastructure can be
-// extended to include calling context as well").
+// the reference the histogram hangs off. Calling context is not part of
+// the key: internal/cct attributes misses per call path (Section IV).
 type PatternKey struct {
 	Source   trace.ScopeID
 	Carrying trace.ScopeID
-	Context  uint64
 }
 
 // Pattern accumulates the reuse arcs of one (reference, source, carrying)
@@ -78,19 +72,15 @@ type RefData struct {
 	// pats is the dense intern table of this reference's patterns: the
 	// per-ref pattern ID is simply the slice index. References have few
 	// patterns (one per distinct source/carrying pair), so a pattern-cache
-	// miss resolves by scanning this slice instead of hashing a 24-byte
+	// miss resolves by scanning this slice instead of hashing an 8-byte
 	// PatternKey; the Patterns map stays canonical for all readers and is
 	// only consulted once pats outgrows patScanMax.
 	pats []*Pattern
 	// last is a one-entry pattern cache: consecutive reuse arcs of a
 	// reference overwhelmingly repeat the same (source, carrying) pair, so
-	// the common case is a single 24-byte key compare.
+	// the common case is a single 8-byte key compare.
 	last *Pattern
 }
-
-// ColdMissAt reports cold accesses; compulsory misses are misses at every
-// capacity.
-func (r *RefData) ColdMissAt() uint64 { return r.Cold }
 
 // MissAt sums exact fully-associative misses at threshold index i across
 // all patterns, including compulsory misses.
@@ -136,11 +126,6 @@ type Config struct {
 	// Hints presizes the engine's data structures; zero values mean
 	// unknown and never affect results, only allocation behaviour.
 	Hints CapacityHints
-	// ContextFilter, when non-nil, enables calling-context tracking:
-	// scopes for which it returns true (typically routines) extend the
-	// context hash, and patterns are collected separately per context.
-	// The paper leaves this off by default to bound overhead.
-	ContextFilter func(trace.ScopeID) bool
 	// Sampling selects SHARDS-style spatial sampling of the block stream
 	// (see internal/sampling and sampling.go in this package). The zero
 	// value analyzes every block exactly. When enabled, call Finish once
@@ -193,9 +178,6 @@ type Engine struct {
 	stack  scope.Stack
 	refs   []*RefData // indexed by RefID, nil until first access
 	res    int
-	// ctx is the calling-context hash stack (one entry per active scope)
-	// when context tracking is on.
-	ctx []uint64
 	// scopeAccesses counts block accesses per innermost static scope,
 	// enabling per-scope miss rates.
 	scopeAccesses []uint64
@@ -340,34 +322,10 @@ func (e *Engine) DistinctBlocks() int {
 }
 
 // EnterScope implements trace.Handler.
-func (e *Engine) EnterScope(s trace.ScopeID) {
-	e.stack.Enter(s, e.clock)
-	if e.cfg.ContextFilter != nil {
-		cur := e.context()
-		if e.cfg.ContextFilter(s) {
-			// FNV-style mix of the parent context and the scope.
-			cur = (cur ^ uint64(s+1)) * 1099511628211
-		}
-		e.ctx = append(e.ctx, cur)
-	}
-}
+func (e *Engine) EnterScope(s trace.ScopeID) { e.stack.Enter(s, e.clock) }
 
 // ExitScope implements trace.Handler.
-func (e *Engine) ExitScope(trace.ScopeID) {
-	e.stack.Exit()
-	if e.cfg.ContextFilter != nil {
-		e.ctx = e.ctx[:len(e.ctx)-1]
-	}
-}
-
-// context returns the current calling-context hash (0 when tracking is
-// off or at the outermost level).
-func (e *Engine) context() uint64 {
-	if len(e.ctx) == 0 {
-		return 0
-	}
-	return e.ctx[len(e.ctx)-1]
-}
+func (e *Engine) ExitScope(trace.ScopeID) { e.stack.Exit() }
 
 // Access implements trace.Handler. An access spanning multiple blocks is
 // processed as one access per touched block.
@@ -500,7 +458,7 @@ func (e *Engine) accessBlock(ref trace.RefID, block uint64) {
 	dist *= e.scale
 	e.arcs++
 
-	key := PatternKey{Source: prev.Scope, Carrying: e.stack.Carrying(prev.Time), Context: e.context()}
+	key := PatternKey{Source: prev.Scope, Carrying: e.stack.Carrying(prev.Time)}
 	p := rd.last
 	if p == nil || p.Key != key {
 		p = rd.pattern(key, e)
