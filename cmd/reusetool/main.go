@@ -248,8 +248,24 @@ func resolveMode(set map[string]bool) (string, error) {
 		return "", fmt.Errorf("conflicting flags: -%s cannot be combined with %s (%s)",
 			entry.selector, strings.Join(bad, ", "), entry.reason)
 	}
+	if set["xml"] {
+		for _, f := range xmlRejects {
+			if set[f] {
+				bad = append(bad, "-"+f)
+			}
+		}
+		if len(bad) > 0 {
+			return "", fmt.Errorf("conflicting flags: -xml cannot be combined with %s (the XML database is its only output; the call tree and the comparison print as text)",
+				strings.Join(bad, ", "))
+		}
+	}
 	return entry.mode, nil
 }
+
+// xmlRejects lists the flags -xml cannot be combined with in any mode
+// that takes both: their output is text that would follow the report,
+// and -xml prints the XML database alone.
+var xmlRejects = []string{"cct", "compare"}
 
 // main delegates to run so the profile-flushing defers execute before the
 // process exits (os.Exit would skip them).
@@ -488,10 +504,10 @@ func run() int {
 		src := core.DynamicSource{Prog: prog, Init: init}
 		finish := func(err error) error { return err }
 		var tee trace.Multi
-		// -cct profiles this run. Nothing is attached under -xml, which
-		// prints no tree, or under an unknown -level, which the summary
-		// reports.
-		if lvl := hier.Level(*level); *cctOut && !*xmlOut && lvl != nil {
+		// -cct profiles this run (resolveMode refuses it beside -xml).
+		// Nothing is attached under an unknown -level, which the
+		// summary reports.
+		if lvl := hier.Level(*level); *cctOut && lvl != nil {
 			prof = cct.NewProfiler(*lvl)
 			tee = append(tee, prof)
 		}
@@ -557,9 +573,14 @@ func run() int {
 			fmt.Fprintln(os.Stderr, err)
 			return 2
 		}
+		// The other side is analyzed as the main analysis is, sampling
+		// included, so each column reads what a run of its workload
+		// alone reads; only the tee stays with the main run.
+		otherOpts := opts
+		otherOpts.Tee = nil
 		otherRes, err := core.Pipeline{
 			Source:  core.DynamicSource{Prog: other, Init: otherInit},
-			Options: core.Options{Hierarchy: hier, Params: params, Parallel: *parallel},
+			Options: otherOpts,
 		}.RunContext(ctx)
 		if err != nil {
 			return fail(os.Stderr, err)

@@ -103,7 +103,8 @@ func TestResolveMode(t *testing.T) {
 		wantErr []string // substrings the error must mention
 	}{
 		{name: "default", set: set(), want: modeDynamic},
-		{name: "dynamic extras", set: set("workload", "level", "xml", "save", "dump-trace", "cct", "compare", "parallel"), want: modeDynamic},
+		{name: "dynamic extras", set: set("workload", "level", "save", "dump-trace", "cct", "compare", "parallel"), want: modeDynamic},
+		{name: "dynamic xml", set: set("workload", "level", "xml", "save", "dump-trace", "parallel"), want: modeDynamic},
 		{name: "static", set: set("static"), want: modeStatic},
 		{name: "static xml ok", set: set("static", "xml"), want: modeStatic},
 		{name: "load", set: set("load"), want: modeSaved},
@@ -135,6 +136,19 @@ func TestResolveMode(t *testing.T) {
 			wantErr: []string{"-check", "-xml"}},
 		{name: "check static", set: set("check", "static"),
 			wantErr: []string{"-check", "-static", "choose one"}},
+
+		// -xml prints the XML database alone, so the text -cct and
+		// -compare would add is refused, not dropped.
+		{name: "xml cct", set: set("workload", "xml", "cct"),
+			wantErr: []string{"-xml", "-cct"}},
+		{name: "xml compare", set: set("workload", "xml", "compare"),
+			wantErr: []string{"-xml", "-compare"}},
+		{name: "xml cct compare", set: set("xml", "cct", "compare"),
+			wantErr: []string{"-xml", "-cct", "-compare"}},
+		{name: "static xml compare", set: set("static", "xml", "compare"),
+			wantErr: []string{"-xml", "-compare"}},
+		{name: "load xml compare", set: set("load", "xml", "compare"),
+			wantErr: []string{"-xml", "-compare"}},
 
 		{name: "check json", set: set("check", "json"), want: modeCheck},
 		{name: "check notes", set: set("check", "json", "notes"), want: modeCheck},

@@ -21,19 +21,7 @@ func TestReportGoldens(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds the binary")
 	}
-	bin := filepath.Join(t.TempDir(), "reusetool")
-	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
-	}
-	run := func(t *testing.T, args ...string) string {
-		var out, errw bytes.Buffer
-		cmd := exec.Command(bin, args...)
-		cmd.Stdout, cmd.Stderr = &out, &errw
-		if err := cmd.Run(); err != nil {
-			t.Fatalf("reusetool %s: %v\n%s", strings.Join(args, " "), err, errw.String())
-		}
-		return out.String()
-	}
+	run := buildReusetool(t)
 	report := func(t *testing.T, golden string, args ...string) {
 		compareGolden(t, golden, run(t, args...))
 	}
@@ -91,5 +79,60 @@ func TestReportGoldens(t *testing.T) {
 				t.Errorf("-cct -dump-trace wrote %d trace bytes, -dump-trace alone %d; they differ", len(b), len(a))
 			}
 		})
+	}
+}
+
+// buildReusetool builds the binary and returns a function that runs it
+// and returns its standard output, failing the test when it exits
+// non-zero.
+func buildReusetool(t *testing.T) func(t *testing.T, args ...string) string {
+	t.Helper()
+	bin := filepath.Join(t.TempDir(), "reusetool")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	return func(t *testing.T, args ...string) string {
+		var out, errw bytes.Buffer
+		cmd := exec.Command(bin, args...)
+		cmd.Stdout, cmd.Stderr = &out, &errw
+		if err := cmd.Run(); err != nil {
+			t.Fatalf("reusetool %s: %v\n%s", strings.Join(args, " "), err, errw.String())
+		}
+		return out.String()
+	}
+}
+
+// TestCompareSamplesBothSides: -compare analyzes the other workload with
+// the main analysis's options, so under -sample-rate each column of the
+// comparison reads the misses a sampled run of its workload alone
+// reports.
+func TestCompareSamplesBothSides(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds the binary")
+	}
+	run := buildReusetool(t)
+	opts := []string{"-param", "it=6", "-param", "jt=6", "-param", "kt=6", "-sample-rate", "8", "-parallel=false"}
+	table := run(t, append([]string{"-workload", "sweep3d", "-compare", "sweep3d-blk6ic"}, opts...)...)
+	for _, level := range []string{"L2", "L3", "TLB"} {
+		var row []string
+		for _, line := range strings.Split(table, "\n") {
+			if f := strings.Fields(line); len(f) >= 3 && f[0] == level {
+				row = f
+			}
+		}
+		if row == nil {
+			t.Fatalf("no %s row in the comparison:\n%s", level, table)
+		}
+		for i, w := range []string{"sweep3d", "sweep3d-blk6ic"} {
+			alone := run(t, append([]string{"-workload", w, "-level", level}, opts...)...)
+			_, line, _ := strings.Cut(alone, "\n"+level+" misses: ")
+			misses, _, ok := strings.Cut(line, " total")
+			if !ok {
+				t.Fatalf("%s alone: no %s misses line:\n%s", w, level, alone)
+			}
+			if row[1+i] != misses {
+				t.Errorf("%s: the comparison reads %s %s misses, a sampled run alone %s", w, row[1+i], level, misses)
+			}
+		}
 	}
 }

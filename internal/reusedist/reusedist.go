@@ -213,6 +213,9 @@ type Engine struct {
 	// last block the sampler rejected for it, 0 when none (see
 	// knownRejected).
 	rejected []uint64
+	// steady records the admitted accesses of the recorded iteration of
+	// the current stretch of an access run (see AccessRun).
+	steady []steadyAccess
 
 	_ [cacheLine]byte
 }
@@ -304,6 +307,7 @@ func New(cfg Config) *Engine {
 	}
 	if cfg.Hints.Refs > 0 {
 		e.refs = make([]*RefData, 0, cfg.Hints.Refs)
+		e.growSteady(cfg.Hints.Refs)
 	}
 	if cfg.Hints.Scopes > 0 {
 		e.scopeAccesses = lineIsolated(cfg.Hints.Scopes)
@@ -348,15 +352,60 @@ func (e *Engine) Access(ref trace.RefID, addr uint64, size uint32, _ bool) {
 	}
 }
 
-// AccessRun implements trace.RunHandler: it expands the run in order,
-// taking each access as Access does. It repeats Access's body instead of
-// calling it, since Access does not inline and a call per access would
-// cost a sampling engine about as much as the rest of its work on it.
+// AccessRun implements trace.RunHandler. It walks the run in stretches:
+// maximal ranges of iterations in which every reference touches exactly
+// one block, the same block in every iteration. The stretch's first two
+// iterations are taken one access at a time, as Access takes them, and
+// the second is recorded; when every admitted access of the recorded
+// iteration reused a front mark, each later iteration of the stretch
+// repeats it exactly, and applySteady applies them all at once. Every
+// other iteration is expanded one access at a time.
+//
+// Only a stretch of three iterations or more has one to record and one
+// to apply, so a run in which some reference cannot stay in one block
+// that long is expanded whole. Otherwise, whether iteration k+1 stays
+// in iteration k's blocks costs a few compares per reference, and the
+// stretch's length is found by arithmetic only once its recorded
+// iteration has succeeded.
 //
 //reuse:hotpath
 func (e *Engine) AccessRun(refs []trace.RunRef, iters uint64) {
 	bb := e.cfg.BlockBits
+	if iters < 3 || !mayStay3(refs, bb) {
+		e.expand(refs, 0, iters)
+		return
+	}
+	// steady: iteration k touches the blocks iteration k-1 touched, one
+	// per reference. failed: this stretch's recorded iteration reached
+	// the tree, so the rest of the stretch is expanded.
+	steady, failed := false, false
 	for k := uint64(0); k < iters; k++ {
+		next := k+1 < iters && staysNext(refs, k, bb)
+		if steady && next && !failed {
+			if e.recordIteration(refs, k) {
+				s := stretchRest(refs, k, bb, iters-k-1)
+				e.applySteady(s)
+				k += s
+				next = false // the stretch is maximal: the iteration after it moves
+			} else {
+				failed = true
+			}
+		} else {
+			e.expand(refs, k, k+1)
+		}
+		steady = next
+		failed = failed && next
+	}
+}
+
+// expand takes iterations from through end−1 of a run one access at a time,
+// exactly as Access takes each of its accesses. It repeats Access's body
+// instead of calling it, since Access does not inline and a call per
+// access would cost a sampling engine about as much as the rest of its
+// work on it.
+func (e *Engine) expand(refs []trace.RunRef, from, end uint64) {
+	bb := e.cfg.BlockBits
+	for k := from; k < end; k++ {
 		for i := range refs {
 			r := &refs[i]
 			addr := r.Addr + k*r.Delta
@@ -373,6 +422,169 @@ func (e *Engine) AccessRun(refs []trace.RunRef, iters uint64) {
 			}
 		}
 	}
+}
+
+// mayStay3 reports whether every reference of a run could access, whole,
+// one block at three consecutive iterations: whether its step, taken
+// twice, and its access's tail fit in a block.
+func mayStay3(refs []trace.RunRef, bb uint) bool {
+	mask := uint64(1)<<bb - 1
+	for i := range refs {
+		r := &refs[i]
+		d := r.Delta
+		if int64(d) < 0 {
+			d = -d
+		}
+		if d > mask || 2*d+tail(r.Size) > mask {
+			return false
+		}
+	}
+	return true
+}
+
+// steadyAccess records one admitted access of a stretch's recorded
+// iteration: the pattern its reuse arc went to, its scaled distance, and
+// its block and reference.
+type steadyAccess struct {
+	p     *Pattern
+	dist  uint64
+	block uint64
+	ref   trace.RefID
+}
+
+// steadyPad is the padding, in entries, before and after the steady
+// record's backing array: a cache line or more, since an entry is at
+// least 8 bytes.
+const steadyPad = cacheLine / 8
+
+// recordIteration takes iteration k of a run, in which every reference
+// touches one block, one access at a time, and records each admitted
+// access in e.steady. It reports whether every admitted access reused a
+// front mark.
+func (e *Engine) recordIteration(refs []trace.RunRef, k uint64) bool {
+	if len(refs) > cap(e.steady) {
+		e.growSteady(len(refs))
+	}
+	bb := e.cfg.BlockBits
+	rec := e.steady[:len(refs)]
+	n, front := 0, true
+	for i := range refs {
+		r := &refs[i]
+		b := (r.Addr + k*r.Delta) >> bb
+		if e.sampler != nil && (e.knownRejected(r.Ref, b) || !e.admit(r.Ref, b)) {
+			continue
+		}
+		p, dist, hit := e.accessBlock(r.Ref, b)
+		front = front && hit
+		rec[n] = steadyAccess{p: p, dist: dist, block: b, ref: r.Ref}
+		n++
+	}
+	e.steady = rec[:n]
+	return front
+}
+
+// growSteady replaces the steady record with an empty one that holds n
+// entries, padded like the per-scope counters: it is written per access
+// of a recorded iteration. New sizes it for a run of every reference.
+//
+//reuse:coldpath
+func (e *Engine) growSteady(n int) {
+	buf := make([]steadyAccess, n+2*steadyPad)
+	e.steady = buf[steadyPad : steadyPad : steadyPad+n]
+}
+
+// applySteady applies s more repetitions of the recorded iteration. That
+// iteration is its stretch's second, so it touched no block the first
+// had not, and moved no admission threshold. Each of its admitted
+// accesses reused a front mark, so it left the tree alone and its blocks'
+// marks the newest in the front, in the order it found them. Each later
+// iteration of the stretch therefore finds the state the recorded one
+// found, shifted in time, and records the same arcs: the same patterns,
+// scaled distances and misses. Applying s of them adds s to each
+// access's counts and s times the iteration's admitted accesses to the
+// clock, the scope counter and the arc count, and moves each of the
+// iteration's blocks, in the front and in the block table, to the time
+// of its last access in the last repetition. Rejected accesses change
+// nothing, not even the admission memo, which already holds what a
+// repetition would leave in it.
+func (e *Engine) applySteady(s uint64) {
+	a := uint64(len(e.steady))
+	if s == 0 || a == 0 {
+		return
+	}
+	for i := range e.steady {
+		st := &e.steady[i]
+		p := st.p
+		p.Hist.AddN(st.dist, s)
+		p.Count += s
+		if st.dist >= e.minTh {
+			for _, j := range e.thPerm[:e.missed(st.dist)] {
+				p.MissAt[j] += s
+			}
+		}
+		e.refs[st.ref].Total += s
+	}
+	// The recorded iteration's accesses took the times c0+1 .. c0+a; the
+	// front marks newer than c0 are its blocks' last accesses, and the
+	// access at time t is e.steady[t-c0-1].
+	c0, shift := e.clock-a, s*a
+	cur := e.stack.Top()
+	for i := e.frontN - 1; i >= 0 && e.front[i] > c0; i-- {
+		st := &e.steady[e.front[i]-c0-1]
+		e.front[i] += shift
+		e.table.LookupStore(st.block, blocktable.Entry{Time: e.front[i], Ref: st.ref, Scope: cur})
+	}
+	e.clock += shift
+	e.arcs += shift
+	if cur >= 0 {
+		e.scopeAccesses[cur] += shift
+	}
+}
+
+// staysNext reports whether each reference's accesses at iterations k
+// and k+1 of a run lie within one block, the same block.
+func staysNext(refs []trace.RunRef, k uint64, bb uint) bool {
+	mask := uint64(1)<<bb - 1
+	for i := range refs {
+		r := &refs[i]
+		tail := tail(r.Size)
+		o := (r.Addr + k*r.Delta) & mask
+		// The offset at k+1, when in the same block; wrapping past 0
+		// or past the block makes it exceed mask.
+		n := o + r.Delta
+		if o+tail > mask || n > mask || n+tail > mask {
+			return false
+		}
+	}
+	return true
+}
+
+// tail returns how many bytes an access of size bytes spans past its
+// first; an access of size 0 touches its first block, as one of size 1.
+func tail(size uint32) uint64 {
+	return uint64(max(size, 1)) - 1
+}
+
+// stretchRest returns how many iterations after k, at most limit, every
+// reference of a run keeps accessing, within one block, the block it
+// accesses at iteration k. Each reference's access at k must lie within
+// one block.
+func stretchRest(refs []trace.RunRef, k uint64, bb uint, limit uint64) uint64 {
+	mask := uint64(1)<<bb - 1
+	n := limit
+	for i := range refs {
+		r := &refs[i]
+		o := (r.Addr + k*r.Delta) & mask
+		room := mask - tail(r.Size) // the last offset the access fits at
+		switch d := r.Delta; {
+		case d == 0:
+		case int64(d) > 0:
+			n = min(n, (room-o)/d)
+		default:
+			n = min(n, o/-d)
+		}
+	}
+	return n
 }
 
 // knownRejected reports whether block is the last block a sampling
@@ -410,7 +622,10 @@ func (e *Engine) growRejected(i int) {
 	e.rejected = grown
 }
 
-func (e *Engine) accessBlock(ref trace.RefID, block uint64) {
+// accessBlock takes one admitted block access. A reuse returns the
+// pattern its arc went to, its scaled distance and whether its previous
+// mark was in the front; a cold access returns (nil, 0, false).
+func (e *Engine) accessBlock(ref trace.RefID, block uint64) (*Pattern, uint64, bool) {
 	e.clock++
 	now := e.clock
 	cur := e.stack.Top()
@@ -430,14 +645,16 @@ func (e *Engine) accessBlock(ref trace.RefID, block uint64) {
 		if e.maxSample > 0 && e.table.Blocks() > e.maxSample {
 			e.rescale()
 		}
-		return
+		return nil, 0, false
 	}
 	// The distance is the number of marks newer than prev.Time. A mark in
 	// the front counts only the front marks after it and moves to the
 	// newest end; any other mark counts the tree's newer marks plus the
 	// whole front.
 	var dist uint64
-	if n := e.frontN; n > 0 && prev.Time >= e.front[0] {
+	n := e.frontN
+	front := n > 0 && prev.Time >= e.front[0]
+	if front {
 		i := n - 1
 		for e.front[i] != prev.Time {
 			i--
@@ -467,23 +684,29 @@ func (e *Engine) accessBlock(ref trace.RefID, block uint64) {
 	p.Hist.Add(dist)
 	p.Count++
 	if dist >= e.minTh {
-		// Binary search the ascending threshold list for how many
-		// capacities this distance misses at, then bump those counters via
-		// the sorted→configured permutation.
-		th := e.sortedTh
-		lo, hi := 1, len(th) // sortedTh[0] <= dist already established
-		for lo < hi {
-			mid := int(uint(lo+hi) >> 1)
-			if th[mid] <= dist {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		for _, i := range e.thPerm[:lo] {
+		// Bump the counters of the capacities this distance misses at,
+		// via the sorted→configured permutation.
+		for _, i := range e.thPerm[:e.missed(dist)] {
 			p.MissAt[i]++
 		}
 	}
+	return p, dist, front
+}
+
+// missed returns how many capacities a distance of at least minTh misses
+// at: a binary search of the ascending threshold list.
+func (e *Engine) missed(dist uint64) int {
+	th := e.sortedTh
+	lo, hi := 1, len(th) // sortedTh[0] <= dist already established
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if th[mid] <= dist {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
 }
 
 // pushFront makes t, the current time, the newest front mark. A full

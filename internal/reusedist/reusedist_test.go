@@ -491,7 +491,8 @@ func BenchmarkEngine(b *testing.B) {
 // TestEngineSteadyStateAllocatesNothing pins the engine's steady state:
 // once every block of a fixed set, every reference and every pattern has
 // been seen, a pass that carries the order-statistic tree through several
-// compactions allocates nothing.
+// compactions allocates nothing, and neither does a repeated access run
+// whose steady iterations are applied at once.
 func TestEngineSteadyStateAllocatesNothing(t *testing.T) {
 	const blocks, sweeps = 1000, 16
 	e := New(Config{BlockBits: 6, Thresholds: []uint64{512, 4096}})
@@ -512,6 +513,21 @@ func TestEngineSteadyStateAllocatesNothing(t *testing.T) {
 	}
 	if allocs != 0 {
 		t.Errorf("steady-state pass allocated %v objects, want 0", allocs)
+	}
+
+	// Four references, each in its own block for all 8 iterations: one
+	// stretch, recorded at its second iteration.
+	refs := make([]trace.RunRef, 4)
+	for i := range refs {
+		refs[i] = trace.RunRef{Addr: uint64(blocks+i) * 64, Delta: 8, Ref: trace.RefID(2 + i), Size: 8}
+	}
+	run := func() { e.AccessRun(refs, 8) }
+	run() // warm-up: the references, their patterns and the steady record
+	if allocs := testing.AllocsPerRun(3, run); allocs != 0 {
+		t.Errorf("repeated steady run allocated %v objects, want 0", allocs)
+	}
+	if len(e.steady) != len(refs) {
+		t.Errorf("the run recorded %d accesses, want %d", len(e.steady), len(refs))
 	}
 }
 
