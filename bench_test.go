@@ -226,9 +226,11 @@ func BenchmarkFig11d_TimeVsMicell(b *testing.B) {
 // ---------------------------------------------------------------------
 
 // BenchmarkHotpath is the per-workload engine-throughput suite: each
-// sub-benchmark replays one recorded trace through a fresh collector and
+// sub-benchmark replays one recording through a fresh collector and
 // reports ns per reference access, with B/op and allocs/op beside it.
-// It is the engine-only timing; TestHotpathFingerprintsPinned
+// The recording keeps the interpreter's access runs, so the engines
+// take them through AccessRun as they do in production. It is the
+// engine-only timing; TestHotpathFingerprintsPinned
 // (internal/experiments) pins the same replays' output. CI replays every
 // workload once (-bench=Hotpath -benchtime=1x) as a smoke test.
 func BenchmarkHotpath(b *testing.B) {
@@ -237,38 +239,34 @@ func BenchmarkHotpath(b *testing.B) {
 		name := name
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
-			events, err := experiments.HotpathTrace(name)
+			rec, err := experiments.HotpathTrace(name)
 			if err != nil {
 				b.Fatal(err)
 			}
-			var accesses uint64
-			for i := range events {
-				if events[i].Kind == trace.EvAccess {
-					accesses++
-				}
-			}
+			var count trace.Counter
+			rec.Replay(&count)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				col := experiments.HotpathCollector(h)
-				trace.ReplayEvents(events, col)
+				rec.Replay(col)
 			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(accesses), "ns/access")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(count.Accesses), "ns/access")
 		})
 	}
 }
 
 // BenchmarkEnginePair is the fan-out's false-sharing check. It replays
-// the sweep3d hot-path trace into the two engines of a scaled Itanium 2
-// collector (128-byte lines and 4 KB pages), first one engine after the
-// other and then each on its own goroutine, and reports both times and
-// their ratio. On two idle CPUs, engines that share no written cache
-// line take little more than the larger engine's share of the work
-// (pair/seq ≤ 0.65; the 128-byte engine does 50–59% of it); a line
-// that one engine writes while the other reads it holds the pair near
-// 1.0. CI runs it once (-bench=EnginePair -benchtime=1x) as a smoke
-// test.
+// the sweep3d hot-path recording, runs kept, into the two engines of a
+// scaled Itanium 2 collector (128-byte lines and 4 KB pages), first one
+// engine after the other and then each on its own goroutine, and
+// reports both times and their ratio. On two idle CPUs, engines that
+// share no written cache line take little more than the larger
+// engine's share of the work (the 128-byte engine does 63–74% of it,
+// and pair/seq reads about 0.7–0.8); a line that one engine writes
+// while the other reads it holds the pair near 1.0. CI runs it once
+// (-bench=EnginePair -benchtime=1x) as a smoke test.
 func BenchmarkEnginePair(b *testing.B) {
-	events, err := experiments.HotpathTrace("sweep3d")
+	rec, err := experiments.HotpathTrace("sweep3d")
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -279,7 +277,7 @@ func BenchmarkEnginePair(b *testing.B) {
 		col := experiments.HotpathCollector(h)
 		t0 := time.Now()
 		for _, e := range col.Engines {
-			trace.ReplayEvents(events, e)
+			rec.Replay(e)
 		}
 		seq += time.Since(t0)
 
@@ -290,7 +288,7 @@ func BenchmarkEnginePair(b *testing.B) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				trace.ReplayEvents(events, e)
+				rec.Replay(e)
 			}()
 		}
 		wg.Wait()

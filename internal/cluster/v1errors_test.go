@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"bytes"
+	"encoding/base64"
 	"flag"
 	"fmt"
 	"io"
@@ -10,7 +12,12 @@ import (
 	"strings"
 	"testing"
 
+	"reusetool/internal/cache"
+	"reusetool/internal/interp"
+	"reusetool/internal/persist"
+	"reusetool/internal/reusedist"
 	"reusetool/internal/server"
+	"reusetool/internal/workloads"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
@@ -23,10 +30,30 @@ type v1ErrorCase struct {
 	body   string
 }
 
+// fig2Artifact returns a valid persist artifact of fig2, base64-encoded
+// as /v1/analyze's artifact field carries it.
+func fig2Artifact(t *testing.T) string {
+	t.Helper()
+	prog := workloads.Fig2()
+	info, err := prog.Finalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	col := reusedist.NewCollectorWith(cache.ScaledItanium2().Granularities(), reusedist.Config{})
+	if _, err := interp.Run(info, nil, col); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := persist.Save(&buf, persist.Snapshot(col, prog.Name, nil)); err != nil {
+		t.Fatal(err)
+	}
+	return base64.StdEncoding.EncodeToString(buf.Bytes())
+}
+
 // v1ErrorCases lists the bad requests both roles must answer alike:
 // the intake rules (body cap, strict decoding) on every POST route,
 // request validation, and the job registry's lookups.
-func v1ErrorCases() []v1ErrorCase {
+func v1ErrorCases(t *testing.T) []v1ErrorCase {
 	// One byte past the 16 MiB cap, still valid JSON up to the cut.
 	huge := `{"workload":"` + strings.Repeat("a", 16<<20-14) + `"}`
 	const training = `"train_params":[{"N":64},{"N":96},{"N":128}]`
@@ -51,6 +78,9 @@ func v1ErrorCases() []v1ErrorCase {
 		)
 	}
 	return append(cases,
+		// The result is the artifact's whatever the resolution, so a
+		// histres beside it would only split one result across keys.
+		v1ErrorCase{"analyze/artifact-histres", "POST", "/v1/analyze", `{"workload":"fig2","artifact":"` + fig2Artifact(t) + `","histres":2}`},
 		v1ErrorCase{"fit/unsound", "POST", "/v1/fit", `{"workload":"fig2",` + training + `,"sample_rate":8}`},
 		v1ErrorCase{"fit/one-binding", "POST", "/v1/fit", `{"workload":"fig2","train_params":[{"N":64}]}`},
 		v1ErrorCase{"predict/sample-rate", "POST", "/v1/predict", `{"workload":"fig2",` + training + `,"sample_rate":8}`},
@@ -72,9 +102,10 @@ func TestV1ErrorSurfaceGolden(t *testing.T) {
 		{"worker", workers[0].url()},
 		{"coordinator", cl.BaseURL()},
 	}
+	cases := v1ErrorCases(t)
 	var got strings.Builder
 	for _, role := range roles {
-		for _, tc := range v1ErrorCases() {
+		for _, tc := range cases {
 			req, err := http.NewRequestWithContext(t.Context(), tc.method, role.base+tc.path, strings.NewReader(tc.body))
 			if err != nil {
 				t.Fatal(err)

@@ -62,7 +62,7 @@ type Options struct {
 	SimulateOnly bool
 	// Parallel fans the event stream out to the consumers — each
 	// per-granularity reuse-distance engine, the simulator, the Tee — on
-	// dedicated goroutines with bounded ring buffers instead of invoking
+	// dedicated goroutines behind bounded channels instead of invoking
 	// them inline (see internal/pipeline). Results are bit-identical to
 	// the sequential path; only wall-clock time changes. It has no
 	// effect when GOMAXPROCS is 1.

@@ -91,8 +91,10 @@ func TestParallelMatchesSequential(t *testing.T) {
 
 // TestParallelTeeSeesFullStream runs the fan-out with a Tee recorder
 // attached and checks the recorded event stream matches the sequential
-// reference exactly — order included. Under -race this also serves as
-// the concurrency test for the producer/consumer handoff.
+// reference exactly — order included. The fan-out splits runs at batch
+// bounds, so the two recordings are compared expanded. Under -race this
+// also serves as the concurrency test for the producer/consumer
+// handoff.
 func TestParallelTeeSeesFullStream(t *testing.T) {
 	record := func(parallel bool) []trace.Event {
 		t.Helper()
@@ -104,7 +106,7 @@ func TestParallelTeeSeesFullStream(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return rec.Events
+		return rec.Expanded()
 	}
 	seq := record(false)
 	par := record(true)
@@ -151,7 +153,7 @@ func atLeastTwoCPUs(t *testing.T) {
 
 // TestParallelPanicJoinsConsumers runs a program whose Init panics under
 // the fan-out. The panic must reach the caller, and once it is recovered
-// no consumer goroutine may be left parked on its ring: a daemon that
+// no consumer goroutine may be left parked on its channel: a daemon that
 // recovers a job's panic would otherwise leak them, with their batches,
 // per panicking job.
 func TestParallelPanicJoinsConsumers(t *testing.T) {

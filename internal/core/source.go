@@ -150,7 +150,7 @@ func (p Pipeline) newCollector(info *ir.Info, footprint uint64) *reusedist.Colle
 // fanOut wires the consumer set into a single trace.Handler. With
 // Options.Parallel, more than one consumer and more than one CPU
 // (GOMAXPROCS) it builds a pipeline.Fanout — every consumer drains its
-// own bounded ring on a dedicated goroutine, which is bit-identical to
+// own bounded channel on a dedicated goroutine, which is bit-identical to
 // the sequential path because each consumer still sees the exact ordered
 // stream. Otherwise it returns the sequential reference path: the
 // consumers invoked inline (via trace.Multi when there are several); on
@@ -192,7 +192,7 @@ func (p Pipeline) fanOut(consumers ...trace.Handler) (trace.Handler, func() erro
 
 // stream runs produce into the consumers, wired by fanOut, and joins the
 // consumers on every exit path — a panicking producer included, so a
-// recovered panic leaves no consumer goroutine parked on its ring. It
+// recovered panic leaves no consumer goroutine parked on its channel. It
 // returns produce's error, else the first consumer error.
 func (p Pipeline) stream(produce func(trace.Handler) error, consumers ...trace.Handler) (err error) {
 	handler, join := p.fanOut(consumers...)

@@ -496,7 +496,7 @@ func TestReboundParameterDependence(t *testing.T) {
 				t.Fatal(err)
 			}
 			written, shared := map[uint64]bool{}, false
-			for _, ev := range rec.Events {
+			for _, ev := range rec.Expanded() {
 				if ev.Kind != trace.EvAccess {
 					continue
 				}
@@ -583,7 +583,7 @@ func TestStaleLoopVariableDependence(t *testing.T) {
 				t.Fatal(err)
 			}
 			writes := map[uint64]int{}
-			for _, ev := range rec.Events {
+			for _, ev := range rec.Expanded() {
 				if ev.Kind == trace.EvAccess && ev.Ref == w.ID() {
 					writes[ev.Addr]++
 				}

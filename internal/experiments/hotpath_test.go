@@ -6,10 +6,45 @@ import (
 
 	"reusetool/internal/cache"
 	"reusetool/internal/core"
+	"reusetool/internal/interp"
 	"reusetool/internal/reusedist"
 	"reusetool/internal/sampling"
 	"reusetool/internal/trace"
 )
+
+// TestHotpathTraceCountsEveryAccess: a recording keeps runs, so it
+// holds far fewer events than accesses; replayed, it stands for every
+// access the interpreter counted. BenchmarkHotpath and the sampling
+// suite divide by this count.
+func TestHotpathTraceCountsEveryAccess(t *testing.T) {
+	for _, name := range HotpathWorkloads() {
+		rec, err := HotpathTrace(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var count trace.Counter
+		rec.Replay(&count)
+		prog, init, err := hotpathProgram(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		info, err := prog.Finalize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var opts []interp.Option
+		if init != nil {
+			opts = append(opts, interp.WithInit(init))
+		}
+		res, err := interp.Run(info, nil, trace.Discard{}, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if count.Accesses != res.Accesses {
+			t.Errorf("%s: the recording stands for %d accesses, the interpreter made %d", name, count.Accesses, res.Accesses)
+		}
+	}
+}
 
 // seedFingerprints pins the reuse-distance collector's output on every
 // hotpath workload to the values measured on the pre-optimization (seed)
@@ -38,12 +73,12 @@ func TestHotpathFingerprintsPinned(t *testing.T) {
 			if testing.Short() && (name == "sweep3d" || name == "gtc") {
 				t.Skip("large trace; skipped in -short")
 			}
-			events, err := HotpathTrace(name)
+			rec, err := HotpathTrace(name)
 			if err != nil {
 				t.Fatal(err)
 			}
 			col := HotpathCollector(hier)
-			trace.ReplayEvents(events, col)
+			rec.Replay(col)
 			want, ok := seedFingerprints[name]
 			if !ok {
 				t.Fatalf("no seed fingerprint for %q", name)
@@ -83,13 +118,13 @@ func TestSampledFingerprintsPinned(t *testing.T) {
 			if testing.Short() && (name == "sweep3d" || name == "gtc") {
 				t.Skip("large trace; skipped in -short")
 			}
-			events, err := HotpathTrace(name)
+			rec, err := HotpathTrace(name)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for i, mode := range modes {
 				col := reusedist.NewCollectorWith(hier.Granularities(), reusedist.Config{Sampling: mode})
-				trace.ReplayEvents(events, col)
+				rec.Replay(col)
 				if mode.MaxBlocks > 0 {
 					if r := col.Engines[0].Sample().Rate; r < 8 {
 						t.Errorf("%v: line engine ended at rate %d, want at least 3 rescales", mode, r)

@@ -5,8 +5,6 @@ import (
 	"time"
 
 	"reusetool/internal/cache"
-	"reusetool/internal/interp"
-	"reusetool/internal/ir"
 	"reusetool/internal/reusedist"
 	"reusetool/internal/sampling"
 	"reusetool/internal/trace"
@@ -98,7 +96,7 @@ func (r *SamplingRateRow) MaxContractErr() float64 {
 // SamplingRow is one workload's differential comparison.
 type SamplingRow struct {
 	Workload string
-	// Accesses counts reference access events in the recorded trace.
+	// Accesses counts the reference accesses the recording stands for.
 	Accesses uint64
 	// ExactNs is the exact replay cost per access; ExactFP the exact
 	// collector fingerprint.
@@ -110,50 +108,6 @@ type SamplingRow struct {
 // SamplingWorkloads lists every built-in workload, the population the
 // R=1 identity check runs over.
 func SamplingWorkloads() []string { return workloads.Names() }
-
-// samplingProgram builds a workload at the suite's sizes: the hot-path
-// sizes for the workloads HotpathWorkloads names (large enough that the
-// per-access speedup is meaningful), comparable sizes for the rest.
-func samplingProgram(name string) (*ir.Program, func(*interp.Machine) error, error) {
-	switch name {
-	case "fig1b":
-		return workloads.Fig1(true), nil, nil
-	case "sweep3d-blk6", "sweep3d-blk6ic":
-		cfg := workloads.DefaultSweep3D()
-		cfg.N = 12
-		cfg.Block = 6
-		cfg.DimInterchange = name == "sweep3d-blk6ic"
-		p, err := workloads.Sweep3D(cfg)
-		return p, nil, err
-	case "gtc-tuned":
-		cfg := workloads.DefaultGTC()
-		cfg.Micell = 5
-		vs := workloads.GTCVariants(cfg)
-		return workloads.GTC(vs[len(vs)-1].Config)
-	}
-	return hotpathProgram(name)
-}
-
-// samplingTrace records one workload's event stream for replay.
-func samplingTrace(name string) ([]trace.Event, error) {
-	prog, init, err := samplingProgram(name)
-	if err != nil {
-		return nil, err
-	}
-	info, err := prog.Finalize()
-	if err != nil {
-		return nil, fmt.Errorf("sampling: %s: %w", name, err)
-	}
-	rec := &trace.Recorder{}
-	var opts []interp.Option
-	if init != nil {
-		opts = append(opts, interp.WithInit(init))
-	}
-	if _, err := interp.Run(info, nil, rec, opts...); err != nil {
-		return nil, fmt.Errorf("sampling: %s: %w", name, err)
-	}
-	return rec.Events, nil
-}
 
 // levelMisses extracts per-level fully-associative miss counts
 // (distance >= capacity arcs plus cold accesses) from a finished
@@ -192,23 +146,20 @@ func Sampling(names []string, hier *cache.Hierarchy, rates []uint64, repeat int)
 	}
 	var rows []SamplingRow
 	for _, name := range names {
-		events, err := samplingTrace(name)
+		rec, err := HotpathTrace(name)
 		if err != nil {
 			return nil, err
 		}
-		var accesses uint64
-		for i := range events {
-			if events[i].Kind == trace.EvAccess {
-				accesses++
-			}
-		}
+		var count trace.Counter
+		rec.Replay(&count)
+		accesses := count.Accesses
 		row := SamplingRow{Workload: name, Accesses: accesses}
 
 		var exactLevels []SamplingLevelRow
 		for r := 0; r < repeat; r++ {
 			col := reusedist.NewCollectorWith(hier.Granularities(), reusedist.Config{})
 			start := time.Now()
-			trace.ReplayEvents(events, col)
+			rec.Replay(col)
 			ns := float64(time.Since(start).Nanoseconds()) / float64(accesses)
 			if row.ExactNs == 0 || ns < row.ExactNs {
 				row.ExactNs = ns
@@ -226,7 +177,7 @@ func Sampling(names []string, hier *cache.Hierarchy, rates []uint64, repeat int)
 					Sampling: sampling.Config{Rate: rate},
 				})
 				start := time.Now()
-				trace.ReplayEvents(events, col)
+				rec.Replay(col)
 				ns := float64(time.Since(start).Nanoseconds()) / float64(accesses)
 				if rr.NsPerAccess == 0 || ns < rr.NsPerAccess {
 					rr.NsPerAccess = ns

@@ -41,19 +41,20 @@ func TestRunEmitsExpectedEvents(t *testing.T) {
 		t.Errorf("accesses = %d, want 8", res.Accesses)
 	}
 	// Events: enter routine, enter loop, 8 accesses, exit loop, exit routine.
-	if len(rec.Events) != 12 {
-		t.Fatalf("events = %d, want 12", len(rec.Events))
+	events := rec.Expanded()
+	if len(events) != 12 {
+		t.Fatalf("events = %d, want 12", len(events))
 	}
-	if rec.Events[0].Kind != trace.EvEnter || rec.Events[1].Kind != trace.EvEnter {
+	if events[0].Kind != trace.EvEnter || events[1].Kind != trace.EvEnter {
 		t.Error("missing scope entries")
 	}
-	last := rec.Events[len(rec.Events)-1]
+	last := events[len(events)-1]
 	if last.Kind != trace.EvExit {
 		t.Error("missing final scope exit")
 	}
 	// Access pattern: read B then write A per iteration.
 	var accesses []trace.Event
-	for _, e := range rec.Events {
+	for _, e := range events {
 		if e.Kind == trace.EvAccess {
 			accesses = append(accesses, e)
 		}
@@ -88,7 +89,7 @@ func TestColumnMajorLayout(t *testing.T) {
 		t.Fatal(err)
 	}
 	var addrs []uint64
-	for _, e := range rec.Events {
+	for _, e := range rec.Expanded() {
 		if e.Kind == trace.EvAccess {
 			addrs = append(addrs, e.Addr)
 		}
@@ -215,7 +216,7 @@ func TestElseBranch(t *testing.T) {
 		t.Fatal(err)
 	}
 	var aCount, bCount int
-	for _, e := range rec.Events {
+	for _, e := range rec.Expanded() {
 		if e.Kind == trace.EvAccess {
 			if e.Ref == 0 {
 				aCount++
@@ -318,7 +319,7 @@ func TestLoadAndInit(t *testing.T) {
 		t.Fatal(err)
 	}
 	var addrs []uint64
-	for _, e := range rec.Events {
+	for _, e := range rec.Expanded() {
 		if e.Kind == trace.EvAccess {
 			addrs = append(addrs, e.Addr)
 		}

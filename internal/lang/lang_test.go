@@ -184,7 +184,7 @@ routine main {
 	}
 	// 2+12-5 = 9; element 9 of an 8-byte array: offset 72 from the base.
 	var addr uint64
-	for _, e := range rec.Events {
+	for _, e := range rec.Expanded() {
 		if e.Kind == trace.EvAccess {
 			addr = e.Addr
 		}
@@ -251,7 +251,7 @@ routine main {
 	}
 	// idx[1] = 7: the second access targets element 7.
 	var addrs []uint64
-	for _, e := range rec.Events {
+	for _, e := range rec.Expanded() {
 		if e.Kind == trace.EvAccess {
 			addrs = append(addrs, e.Addr)
 		}

@@ -6,23 +6,24 @@
 // access stream. That fan-out is embarrassingly parallel across
 // consumers: each engine only needs to see the events in order, not to
 // see them at the same moment as its siblings. Fanout exploits this: the
-// producer (the IR interpreter) appends events to a fixed-size batch,
-// and every full batch is published to one bounded SPSC ring per
-// consumer; each consumer drains its ring on a dedicated goroutine and
-// replays the batches into its trace.Handler.
+// producer (the IR interpreter) appends events to a fixed-size batch in
+// trace's encoding, and every full batch is sent on one buffered
+// channel per consumer; each consumer drains its channel on a dedicated
+// goroutine and replays the batches into its trace.Handler with a
+// trace.Decoder.
 //
 // Because every consumer receives the exact ordered stream, the results
 // are bit-identical to the sequential trace.Multi path — the consumers
 // merely run concurrently with the producer and with each other. The
-// bounded rings provide backpressure: when the slowest consumer lags by
+// channels provide backpressure: when the slowest consumer lags by
 // ringSize batches, the producer blocks until it catches up, so memory
 // stays bounded at O(consumers × ringSize × batchSize) events.
 //
-// An access run (trace.RunHandler) travels inside a batch in encoded
-// form, as one header event and two events per reference, and each
-// consumer expands it or hands it on as a run. A batch expands to at
-// most batchWork × batchSize accesses and scope events, so a consumer
-// lags the producer by a bounded amount of work as well as of memory.
+// An access run (trace.RunHandler) travels inside a batch encoded by
+// trace.AppendRun, and each consumer's decoder hands it on as a run or
+// expands it. A batch expands to at most batchWork × batchSize accesses
+// and scope events, so a consumer lags the producer by a bounded amount
+// of work as well as of memory.
 package pipeline
 
 import (
@@ -32,8 +33,8 @@ import (
 	"reusetool/internal/trace"
 )
 
-// Sizing: batches large enough to amortize ring synchronization down to
-// noise (a lock operation per ~4k events), rings deep enough to absorb
+// Sizing: batches large enough to amortize the channel handoff down to
+// noise (one send per ~4k events), channels deep enough to absorb
 // consumer jitter without ballooning memory.
 const (
 	batchSize = 4096
@@ -46,12 +47,6 @@ const (
 // millions of accesses.
 const batchWork = 16
 
-// evRun is the kind of an encoded run's header event. The header's Addr
-// holds the run's iteration count and its Size the number of references
-// n; the 2n events after it hold, per reference, its Addr, Ref, Size and
-// Write, then its Delta in Addr.
-const evRun trace.EventKind = 255
-
 // batch is one published slice of events plus the number of consumers
 // that still have to release it; the last one recycles it.
 type batch struct {
@@ -59,27 +54,24 @@ type batch struct {
 	refs atomic.Int32
 }
 
-// consumer owns one handler, its ring, and its draining goroutine.
+// consumer owns one handler, its channel of batches, and its draining
+// goroutine.
 type consumer struct {
 	h    trace.Handler
-	rh   trace.RunHandler // h when it takes runs, else nil
-	runs []trace.RunRef   // the decoded references of the current run
-	ring *ring
+	dec  trace.Decoder
+	in   chan *batch
 	done chan struct{}
 	err  error
 }
 
-// run drains the ring until close, replaying batches into the handler.
-// A panicking handler poisons only this consumer: the error is recorded,
-// and the remaining batches are drained (and released) without replay so
-// the producer and sibling consumers never block on a dead ring.
+// run drains the channel until it is closed, replaying batches into the
+// handler. A panicking handler poisons only this consumer: the error is
+// recorded, and the remaining batches are drained (and released)
+// without replay so the producer and sibling consumers never block on a
+// dead consumer.
 func (c *consumer) run(f *Fanout) {
 	defer close(c.done)
-	for {
-		b, ok := c.ring.pop()
-		if !ok {
-			return
-		}
+	for b := range c.in {
 		if c.err == nil {
 			c.replay(b.ev)
 		}
@@ -95,40 +87,7 @@ func (c *consumer) replay(events []trace.Event) {
 			c.err = fmt.Errorf("pipeline: consumer %T: %v", c.h, r)
 		}
 	}()
-	for i := 0; i < len(events); i++ {
-		e := &events[i]
-		switch e.Kind {
-		case trace.EvEnter:
-			c.h.EnterScope(e.Scope)
-		case trace.EvExit:
-			c.h.ExitScope(e.Scope)
-		case trace.EvAccess:
-			c.h.Access(e.Ref, e.Addr, e.Size, e.Write)
-		case evRun:
-			i = c.replayRun(events, i)
-		}
-	}
-}
-
-// replayRun decodes the run whose header is events[i] and feeds it to
-// the handler, as a run when the handler takes runs and one access at
-// a time when it does not. It returns the index of the run's last event.
-//
-//reuse:hotpath
-func (c *consumer) replayRun(events []trace.Event, i int) int {
-	hd := &events[i]
-	refs := c.runs[:0]
-	for j := i + 1; j < i+1+2*int(hd.Size); j += 2 {
-		r := &events[j]
-		refs = append(refs, trace.RunRef{Addr: r.Addr, Delta: events[j+1].Addr, Ref: r.Ref, Size: r.Size, Write: r.Write})
-	}
-	c.runs = refs
-	if c.rh != nil {
-		c.rh.AccessRun(refs, hd.Addr)
-	} else {
-		trace.ExpandRun(c.h, refs, hd.Addr)
-	}
-	return i + 2*len(refs)
+	c.dec.Replay(events, c.h)
 }
 
 // Fanout distributes one event stream to several handlers, each on its
@@ -156,8 +115,8 @@ func NewFanout(handlers ...trace.Handler) *Fanout {
 	return newFanout(batchSize, ringSize, handlers...)
 }
 
-// newFanout is NewFanout with batches of batchLen events and rings of
-// ringLen batches; the package's tests shrink both.
+// newFanout is NewFanout with batches of batchLen events and channels
+// of ringLen batches; the package's tests shrink both.
 func newFanout(batchLen, ringLen int, handlers ...trace.Handler) *Fanout {
 	f := &Fanout{
 		batchLen: batchLen,
@@ -167,8 +126,7 @@ func newFanout(batchLen, ringLen int, handlers ...trace.Handler) *Fanout {
 		free: make(chan *batch, ringLen*len(handlers)+2*len(handlers)+2),
 	}
 	for _, h := range handlers {
-		c := &consumer{h: h, ring: newRing(ringLen), done: make(chan struct{})}
-		c.rh, _ = h.(trace.RunHandler)
+		c := &consumer{h: h, in: make(chan *batch, ringLen), done: make(chan struct{})}
 		f.cons = append(f.cons, c)
 		go c.run(f)
 	}
@@ -192,7 +150,7 @@ func (f *Fanout) recycle(b *batch) {
 	}
 }
 
-// publish hands the current batch to every consumer ring in order.
+// publish sends the current batch to every consumer in order.
 func (f *Fanout) publish() {
 	if len(f.cur) == 0 {
 		return
@@ -200,7 +158,7 @@ func (f *Fanout) publish() {
 	b := &batch{ev: f.cur}
 	b.refs.Store(int32(len(f.cons)))
 	for _, c := range f.cons {
-		c.ring.push(b)
+		c.in <- b
 	}
 	f.cur = f.newBatchBuf()
 	f.work = 0
@@ -247,13 +205,7 @@ func (f *Fanout) AccessRun(refs []trace.RunRef, iters uint64) {
 			f.publish()
 		}
 		c := min(iters-k, (f.maxWork-f.work)/n)
-		f.cur = append(f.cur, trace.Event{Kind: evRun, Addr: c, Size: uint32(n)})
-		for i := range refs {
-			r := &refs[i]
-			f.cur = append(f.cur,
-				trace.Event{Kind: evRun, Addr: r.Addr + k*r.Delta, Ref: r.Ref, Size: r.Size, Write: r.Write},
-				trace.Event{Kind: evRun, Addr: r.Delta})
-		}
+		f.cur = trace.AppendRun(f.cur, refs, k, c)
 		f.work += c * n
 		k += c
 	}
@@ -274,7 +226,7 @@ func (f *Fanout) Close() error {
 	f.closed = true
 	f.publish()
 	for _, c := range f.cons {
-		c.ring.close()
+		close(c.in)
 	}
 	var first error
 	for _, c := range f.cons {

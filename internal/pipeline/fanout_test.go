@@ -40,9 +40,8 @@ func TestFanoutMatchesMulti(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range par {
-		if !reflect.DeepEqual(seq[i].Events, par[i].Events) {
-			t.Fatalf("consumer %d saw a different stream (%d vs %d events)",
-				i, len(par[i].Events), len(seq[i].Events))
+		if got, want := par[i].Expanded(), seq[i].Expanded(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("consumer %d saw a different stream (%d vs %d events)", i, len(got), len(want))
 		}
 	}
 }
@@ -171,26 +170,6 @@ func TestFanoutEmptyStream(t *testing.T) {
 	}
 }
 
-func TestRing(t *testing.T) {
-	r := newRing(2)
-	b1, b2 := &batch{}, &batch{}
-	r.push(b1)
-	r.push(b2)
-	if r.len() != 2 {
-		t.Fatalf("len = %d, want 2", r.len())
-	}
-	if got, ok := r.pop(); !ok || got != b1 {
-		t.Fatal("pop order broken")
-	}
-	r.close()
-	if got, ok := r.pop(); !ok || got != b2 {
-		t.Fatal("close lost a queued batch")
-	}
-	if _, ok := r.pop(); ok {
-		t.Fatal("pop after drain should report end-of-stream")
-	}
-}
-
 func TestForEach(t *testing.T) {
 	for _, jobs := range []int{0, 1, 3, 16} {
 		var sum atomic.Int64
@@ -218,16 +197,19 @@ func TestForEachError(t *testing.T) {
 	}
 }
 
-// runRecorder records the expanded stream of the runs it receives, and
-// counts them.
-type runRecorder struct {
-	trace.Recorder
+// runCounter counts the runs it takes and ignores everything else.
+type runCounter struct {
+	trace.Discard
 	runs int
 }
 
-func (r *runRecorder) AccessRun(refs []trace.RunRef, iters uint64) {
-	r.runs++
-	trace.ExpandRun(&r.Recorder, refs, iters)
+func (c *runCounter) AccessRun([]trace.RunRef, uint64) { c.runs++ }
+
+// runsIn counts the runs a recording holds.
+func runsIn(rec *trace.Recorder) int {
+	var c runCounter
+	rec.Replay(&c)
+	return c.runs
 }
 
 // runRefs returns n run references with distinct sizes, directions and
@@ -263,23 +245,26 @@ func driveRuns(h trace.RunHandler, batch int) {
 func TestFanoutRunsMatchExpansion(t *testing.T) {
 	const batch = 16
 	var want trace.Recorder
-	driveRuns(trace.Multi{&want}, batch)
+	driveRuns(&want, batch)
 
-	withRuns, without := &runRecorder{}, &trace.Recorder{}
-	f := newFanout(batch, 2, withRuns, without)
+	withRuns, without := &trace.Recorder{}, &trace.Recorder{}
+	f := newFanout(batch, 2, withRuns, struct{ trace.Handler }{without})
 	driveRuns(f, batch)
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	for name, got := range map[string][]trace.Event{"with runs": withRuns.Events, "without runs": without.Events} {
-		if !reflect.DeepEqual(got, want.Events) {
-			t.Errorf("consumer %s saw %d events, want the %d of the expanded stream", name, len(got), len(want.Events))
+	for name, rec := range map[string]*trace.Recorder{"with runs": withRuns, "without runs": without} {
+		if got := rec.Expanded(); !reflect.DeepEqual(got, want.Expanded()) {
+			t.Errorf("consumer %s saw %d events, want the %d of the expanded stream", name, len(got), len(want.Expanded()))
 		}
+	}
+	if n := runsIn(without); n != 0 {
+		t.Errorf("the consumer without runs got %d runs", n)
 	}
 	// 3×5000 accesses split at 16×16 per batch, 2×1000 at the same;
 	// the short, wide and empty runs travel as accesses.
-	if withRuns.runs < 15000/(batchWork*batch)+2000/(batchWork*batch) {
-		t.Errorf("the run consumer got %d runs, want the long runs split by the work bound", withRuns.runs)
+	if n := runsIn(withRuns); n < 15000/(batchWork*batch)+2000/(batchWork*batch) {
+		t.Errorf("the run consumer got %d runs, want the long runs split by the work bound", n)
 	}
 }
 

@@ -110,6 +110,9 @@ func resolve(req AnalyzeRequest, maxTimeout time.Duration) (*resolved, error) {
 	if r.mode == "static" && r.dataset != nil {
 		return nil, fmt.Errorf("static mode cannot be combined with an artifact")
 	}
+	if r.dataset != nil && req.HistRes != 0 {
+		return nil, fmt.Errorf("an artifact keeps its collection-time histogram resolution; drop histres")
+	}
 
 	r.sample = sampling.Config{
 		Rate:      req.SampleRate,

@@ -92,18 +92,19 @@ func TestRecorderEventContents(t *testing.T) {
 	rec.EnterScope(7)
 	rec.Access(3, 0x1000, 16, true)
 	rec.ExitScope(7)
-	if len(rec.Events) != 3 {
-		t.Fatalf("events = %d", len(rec.Events))
+	events := rec.Expanded()
+	if len(events) != 3 {
+		t.Fatalf("events = %d", len(events))
 	}
-	if rec.Events[0].Kind != EvEnter || rec.Events[0].Scope != 7 {
-		t.Errorf("event 0 = %+v", rec.Events[0])
+	if events[0].Kind != EvEnter || events[0].Scope != 7 {
+		t.Errorf("event 0 = %+v", events[0])
 	}
-	e := rec.Events[1]
+	e := events[1]
 	if e.Kind != EvAccess || e.Ref != 3 || e.Addr != 0x1000 || e.Size != 16 || !e.Write {
 		t.Errorf("event 1 = %+v", e)
 	}
-	if rec.Events[2].Kind != EvExit {
-		t.Errorf("event 2 = %+v", rec.Events[2])
+	if events[2].Kind != EvExit {
+		t.Errorf("event 2 = %+v", events[2])
 	}
 }
 
@@ -115,20 +116,18 @@ func TestDiscardDoesNothing(t *testing.T) {
 	// Nothing to assert: Discard must simply not panic.
 }
 
-// runRecorder records the runs it receives, expanded.
-type runRecorder struct {
-	Recorder
+// runCounter counts the runs it takes and ignores everything else.
+type runCounter struct {
+	Discard
 	runs int
 }
 
-func (r *runRecorder) AccessRun(refs []RunRef, iters uint64) {
-	r.runs++
-	ExpandRun(&r.Recorder, refs, iters)
-}
+func (c *runCounter) AccessRun([]RunRef, uint64) { c.runs++ }
 
 // TestMultiRuns: Multi hands a run to a handler that takes runs and
 // expands it for one that does not; both see the stream the run
-// stands for, in order, and Discard takes runs.
+// stands for, in order, and Discard takes runs. A Recorder keeps the
+// run and replays it whole.
 func TestMultiRuns(t *testing.T) {
 	refs := []RunRef{
 		{Addr: 100, Delta: 8, Ref: 1, Size: 8},
@@ -141,15 +140,18 @@ func TestMultiRuns(t *testing.T) {
 		want.Access(2, 900-4*k, 4, true)
 		want.Access(3, 50, 2, false)
 	}
-	with, without := &runRecorder{}, &Recorder{}
-	m := Multi{with, without, Discard{}}
+	with, without := &Recorder{}, &Recorder{}
+	m := Multi{with, struct{ Handler }{without}, Discard{}}
 	m.AccessRun(refs, 3)
-	if with.runs != 1 {
-		t.Errorf("the run handler got %d runs, want 1", with.runs)
-	}
-	for name, got := range map[string][]Event{"with runs": with.Events, "without runs": without.Events} {
-		if !reflect.DeepEqual(got, want.Events) {
-			t.Errorf("%s: got %+v, want %+v", name, got, want.Events)
+	for name, rec := range map[string]*Recorder{"with runs": with, "without runs": without} {
+		if got := rec.Expanded(); !reflect.DeepEqual(got, want.Expanded()) {
+			t.Errorf("%s: got %+v, want %+v", name, got, want.Expanded())
 		}
+	}
+	var rc runCounter
+	with.Replay(&rc)
+	without.Replay(&rc)
+	if rc.runs != 1 {
+		t.Errorf("the recordings replay %d runs, want the one the run handler took", rc.runs)
 	}
 }

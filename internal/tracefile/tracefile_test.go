@@ -50,7 +50,8 @@ func TestReadSample(t *testing.T) {
 		t.Error("unknown ref should not resolve")
 	}
 	var accesses, enters int
-	for _, e := range rec.Events {
+	events := rec.Expanded()
+	for _, e := range events {
 		switch e.Kind {
 		case trace.EvAccess:
 			accesses++
@@ -61,8 +62,8 @@ func TestReadSample(t *testing.T) {
 	if accesses != 3 || enters != 2 {
 		t.Errorf("accesses=%d enters=%d", accesses, enters)
 	}
-	if rec.Events[2].Addr != 0x1000 {
-		t.Errorf("addr = %#x, want 0x1000", rec.Events[2].Addr)
+	if events[2].Addr != 0x1000 {
+		t.Errorf("addr = %#x, want 0x1000", events[2].Addr)
 	}
 }
 
@@ -103,8 +104,8 @@ func TestReadRejectsWrappingAccess(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "line 5:") || !strings.Contains(err.Error(), "wraps") {
 		t.Errorf("err = %v, want line 5 refused as wrapping", err)
 	}
-	if len(rec.Events) != 1 {
-		t.Errorf("handler saw %d events before the refusal, want 1 (the scope entry)", len(rec.Events))
+	if n := len(rec.Expanded()); n != 1 {
+		t.Errorf("handler saw %d events before the refusal, want 1 (the scope entry)", n)
 	}
 	// The last byte may be 2^64-1 itself.
 	ok := head + "A 0 fffffffffffffff0 16 r\nA 0 ffffffffffffffff 1 w\nA 0 ffffffffffffffff 0 r\nX 0\n"

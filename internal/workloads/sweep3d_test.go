@@ -78,7 +78,7 @@ func TestSweep3DCellCoverage(t *testing.T) {
 	// Identify the phi write at 384 (ref 0 is phi write, ref 1 is the src
 	// read — count ref 1).
 	var srcReads uint64
-	for _, e := range rec.Events {
+	for _, e := range rec.Expanded() {
 		if e.Kind == trace.EvAccess && e.Ref == 1 {
 			srcReads++
 		}

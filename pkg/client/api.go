@@ -29,7 +29,9 @@ type AnalyzeRequest struct {
 	Hierarchy string `json:"hierarchy,omitempty"`
 	// Mode selects the pipeline: "dynamic" (default) or "static".
 	Mode string `json:"mode,omitempty"`
-	// HistRes overrides the histogram resolution (0 = default).
+	// HistRes overrides the histogram resolution (0 = default). A
+	// request with an Artifact cannot set it: the artifact's histograms
+	// keep the resolution they were collected at.
 	HistRes int `json:"histres,omitempty"`
 	// Level and MinShare shape the rendered text report (defaults "L2",
 	// 0.02).
