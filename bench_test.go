@@ -18,10 +18,12 @@ import (
 
 	"reusetool/internal/cache"
 	"reusetool/internal/core"
+	"reusetool/internal/depend"
 	"reusetool/internal/experiments"
 	"reusetool/internal/interp"
 	"reusetool/internal/ir"
 	"reusetool/internal/metrics"
+	"reusetool/internal/reusecheck"
 	"reusetool/internal/sampling"
 	"reusetool/internal/staticreuse"
 	"reusetool/internal/trace"
@@ -300,9 +302,11 @@ func BenchmarkEnginePair(b *testing.B) {
 }
 
 // BenchmarkStaticEstimate times one static reuse-distance estimate
-// (internal/staticreuse) per built-in workload, with B/op and allocs/op
-// beside it: the cost a static request pays once, for its report and
-// its ranked opportunities alike. Stencil enumerates ~80k candidate
+// (internal/staticreuse) of the whole hierarchy per built-in workload,
+// with B/op and allocs/op beside it: the cost a static request pays
+// once, for its report and its ranked opportunities alike. A dynamic
+// request's ranking no longer pays it: it estimates the ranked level
+// alone (BenchmarkOpportunities). Stencil enumerates ~80k candidate
 // sources and covers its mass with a few thousand; stream's page
 // granularity splits a reference's 512 block offsets into 512 runs; gtc
 // and sweep3d have the deepest nests. CI runs each once
@@ -325,6 +329,34 @@ func BenchmarkStaticEstimate(b *testing.B) {
 				if _, err := staticreuse.Estimate(info, h, staticreuse.Options{}); err != nil {
 					b.Fatal(err)
 				}
+			}
+		})
+	}
+}
+
+// BenchmarkOpportunities times the report's opportunity ranking at L2
+// (reusecheck.Opportunities) as a dynamic, saved or trace request runs
+// it: the dependence analysis is handed in and no estimate is, so the
+// ranking estimates the L2 block size itself. CI runs each once
+// (-bench='StaticEstimate|Opportunities' -benchtime=1x) as a smoke test.
+func BenchmarkOpportunities(b *testing.B) {
+	h := hier()
+	for _, name := range []string{"sweep3d", "gtc", "gtc-tuned", "stencil"} {
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			prog, _, err := workloads.Build(name)
+			if err != nil {
+				b.Fatal(err)
+			}
+			info, err := prog.Finalize()
+			if err != nil {
+				b.Fatal(err)
+			}
+			given := reusecheck.Analyses{Deps: depend.Analyze(info, nil)}
+			opts := reusecheck.Options{Hier: h, Level: "L2"}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				reusecheck.Opportunities(info, given, opts)
 			}
 		})
 	}

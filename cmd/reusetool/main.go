@@ -310,7 +310,7 @@ func run() int {
 	var (
 		sampleRate   = flag.Uint64("sample-rate", 0, "SHARDS spatial sampling rate R (power of two): admit ~1 in R memory blocks and report scaled estimates; 0 or 1 analyzes exactly")
 		sampleBlocks = flag.Int("sample-max-blocks", 0, "bound tracked blocks per engine: the sampling rate adapts upward as the cap fills, so memory stays constant for any trace (0 = no cap)")
-		sampleSeed   = flag.Uint64("sample-seed", 0, "sampling admission-hash seed (0 = the fixed default; same seed, same admitted blocks)")
+		sampleSeed   = flag.Uint64("sample-seed", 0, "sampling admission-hash seed (0 = the fixed default; same seed, same admitted blocks; needs -sample-rate or -sample-max-blocks)")
 	)
 	var (
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the whole invocation to this file")

@@ -46,6 +46,7 @@ type drainable interface {
 
 func run(args []string, out io.Writer) int {
 	fs := flag.NewFlagSet("reusetoold", flag.ContinueOnError)
+	fs.SetOutput(out)
 	var (
 		addr         = fs.String("addr", "127.0.0.1:8375", "listen address")
 		workers      = fs.Int("workers", 0, "analysis worker-pool size (0 = GOMAXPROCS)")

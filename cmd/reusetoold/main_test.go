@@ -131,8 +131,14 @@ func TestDaemonEndToEndWithGracefulShutdown(t *testing.T) {
 	}
 }
 
+// TestDaemonRejectsBadFlags: an unknown flag exits 2, and the error and
+// usage go to run's writer, not to the process's stderr.
 func TestDaemonRejectsBadFlags(t *testing.T) {
-	if code := run([]string{"-no-such-flag"}, &syncBuffer{}); code != 2 {
+	out := &syncBuffer{}
+	if code := run([]string{"-no-such-flag"}, out); code != 2 {
 		t.Fatalf("exit code %d, want 2", code)
+	}
+	if !strings.Contains(out.String(), "-no-such-flag") {
+		t.Fatalf("the output does not name the bad flag:\n%s", out.String())
 	}
 }

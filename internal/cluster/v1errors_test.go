@@ -81,6 +81,10 @@ func v1ErrorCases(t *testing.T) []v1ErrorCase {
 		// The result is the artifact's whatever the resolution, so a
 		// histres beside it would only split one result across keys.
 		v1ErrorCase{"analyze/artifact-histres", "POST", "/v1/analyze", `{"workload":"fig2","artifact":"` + fig2Artifact(t) + `","histres":2}`},
+		// A seed with sampling off would be dropped from the run and the
+		// key; a fit would pass it to every training run.
+		v1ErrorCase{"analyze/seed-without-sampling", "POST", "/v1/analyze", `{"workload":"fig2","sample_seed":5}`},
+		v1ErrorCase{"fit/seed-without-sampling", "POST", "/v1/fit", `{"workload":"fig2",` + training + `,"sample_seed":5}`},
 		v1ErrorCase{"fit/unsound", "POST", "/v1/fit", `{"workload":"fig2",` + training + `,"sample_rate":8}`},
 		v1ErrorCase{"fit/one-binding", "POST", "/v1/fit", `{"workload":"fig2","train_params":[{"N":64}]}`},
 		v1ErrorCase{"predict/sample-rate", "POST", "/v1/predict", `{"workload":"fig2",` + training + `,"sample_rate":8}`},

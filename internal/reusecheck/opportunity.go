@@ -3,6 +3,7 @@ package reusecheck
 import (
 	"fmt"
 
+	"reusetool/internal/cache"
 	"reusetool/internal/depend"
 	"reusetool/internal/histo"
 	"reusetool/internal/interp"
@@ -23,7 +24,9 @@ type Analyses struct {
 	Deps *depend.Analysis
 	// Estimate is a static estimate on Options.Hier and Report its
 	// report, handed over together and only when RanksWith accepts the
-	// resolution and model they were built with.
+	// resolution and model they were built with. The ranking reads only
+	// Options.Level of them, so when they are nil it estimates that
+	// level alone.
 	Estimate *staticreuse.Result
 	Report   *metrics.Report
 }
@@ -62,13 +65,22 @@ func RanksWith(histRes int, model metrics.Model) bool {
 }
 
 // estimate runs the static estimate the ranking predicts misses with and
-// builds its report; both are nil when either fails.
+// builds its report; both are nil when either fails or the hierarchy has
+// no level opts.Level. It estimates the ranked level alone: a block
+// size's estimate and a level's report depend on no other level, so the
+// rest of the hierarchy would change nothing the ranking reads.
 func estimate(info *ir.Info, opts Options) (*staticreuse.Result, *metrics.Report) {
-	est, err := staticreuse.Estimate(info, opts.Hier, staticreuse.Options{Params: opts.Params, HistRes: rankRes})
+	lvl := opts.Hier.Level(opts.Level)
+	if lvl == nil {
+		return nil, nil
+	}
+	ranked := *opts.Hier
+	ranked.Levels = []cache.Level{*lvl}
+	est, err := staticreuse.Estimate(info, &ranked, staticreuse.Options{Params: opts.Params, HistRes: rankRes})
 	if err != nil {
 		return nil, nil
 	}
-	rep, err := metrics.Build(info, est.Collector, est.Static, opts.Hier, rankModel)
+	rep, err := metrics.Build(info, est.Collector, est.Static, &ranked, rankModel)
 	if err != nil {
 		return nil, nil
 	}
@@ -108,7 +120,7 @@ func buildMissModel(est *staticreuse.Result, rep *metrics.Report, opts Options) 
 // and layout-mismatched access orders. Each diagnostic carries the
 // predicted miss reduction and the legality verdict of the fixing
 // transformation, from the walker's dependence analysis. Without a
-// static estimate and its report it estimates the program itself.
+// static estimate and its report it estimates the ranked level itself.
 func opportunities(w *walker, est *staticreuse.Result, rep *metrics.Report, opts Options) []Diagnostic {
 	info, deps, fileOf := w.info, w.deps, w.fileOf
 	mach, err := interp.Layout(info, deps.Params)

@@ -76,7 +76,8 @@ type Config struct {
 	// matter how large the trace footprint grows.
 	MaxBlocks int
 	// Seed perturbs the admission hash; 0 selects DefaultSeed. Runs with
-	// the same (seed, rate, cap) admit exactly the same blocks.
+	// the same (seed, rate, cap) admit exactly the same blocks. A nonzero
+	// seed needs sampling enabled: Validate refuses it otherwise.
 	Seed uint64
 }
 
@@ -101,6 +102,10 @@ func (c Config) Validate() error {
 	}
 	if c.MaxBlocks > 0 && c.MaxBlocks < MinMaxBlocks {
 		return fmt.Errorf("sampling: max blocks %d below minimum %d", c.MaxBlocks, MinMaxBlocks)
+	}
+	if c.Seed != 0 && !c.Enabled() {
+		// The run would be exact and the seed silently ignored.
+		return fmt.Errorf("sampling: seed %d without a rate or a max blocks cap samples nothing", c.Seed)
 	}
 	return nil
 }

@@ -34,6 +34,8 @@ func TestConfigValidate(t *testing.T) {
 		{Rate: MaxRate},
 		{MaxBlocks: MinMaxBlocks},
 		{Rate: 8, MaxBlocks: 1 << 20, Seed: 42},
+		{Rate: 1, Seed: 5},
+		{MaxBlocks: MinMaxBlocks, Seed: 5},
 	}
 	for _, c := range good {
 		if err := c.Validate(); err != nil {
@@ -46,6 +48,8 @@ func TestConfigValidate(t *testing.T) {
 		{Rate: MaxRate * 2},
 		{MaxBlocks: -1},
 		{MaxBlocks: MinMaxBlocks - 1},
+		// A seed with sampling off would be dropped without a word.
+		{Seed: 5},
 	}
 	for _, c := range bad {
 		if err := c.Validate(); err == nil {

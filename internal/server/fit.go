@@ -54,6 +54,11 @@ func resolveFit(req client.FitRequest, maxTimeout time.Duration) (*resolvedFit, 
 		return nil, fmt.Errorf("sample_rate %d, sample_max_blocks %d: %w",
 			req.SampleRate, req.SampleMaxBlocks, predict.ErrUnsoundTraining)
 	}
+	// Every training analyze would refuse a seed that samples nothing;
+	// refuse it here, before any of them runs.
+	if req.SampleSeed != 0 && req.SampleRate != 1 {
+		return nil, fmt.Errorf("sample_seed %d without sample_rate 1 samples nothing", req.SampleSeed)
+	}
 	if n := len(req.TrainParams); n < minTrainRuns || n > maxTrainRuns {
 		return nil, fmt.Errorf("train_params needs %d-%d bindings (3-5 recommended), got %d",
 			minTrainRuns, maxTrainRuns, n)

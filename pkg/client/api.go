@@ -47,7 +47,8 @@ type AnalyzeRequest struct {
 	// SampleMaxBlocks bounds tracked blocks per engine; the rate adapts
 	// upward as the cap fills (constant memory for any trace length).
 	SampleMaxBlocks int `json:"sample_max_blocks,omitempty"`
-	// SampleSeed perturbs the admission hash (0 = fixed default).
+	// SampleSeed perturbs the admission hash (0 = fixed default). A
+	// nonzero seed needs SampleRate or SampleMaxBlocks.
 	SampleSeed uint64 `json:"sample_seed,omitempty"`
 }
 
@@ -136,7 +137,8 @@ type FitRequest struct {
 	// SampleMaxBlocks must be 0: adaptive bounded-memory sampling yields
 	// scaled estimates and is refused.
 	SampleMaxBlocks int `json:"sample_max_blocks,omitempty"`
-	// SampleSeed perturbs the admission hash when SampleRate is 1.
+	// SampleSeed perturbs the admission hash when SampleRate is 1, and
+	// is refused without it.
 	SampleSeed uint64 `json:"sample_seed,omitempty"`
 }
 
