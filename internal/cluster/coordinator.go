@@ -566,7 +566,8 @@ func (c *Coordinator) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	}
 	c.metrics.JobsProxied.Add(1)
 	go c.watch(j)
-	server.WriteJSON(w, http.StatusAccepted, j.snapshot())
+	doc := j.snapshot()
+	server.WriteJob(w, http.StatusAccepted, &doc)
 }
 
 func (c *Coordinator) job(id string) (*proxyJob, bool) {
@@ -582,7 +583,8 @@ func (c *Coordinator) handleJobGet(w http.ResponseWriter, r *http.Request) {
 		server.WriteError(w, http.StatusNotFound, client.CodeNotFound, "unknown job %q", r.PathValue("id"))
 		return
 	}
-	server.WriteJSON(w, http.StatusOK, j.snapshot())
+	doc := j.snapshot()
+	server.WriteJob(w, http.StatusOK, &doc)
 }
 
 // jobList snapshots the registry in submission order.
@@ -629,7 +631,8 @@ func (c *Coordinator) handleJobCancel(w http.ResponseWriter, r *http.Request) {
 	j.mu.Unlock()
 	// The watcher proxies the cancel to whichever worker holds the job
 	// and folds the terminal state back in; report the current view.
-	server.WriteJSON(w, http.StatusOK, j.snapshot())
+	doc := j.snapshot()
+	server.WriteJob(w, http.StatusOK, &doc)
 }
 
 func (c *Coordinator) handleNodes(w http.ResponseWriter, _ *http.Request) {

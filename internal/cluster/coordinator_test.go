@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"io"
@@ -100,6 +101,51 @@ func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	t.Fatalf("timed out waiting for %s", what)
+}
+
+// TestCoordinatorMemoryHitSendsContentLength: the coordinator's
+// document of a job its worker served from memory carries a
+// Content-Length, not a chunked body, and decodes through pkg/client to
+// the cold job's report and result.
+func TestCoordinatorMemoryHitSendsContentLength(t *testing.T) {
+	_, _, cl := newCluster(t, 1, server.Config{Workers: 1}, Config{})
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	var docs [2]*client.Job
+	for i := range docs {
+		job, err := cl.Analyze(ctx, client.AnalyzeRequest{Workload: "fig2"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if docs[i], err = cl.Wait(ctx, job.ID); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cold, hit := docs[0], docs[1]
+	if cold.Status != client.JobDone || cold.CacheHit || hit.Status != client.JobDone || !hit.CacheHit {
+		t.Fatalf("cold job %s (cache_hit %v), warm job %s (cache_hit %v): want a cold run, then a hit",
+			cold.Status, cold.CacheHit, hit.Status, hit.CacheHit)
+	}
+	if cold.Report == "" || hit.Report != cold.Report || !bytes.Equal(hit.Result, cold.Result) {
+		t.Fatal("the hit does not carry the cold job's report and result")
+	}
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, cl.BaseURL()+"/v1/jobs/"+hit.ID, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.ContentLength != int64(len(raw)) || len(resp.TransferEncoding) != 0 {
+		t.Fatalf("%d-byte job document sent with Content-Length %d and Transfer-Encoding %q",
+			len(raw), resp.ContentLength, resp.TransferEncoding)
+	}
 }
 
 func TestCoordinatorColdWarmAndSharding(t *testing.T) {

@@ -41,7 +41,8 @@ func (c *Coordinator) handleFit(w http.ResponseWriter, r *http.Request) {
 	}
 	c.metrics.FitsProxied.Add(1)
 	go c.watchFit(j, trainReqs)
-	server.WriteJSON(w, http.StatusAccepted, j.snapshot())
+	doc := j.snapshot()
+	server.WriteJob(w, http.StatusAccepted, &doc)
 }
 
 // watchFit drives one fit end to end: schedule the training analyses as

@@ -86,6 +86,9 @@ func v1ErrorCases(t *testing.T) []v1ErrorCase {
 		v1ErrorCase{"analyze/seed-without-sampling", "POST", "/v1/analyze", `{"workload":"fig2","sample_seed":5}`},
 		v1ErrorCase{"fit/seed-without-sampling", "POST", "/v1/fit", `{"workload":"fig2",` + training + `,"sample_seed":5}`},
 		v1ErrorCase{"fit/unsound", "POST", "/v1/fit", `{"workload":"fig2",` + training + `,"sample_rate":8}`},
+		// Neither the model key nor the training requests would carry
+		// a negative cap.
+		v1ErrorCase{"fit/negative-max-blocks", "POST", "/v1/fit", `{"workload":"fig2",` + training + `,"sample_max_blocks":-1}`},
 		v1ErrorCase{"fit/one-binding", "POST", "/v1/fit", `{"workload":"fig2","train_params":[{"N":64}]}`},
 		v1ErrorCase{"predict/sample-rate", "POST", "/v1/predict", `{"workload":"fig2",` + training + `,"sample_rate":8}`},
 		v1ErrorCase{"predict/malformed-model-key", "POST", "/v1/predict", `{"model":"xyz","params":{"N":2048}}`},

@@ -2,11 +2,13 @@ package server
 
 import (
 	"bytes"
+	"encoding/base64"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 
 	"reusetool/internal/predict"
 	"reusetool/pkg/client"
@@ -26,6 +28,47 @@ func WriteJSON(w http.ResponseWriter, status int, v any) {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	_ = enc.Encode(v)
+}
+
+// WriteJob writes a job document: exactly the bytes WriteJSON writes
+// for doc, with a Content-Length. WriteJSON's indent pass re-scans
+// every byte of the marshalled document, and nearly all of them sit in
+// the report and result strings, inside which indenting changes
+// nothing. So only the head (every field but those two) is indented;
+// the report is appended as json.Marshal escapes it, and the result as
+// the standard base64 string Marshal makes of a []byte. Report and
+// Result are client.Job's last two fields, so nothing follows them.
+func WriteJob(w http.ResponseWriter, status int, doc *client.Job) {
+	const (
+		reportKey = ",\n  \"report\": "
+		resultKey = ",\n  \"result\": \""
+		tail      = "\n}\n"
+	)
+	head := *doc
+	head.Report, head.Result = "", nil
+	// Neither can fail: the head holds strings, ints and a bool, and
+	// the report is one string.
+	hb, _ := json.MarshalIndent(&head, "", "  ")
+	hb = hb[:len(hb)-len("\n}")] // id, status, key and cache_hit are always there
+	var report []byte
+	if doc.Report != "" {
+		report, _ = json.Marshal(doc.Report)
+	}
+	n := len(hb) + len(reportKey) + len(report) + len(resultKey) +
+		base64.StdEncoding.EncodedLen(len(doc.Result)) + len(`"`) + len(tail)
+	body := append(make([]byte, 0, n), hb...)
+	if report != nil {
+		body = append(append(body, reportKey...), report...)
+	}
+	if len(doc.Result) > 0 {
+		body = append(base64.StdEncoding.AppendEncode(append(body, resultKey...), doc.Result), '"')
+	}
+	body = append(body, tail...)
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(body)))
+	w.WriteHeader(status)
+	_, _ = w.Write(body)
 }
 
 // WriteError emits the structured v1 error envelope:

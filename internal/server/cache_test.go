@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/gob"
 	"fmt"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"sync"
@@ -15,6 +16,7 @@ import (
 	"reusetool/internal/persist"
 	"reusetool/internal/reusedist"
 	"reusetool/internal/workloads"
+	"reusetool/pkg/client"
 )
 
 // collectEntry runs a small workload and packages it like the server
@@ -185,12 +187,11 @@ func TestCacheConcurrentAccess(t *testing.T) {
 	}
 }
 
-// sweep3dEntry analyzes the sweep3d workload the way the daemon does,
-// in the given mode ("static" takes milliseconds, "dynamic" seconds),
-// and returns the entry it would cache.
-func sweep3dEntry(tb testing.TB, mode string) *CacheEntry {
+// analyzeEntry analyzes req cold, the way the daemon does, and returns
+// the entry it would cache.
+func analyzeEntry(tb testing.TB, req AnalyzeRequest) *CacheEntry {
 	tb.Helper()
-	rr, err := resolve(AnalyzeRequest{Workload: "sweep3d", Mode: mode}, 0)
+	rr, err := resolve(req, 0)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -227,7 +228,7 @@ func TestMemoryHitDoesNotDecode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, e := range []*CacheEntry{sweep3dEntry(t, "static"), model} {
+	for _, e := range []*CacheEntry{analyzeEntry(t, AnalyzeRequest{Workload: "sweep3d", Mode: "static"}), model} {
 		c, err := NewResultCache(CacheOptions{}, nil)
 		if err != nil {
 			t.Fatal(err)
@@ -329,9 +330,12 @@ func TestTornDiskFilesAreRemoved(t *testing.T) {
 
 // BenchmarkCacheHit times a hit on an exact sweep3d entry from each
 // local tier: a memory hit re-hashes the served fields, a disk hit
-// decodes the file and runs the full check on it.
+// decodes the file and runs the full check on it. http is a memory hit
+// as a client sees it: the request through the daemon's handler on
+// loopback, its job document written, read and decoded by pkg/client.
 func BenchmarkCacheHit(b *testing.B) {
-	e := sweep3dEntry(b, "dynamic")
+	req := AnalyzeRequest{Workload: "sweep3d"}
+	e := analyzeEntry(b, req)
 	ctx := context.Background()
 	b.Run("memory", func(b *testing.B) {
 		c, err := NewResultCache(CacheOptions{}, nil)
@@ -368,6 +372,28 @@ func BenchmarkCacheHit(b *testing.B) {
 		b.StopTimer()
 		if got := m.CacheDiskHits.Load(); got != uint64(b.N) {
 			b.Fatalf("%d disk hits in %d lookups", got, b.N)
+		}
+	})
+	b.Run("http", func(b *testing.B) {
+		s, err := New(Config{Workers: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer s.Drain(ctx)
+		s.cache.Put(e)
+		ts := httptest.NewServer(s.Handler())
+		defer ts.Close()
+		cl := client.New(ts.URL)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			job, err := cl.Analyze(ctx, req)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if !job.CacheHit || len(job.Result) != len(e.JSON) {
+				b.Fatalf("not a memory hit of the entry: cache_hit %v, %d-byte result", job.CacheHit, len(job.Result))
+			}
 		}
 	})
 }

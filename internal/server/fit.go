@@ -17,6 +17,7 @@ import (
 	"reusetool/internal/ir"
 	"reusetool/internal/persist"
 	"reusetool/internal/predict"
+	"reusetool/internal/sampling"
 	"reusetool/pkg/client"
 )
 
@@ -50,6 +51,11 @@ type resolvedFit struct {
 // are refused with an error wrapping predict.ErrUnsoundTraining so the
 // handler can map them to the typed unsound_training_input code.
 func resolveFit(req client.FitRequest, maxTimeout time.Duration) (*resolvedFit, error) {
+	// Neither the model key nor a training request carries a negative
+	// cap, so it would be dropped; /v1/analyze refuses it the same way.
+	if req.SampleMaxBlocks < 0 {
+		return nil, sampling.Config{MaxBlocks: req.SampleMaxBlocks}.Validate()
+	}
 	if req.SampleRate > 1 || req.SampleMaxBlocks > 0 {
 		return nil, fmt.Errorf("sample_rate %d, sample_max_blocks %d: %w",
 			req.SampleRate, req.SampleMaxBlocks, predict.ErrUnsoundTraining)

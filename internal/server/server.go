@@ -230,7 +230,7 @@ func (s *Server) serve(w http.ResponseWriter, key string, timeout time.Duration,
 	if hit != nil {
 		j := s.sched.NewJob(key, timeout, nil)
 		s.sched.Complete(j, hit, true)
-		WriteJSON(w, http.StatusOK, jobJSON(j))
+		WriteJob(w, http.StatusOK, jobJSON(j))
 		return
 	}
 	j := s.sched.NewJob(key, timeout, run)
@@ -242,7 +242,7 @@ func (s *Server) serve(w http.ResponseWriter, key string, timeout time.Duration,
 		WriteError(w, status, code, "%v", err)
 		return
 	}
-	WriteJSON(w, http.StatusAccepted, jobJSON(j))
+	WriteJob(w, http.StatusAccepted, jobJSON(j))
 }
 
 func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) {
@@ -251,7 +251,7 @@ func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusNotFound, client.CodeNotFound, "unknown job %q", r.PathValue("id"))
 		return
 	}
-	WriteJSON(w, http.StatusOK, jobJSON(j))
+	WriteJob(w, http.StatusOK, jobJSON(j))
 }
 
 // handleJobList serves GET /v1/jobs: job summaries in submission
@@ -286,7 +286,7 @@ func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	j, _ := s.sched.Job(id)
-	WriteJSON(w, http.StatusOK, jobJSON(j))
+	WriteJob(w, http.StatusOK, jobJSON(j))
 }
 
 // handleCacheGet serves the shared-tier peer protocol: an admitted

@@ -319,7 +319,7 @@ func (c *Client) do(ctx context.Context, method, path string, body []byte, out a
 		return err
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 256<<20))
+	data, err := readBody(resp)
 	if err != nil {
 		return fmt.Errorf("%s %s: read response: %w", method, path, err)
 	}
@@ -333,6 +333,25 @@ func (c *Client) do(ctx context.Context, method, path string, body []byte, out a
 		return nil
 	}
 	return decodeError(resp.StatusCode, data)
+}
+
+// maxResponseBytes caps the part of a response body do reads.
+const maxResponseBytes = 256 << 20
+
+// readBody reads a response body of up to maxResponseBytes. A body of
+// declared length is read into one buffer of that length; io.ReadAll
+// would grow its buffer by doubling, copying a large job document
+// about twice over. A body shorter than its declared length fails in
+// the transport either way.
+func readBody(resp *http.Response) ([]byte, error) {
+	if n := resp.ContentLength; n >= 0 && n <= maxResponseBytes {
+		data := make([]byte, n)
+		if _, err := io.ReadFull(resp.Body, data); err != nil {
+			return nil, err
+		}
+		return data, nil
+	}
+	return io.ReadAll(io.LimitReader(resp.Body, maxResponseBytes))
 }
 
 // decodeError maps a non-2xx body onto *Error. Bodies that are not the

@@ -4,8 +4,10 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -166,6 +168,25 @@ func TestClientDoesNotRetryPermanentErrors(t *testing.T) {
 	}
 	if calls.Load() != 1 {
 		t.Fatalf("invalid request retried %d times", calls.Load())
+	}
+}
+
+// TestClientRefusesShortBody: a body shorter than its declared
+// Content-Length fails the call instead of decoding as a shorter
+// document.
+func TestClientRefusesShortBody(t *testing.T) {
+	const doc = `{"id": "j1", "status": "done"}`
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Length", strconv.Itoa(len(doc)+10))
+		_, _ = io.WriteString(w, doc)
+	})
+	ts := httptest.NewServer(mux)
+	t.Cleanup(ts.Close)
+
+	cl := client.New(ts.URL, client.WithRetry(client.Retry{Attempts: 1}))
+	if job, err := cl.Job(context.Background(), "j1"); !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("short body: job %+v, err %v, want io.ErrUnexpectedEOF", job, err)
 	}
 }
 
