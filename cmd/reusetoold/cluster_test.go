@@ -343,7 +343,7 @@ func TestCoordinatorDaemonHealth(t *testing.T) {
 }
 
 func TestCoordinatorRejectsEmptyPeers(t *testing.T) {
-	if code := run([]string{"-coordinator"}, &syncBuffer{}); code != 1 {
+	if code := run(context.Background(), []string{"-coordinator"}, &syncBuffer{}); code != 1 {
 		t.Fatalf("exit code %d, want 1", code)
 	}
 }

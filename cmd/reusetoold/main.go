@@ -36,7 +36,7 @@ import (
 )
 
 func main() {
-	os.Exit(run(os.Args[1:], os.Stdout))
+	os.Exit(run(context.Background(), os.Args[1:], os.Stdout))
 }
 
 // drainable is the piece of either role that must flush before exit.
@@ -44,7 +44,9 @@ type drainable interface {
 	Drain(context.Context) error
 }
 
-func run(args []string, out io.Writer) int {
+// run serves until SIGINT or SIGTERM arrives or ctx ends, then drains
+// and returns the exit code.
+func run(ctx context.Context, args []string, out io.Writer) int {
 	fs := flag.NewFlagSet("reusetoold", flag.ContinueOnError)
 	fs.SetOutput(out)
 	var (
@@ -90,7 +92,7 @@ func run(args []string, out io.Writer) int {
 			logger.Printf("startup: %v", err)
 			return 1
 		}
-		proberCtx, cancel := context.WithCancel(context.Background())
+		proberCtx, cancel := context.WithCancel(ctx)
 		coord.Start(proberCtx)
 		stopBackground = cancel
 		handler = coord.Handler()
@@ -136,11 +138,11 @@ func run(args []string, out io.Writer) int {
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.Serve(ln) }()
 
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
+	sigCtx, stop := signal.NotifyContext(ctx, syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
 
 	select {
-	case <-ctx.Done():
+	case <-sigCtx.Done():
 	case err := <-serveErr:
 		logger.Printf("serve: %v", err)
 		return 1
@@ -148,7 +150,7 @@ func run(args []string, out io.Writer) int {
 	stop() // a second signal kills immediately instead of waiting for drain
 
 	logger.Printf("shutdown: draining (timeout %s)", *drainTimeout)
-	drainCtx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
+	drainCtx, cancel := context.WithTimeout(context.WithoutCancel(ctx), *drainTimeout)
 	defer cancel()
 	code := 0
 	if err := drainer.Drain(drainCtx); err != nil {

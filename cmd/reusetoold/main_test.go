@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -31,7 +32,9 @@ func (s *syncBuffer) String() string {
 }
 
 // startDaemon runs the daemon on an ephemeral port and returns its base
-// URL plus a channel carrying run's exit code.
+// URL plus a channel carrying run's exit code. The daemon stops when the
+// test ends: its context is canceled, and the cleanup waits for run to
+// return and requires a clean drain.
 func startDaemon(t *testing.T, extra ...string) (string, *syncBuffer, chan int) {
 	t.Helper()
 	out := &syncBuffer{}
@@ -40,8 +43,24 @@ func startDaemon(t *testing.T, extra ...string) (string, *syncBuffer, chan int) 
 		"-cache-dir", t.TempDir(),
 		"-drain-timeout", "10s",
 	}, extra...)
+	ctx, cancel := context.WithCancel(context.Background())
 	exit := make(chan int, 1)
-	go func() { exit <- run(args, out) }()
+	returned := make(chan struct{})
+	go func() {
+		defer close(returned)
+		exit <- run(ctx, args, out)
+	}()
+	t.Cleanup(func() {
+		cancel()
+		<-returned
+		select {
+		case code := <-exit:
+			if code != 0 {
+				t.Errorf("daemon %v exited %d; output:\n%s", extra, code, out.String())
+			}
+		default: // the test read the exit code itself
+		}
+	})
 
 	deadline := time.Now().Add(10 * time.Second)
 	for {
@@ -135,7 +154,7 @@ func TestDaemonEndToEndWithGracefulShutdown(t *testing.T) {
 // usage go to run's writer, not to the process's stderr.
 func TestDaemonRejectsBadFlags(t *testing.T) {
 	out := &syncBuffer{}
-	if code := run([]string{"-no-such-flag"}, out); code != 2 {
+	if code := run(context.Background(), []string{"-no-such-flag"}, out); code != 2 {
 		t.Fatalf("exit code %d, want 2", code)
 	}
 	if !strings.Contains(out.String(), "-no-such-flag") {

@@ -74,42 +74,6 @@ type nodeState struct {
 	inflight int
 }
 
-// proxyJob is one analysis the coordinator owns end to end: the client
-// talks only to the coordinator (by the coordinator-minted ID), while
-// a dedicated watcher goroutine drives the job on whichever worker the
-// ring assigns, re-routing when that worker dies.
-type proxyJob struct {
-	id  string
-	key string
-	req client.AnalyzeRequest
-
-	// fitReq, when set, marks this as a model-fit job: placeJob submits
-	// it via POST /v1/fit instead of /v1/analyze, and req is unused.
-	fitReq *client.FitRequest
-
-	// mu guards the live state below.
-	mu       sync.Mutex
-	doc      client.Job // guarded by mu
-	node     string     // guarded by mu
-	remoteID string     // guarded by mu
-	canceled bool       // guarded by mu
-
-	done chan struct{}
-}
-
-// snapshot copies the job document under the lock.
-func (j *proxyJob) snapshot() client.Job {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.doc
-}
-
-func (j *proxyJob) isCanceled() bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.canceled
-}
-
 // Coordinator fronts a fleet of worker daemons with the same v1 API a
 // single daemon serves, plus GET /v1/nodes. Jobs are sharded by their
 // content-addressed cache key over a consistent-hash ring, so repeat
@@ -123,13 +87,12 @@ type Coordinator struct {
 	metrics *Metrics
 	mux     *http.ServeMux
 
-	// mu guards the node table and job registry below.
+	// jobs holds the proxied jobs under coordinator-minted IDs.
+	jobs *server.Registry
+
+	// mu guards the node table and the draining flag.
 	mu       sync.Mutex
 	nodes    map[string]*nodeState // guarded by mu
-	jobs     map[string]*proxyJob  // guarded by mu
-	order    []string              // guarded by mu
-	maxJobs  int                   // guarded by mu; server.PruneJobs bound on jobs
-	nextID   int                   // guarded by mu
 	draining bool                  // guarded by mu
 
 	watchers sync.WaitGroup
@@ -163,9 +126,8 @@ func New(cfg Config) (*Coordinator, error) {
 		cfg:     cfg,
 		ring:    ring,
 		metrics: NewMetrics(),
+		jobs:    server.NewRegistry("c-%06d"),
 		nodes:   nodes,
-		jobs:    map[string]*proxyJob{},
-		maxJobs: server.MaxJobs,
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/analyze", c.handleAnalyze)
@@ -174,9 +136,9 @@ func New(cfg Config) (*Coordinator, error) {
 	mux.HandleFunc("POST /v1/check", server.HandleCheck)
 	mux.HandleFunc("POST /v1/fit", c.handleFit)
 	mux.HandleFunc("POST /v1/predict", c.handlePredict)
-	mux.HandleFunc("GET /v1/jobs", c.handleJobList)
-	mux.HandleFunc("GET /v1/jobs/{id}", c.handleJobGet)
-	mux.HandleFunc("DELETE /v1/jobs/{id}", c.handleJobCancel)
+	mux.HandleFunc("GET /v1/jobs", c.jobs.HandleList)
+	mux.HandleFunc("GET /v1/jobs/{id}", c.jobs.HandleGet)
+	mux.HandleFunc("DELETE /v1/jobs/{id}", c.jobs.HandleCancel)
 	mux.HandleFunc("GET /v1/nodes", c.handleNodes)
 	mux.HandleFunc("GET /v1/health", c.handleHealth)
 	mux.HandleFunc("GET /healthz", c.handleHealth)
@@ -313,25 +275,27 @@ func (c *Coordinator) backoff(attempt int) time.Duration {
 
 // watch drives one proxied job to completion: submit to the ring owner
 // (walking successors on failure), poll until terminal, and re-route
-// to the next owner if the worker dies mid-job. It owns j.doc — the
-// HTTP handlers only read snapshots.
+// to the next owner if the worker dies mid-job. It alone changes j's
+// document; the HTTP handlers only read it. req, or fitReq for a fit,
+// is what it submits.
 //
 // The watcher deliberately roots its own contexts rather than using
 // any request context: the job must outlive the submission request.
+// The job's own context only signals a cancel, which the watcher
+// forwards to the worker and then polls on to the terminal state.
 //
 //reuse:ctx-root
-func (c *Coordinator) watch(j *proxyJob) {
+func (c *Coordinator) watch(j *server.Job, req client.AnalyzeRequest, fitReq *client.FitRequest) {
 	defer c.watchers.Done()
-	defer close(j.done)
 	rerouted := -1 // first placement is not a reroute
 	for round := 0; round < c.cfg.SubmitRounds; round++ {
-		if j.isCanceled() {
-			c.finishLocal(j, client.JobCanceled, "canceled before placement")
+		if j.Context().Err() != nil {
+			j.Finish(client.JobCanceled, "", nil)
 			return
 		}
-		ns, doc := c.placeJob(j)
+		ns, doc := c.placeJob(j, req, fitReq)
 		if ns == nil {
-			if j.snapshot().Status.Terminal() {
+			if j.Doc().Status.Terminal() {
 				return
 			}
 			if c.sleepBackoff(round + 1) {
@@ -344,19 +308,20 @@ func (c *Coordinator) watch(j *proxyJob) {
 			c.metrics.JobsRerouted.Add(1)
 		}
 		round = 0 // a successful placement resets the failure budget
-		c.updateDoc(j, ns.url, rerouted, doc)
+		doc.Node, doc.Rerouted = ns.url, rerouted
+		j.Mirror(*doc)
 		if doc.Status.Terminal() {
 			c.addInflight(ns, -1)
 			return
 		}
-		if c.pollUntilDone(j, ns, rerouted) {
+		if c.pollUntilDone(j, ns, doc.ID, rerouted) {
 			return
 		}
 		// The worker dropped mid-job: evict it and go place the job on
 		// the ring successor.
 		c.noteDead(ns, true)
 	}
-	c.finishLocal(j, client.JobFailed, "no healthy worker accepted the job")
+	j.Finish(client.JobFailed, "no healthy worker accepted the job", nil)
 }
 
 // sleepBackoff pauses between placement rounds; false means give up
@@ -376,8 +341,8 @@ func (c *Coordinator) sleepBackoff(attempt int) bool {
 // Runs on the watcher goroutine, so its contexts are rooted here.
 //
 //reuse:ctx-root
-func (c *Coordinator) placeJob(j *proxyJob) (*nodeState, *client.Job) {
-	prefs := c.ring.Successors(j.key, len(c.cfg.Peers))
+func (c *Coordinator) placeJob(j *server.Job, req client.AnalyzeRequest, fitReq *client.FitRequest) (*nodeState, *client.Job) {
+	prefs := c.ring.Successors(j.Doc().Key, len(c.cfg.Peers))
 	for i, url := range prefs {
 		ns, ok := c.healthyNode(url)
 		if !ok {
@@ -389,10 +354,10 @@ func (c *Coordinator) placeJob(j *proxyJob) (*nodeState, *client.Job) {
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 		var doc *client.Job
 		var err error
-		if j.fitReq != nil {
-			doc, err = ns.cli.Fit(ctx, *j.fitReq)
+		if fitReq != nil {
+			doc, err = ns.cli.Fit(ctx, *fitReq)
 		} else {
-			doc, err = ns.cli.Analyze(ctx, j.req)
+			doc, err = ns.cli.Analyze(ctx, req)
 		}
 		cancel()
 		if err == nil {
@@ -401,7 +366,7 @@ func (c *Coordinator) placeJob(j *proxyJob) (*nodeState, *client.Job) {
 		}
 		var apiErr *client.Error
 		if errors.As(err, &apiErr) && !apiErr.Temporary() {
-			c.finishLocal(j, client.JobFailed, apiErr.Message)
+			j.Finish(client.JobFailed, apiErr.Message, nil)
 			return nil, nil
 		}
 		c.noteDead(ns, true)
@@ -409,25 +374,26 @@ func (c *Coordinator) placeJob(j *proxyJob) (*nodeState, *client.Job) {
 	return nil, nil
 }
 
-// pollUntilDone tracks the job on its worker. True means the job
-// reached a terminal state (recorded in j.doc); false means the worker
-// stopped answering and the job needs a new home. Runs on the watcher
-// goroutine, so its contexts are rooted here.
+// pollUntilDone tracks the job on its worker, where its ID is
+// remoteID. True means the job reached a terminal state (recorded in
+// its document); false means the worker stopped answering and the job
+// needs a new home. Runs on the watcher goroutine, so its contexts are
+// rooted here.
 //
 //reuse:ctx-root
-func (c *Coordinator) pollUntilDone(j *proxyJob, ns *nodeState, rerouted int) bool {
+func (c *Coordinator) pollUntilDone(j *server.Job, ns *nodeState, remoteID string, rerouted int) bool {
 	defer c.addInflight(ns, -1)
 	failures := 0
 	cancelSent := false
 	for {
-		if j.isCanceled() && !cancelSent {
+		if j.Context().Err() != nil && !cancelSent {
 			cancelSent = true
 			ctx, cancel := context.WithTimeout(context.Background(), c.cfg.ProbeTimeout)
-			_, _ = ns.cli.Cancel(ctx, j.remoteJobID())
+			_, _ = ns.cli.Cancel(ctx, remoteID)
 			cancel()
 		}
 		ctx, cancel := context.WithTimeout(context.Background(), c.cfg.ProbeTimeout)
-		doc, err := ns.cli.Job(ctx, j.remoteJobID())
+		doc, err := ns.cli.Job(ctx, remoteID)
 		cancel()
 		if err != nil {
 			var apiErr *client.Error
@@ -450,7 +416,8 @@ func (c *Coordinator) pollUntilDone(j *proxyJob, ns *nodeState, rerouted int) bo
 			continue
 		}
 		failures = 0
-		c.updateDoc(j, ns.url, rerouted, doc)
+		doc.Node, doc.Rerouted = ns.url, rerouted
+		j.Mirror(*doc)
 		if doc.Status.Terminal() {
 			return true
 		}
@@ -458,93 +425,27 @@ func (c *Coordinator) pollUntilDone(j *proxyJob, ns *nodeState, rerouted int) bo
 	}
 }
 
-// remoteJobID reads the worker-side ID under the job lock.
-func (j *proxyJob) remoteJobID() string {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.remoteID
-}
-
-// updateDoc folds a worker response into the coordinator's view,
-// keeping the coordinator-minted ID and submission stamp.
-func (c *Coordinator) updateDoc(j *proxyJob, node string, rerouted int, doc *client.Job) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	submitted := j.doc.Submitted
-	j.doc = *doc
-	j.doc.ID = j.id
-	j.doc.APIVersion = client.APIVersion
-	j.doc.Node = node
-	j.doc.Rerouted = rerouted
-	j.doc.Submitted = submitted
-	j.node = node
-	j.remoteID = doc.ID
-}
-
-// finishLocal terminates a job without a worker document (placement
-// failed or the job was canceled before placement).
-func (c *Coordinator) finishLocal(j *proxyJob, status client.JobStatus, msg string) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.doc.Status.Terminal() {
-		return
-	}
-	j.doc.Status = status
-	j.doc.Finished = time.Now().UTC().Format(time.RFC3339Nano)
-	if status == client.JobFailed {
-		j.doc.Error = msg
-	}
-}
-
-// register records a queued job for key under id, prunes the registry
-// with server.PruneJobs, and counts the job's watcher, which the caller
-// starts. Caller holds c.mu.
-//
-//reuse:locked(mu)
-func (c *Coordinator) register(id, key string, req client.AnalyzeRequest, fitReq *client.FitRequest) *proxyJob {
-	j := &proxyJob{
-		id:     id,
-		key:    key,
-		req:    req,
-		fitReq: fitReq,
-		done:   make(chan struct{}),
-		doc: client.Job{
-			APIVersion: client.APIVersion,
-			ID:         id,
-			Status:     client.JobQueued,
-			Key:        key,
-			Submitted:  time.Now().UTC().Format(time.RFC3339Nano),
-		},
-	}
-	c.jobs[id] = j
-	c.order = append(c.order, id)
-	c.order = server.PruneJobs(c.jobs, c.order, c.maxJobs, func(p *proxyJob) bool {
-		return p.snapshot().Status.Terminal()
-	})
-	c.watchers.Add(1)
-	return j
-}
-
 // admit accepts a submission for key: it refuses with 503 while the
 // coordinator drains or while no worker is in the ring, and otherwise
-// registers the job under a fresh c-%06d ID. It returns nil once it
-// has written the refusal.
-func (c *Coordinator) admit(w http.ResponseWriter, key string, req client.AnalyzeRequest, fitReq *client.FitRequest) *proxyJob {
+// registers the job under a fresh c-%06d ID and counts its watcher,
+// which the caller starts. It returns nil once it has written the
+// refusal.
+func (c *Coordinator) admit(w http.ResponseWriter, key string) *server.Job {
 	c.mu.Lock()
 	draining, empty := c.draining, c.ring.Len() == 0
-	var j *proxyJob
 	if !draining && !empty {
-		c.nextID++
-		j = c.register(fmt.Sprintf("c-%06d", c.nextID), key, req, fitReq)
+		c.watchers.Add(1)
 	}
 	c.mu.Unlock()
 	switch {
 	case draining:
 		server.WriteError(w, http.StatusServiceUnavailable, client.CodeDraining, "coordinator is draining")
+		return nil
 	case empty:
 		server.WriteError(w, http.StatusServiceUnavailable, client.CodeUnavailable, "no healthy workers")
+		return nil
 	}
-	return j
+	return c.jobs.Add(key, nil)
 }
 
 func (c *Coordinator) handleAnalyze(w http.ResponseWriter, r *http.Request) {
@@ -560,79 +461,14 @@ func (c *Coordinator) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		server.WriteInvalid(w, err)
 		return
 	}
-	j := c.admit(w, key, req, nil)
+	j := c.admit(w, key)
 	if j == nil {
 		return
 	}
 	c.metrics.JobsProxied.Add(1)
-	go c.watch(j)
-	doc := j.snapshot()
+	go c.watch(j, req, nil)
+	doc := j.Doc()
 	server.WriteJob(w, http.StatusAccepted, &doc)
-}
-
-func (c *Coordinator) job(id string) (*proxyJob, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	j, ok := c.jobs[id]
-	return j, ok
-}
-
-func (c *Coordinator) handleJobGet(w http.ResponseWriter, r *http.Request) {
-	j, ok := c.job(r.PathValue("id"))
-	if !ok {
-		server.WriteError(w, http.StatusNotFound, client.CodeNotFound, "unknown job %q", r.PathValue("id"))
-		return
-	}
-	doc := j.snapshot()
-	server.WriteJob(w, http.StatusOK, &doc)
-}
-
-// jobList snapshots the registry in submission order.
-func (c *Coordinator) jobList() []*proxyJob {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]*proxyJob, len(c.order))
-	for i, id := range c.order {
-		out[i] = c.jobs[id]
-	}
-	return out
-}
-
-func (c *Coordinator) handleJobList(w http.ResponseWriter, r *http.Request) {
-	state, ok := server.StateFilter(w, r)
-	if !ok {
-		return
-	}
-	list := client.JobList{APIVersion: client.APIVersion, Jobs: []client.Job{}}
-	for _, j := range c.jobList() {
-		doc := j.snapshot()
-		if state != "" && doc.Status != state {
-			continue
-		}
-		doc.Report, doc.Result = "", nil
-		list.Jobs = append(list.Jobs, doc)
-	}
-	server.WriteJSON(w, http.StatusOK, list)
-}
-
-func (c *Coordinator) handleJobCancel(w http.ResponseWriter, r *http.Request) {
-	j, ok := c.job(r.PathValue("id"))
-	if !ok {
-		server.WriteError(w, http.StatusNotFound, client.CodeNotFound, "unknown job %q", r.PathValue("id"))
-		return
-	}
-	j.mu.Lock()
-	if j.doc.Status.Terminal() {
-		j.mu.Unlock()
-		server.WriteError(w, http.StatusConflict, client.CodeConflict, "job %s is not cancelable", j.id)
-		return
-	}
-	j.canceled = true
-	j.mu.Unlock()
-	// The watcher proxies the cancel to whichever worker holds the job
-	// and folds the terminal state back in; report the current view.
-	doc := j.snapshot()
-	server.WriteJob(w, http.StatusOK, &doc)
 }
 
 func (c *Coordinator) handleNodes(w http.ResponseWriter, _ *http.Request) {
@@ -652,37 +488,22 @@ func (c *Coordinator) handleNodes(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (c *Coordinator) handleHealth(w http.ResponseWriter, _ *http.Request) {
+	h := client.Health{Role: "coordinator"}
 	c.mu.Lock()
 	draining := c.draining
-	healthy := 0
-	inflight := 0
-	queued := 0
 	for _, ns := range c.nodes {
 		if ns.healthy {
-			healthy++
+			h.NodesHealthy++
 		}
-		inflight += ns.inflight
+		h.Running += ns.inflight
 	}
 	c.mu.Unlock()
-	for _, j := range c.jobList() {
-		if j.snapshot().Status == client.JobQueued {
-			queued++
+	for _, j := range c.jobs.List() {
+		if j.Doc().Status == client.JobQueued {
+			h.QueueDepth++
 		}
 	}
-	status := "ok"
-	code := http.StatusOK
-	if draining {
-		status = "draining"
-		code = http.StatusServiceUnavailable
-	}
-	server.WriteJSON(w, code, client.Health{
-		APIVersion:   client.APIVersion,
-		Status:       status,
-		Role:         "coordinator",
-		QueueDepth:   queued,
-		Running:      inflight,
-		NodesHealthy: healthy,
-	})
+	server.WriteHealth(w, draining, h)
 }
 
 func (c *Coordinator) handleMetrics(w http.ResponseWriter, _ *http.Request) {

@@ -35,58 +35,63 @@ func (c *Coordinator) handleFit(w http.ResponseWriter, r *http.Request) {
 		server.WriteInvalid(w, err)
 		return
 	}
-	j := c.admit(w, key, client.AnalyzeRequest{}, &req)
+	j := c.admit(w, key)
 	if j == nil {
 		return
 	}
 	c.metrics.FitsProxied.Add(1)
-	go c.watchFit(j, trainReqs)
-	doc := j.snapshot()
+	go c.watchFit(j, &req, trainReqs)
+	doc := j.Doc()
 	server.WriteJob(w, http.StatusAccepted, &doc)
 }
 
 // watchFit drives one fit end to end: schedule the training analyses as
 // related jobs across the ring, gather their cache entries onto the fit
 // owner, then hand over to the ordinary watch loop to place and track
-// the fit job itself. Like watch, it roots its own contexts — the fit
-// must outlive the submission request.
+// the fit job itself. A cancel during training ends the fit at once;
+// the training jobs, whose contexts derive from the fit's, are canceled
+// with it. Like watch, it roots its own contexts — the fit must outlive
+// the submission request.
 //
 //reuse:ctx-root
-func (c *Coordinator) watchFit(j *proxyJob, trainReqs []client.AnalyzeRequest) {
-	children := make([]*proxyJob, 0, len(trainReqs))
+func (c *Coordinator) watchFit(j *server.Job, req *client.FitRequest, trainReqs []client.AnalyzeRequest) {
+	children := make([]*server.Job, 0, len(trainReqs))
 	for i, tr := range trainReqs {
 		key, err := server.CacheKeyFor(tr)
 		if err != nil {
+			j.Finish(client.JobFailed, fmt.Sprintf("training run %d: %v", i, err), nil)
 			c.watchers.Done()
-			defer close(j.done)
-			c.finishLocal(j, client.JobFailed, fmt.Sprintf("training run %d: %v", i, err))
 			return
 		}
-		c.mu.Lock()
-		child := c.register(fmt.Sprintf("%s-t%d", j.id, i), key, tr, nil)
-		c.mu.Unlock()
+		child := c.jobs.AddChild(j, i, key)
 		c.metrics.TrainingJobsScheduled.Add(1)
 		children = append(children, child)
-		go c.watch(child)
+		c.watchers.Add(1)
+		go c.watch(child, tr, nil)
 	}
 
 	for _, child := range children {
-		<-child.done
-	}
-	for i, child := range children {
-		if doc := child.snapshot(); doc.Status != client.JobDone {
+		select {
+		case <-child.Done():
+		case <-j.Context().Done():
+			j.Finish(client.JobCanceled, "", nil)
 			c.watchers.Done()
-			defer close(j.done)
-			c.finishLocal(j, client.JobFailed,
-				fmt.Sprintf("training run %d (%s): %s: %s", i, child.id, doc.Status, doc.Error))
 			return
 		}
 	}
-	c.seedFitOwner(j.key, children)
+	for i, child := range children {
+		if doc := child.Doc(); doc.Status != client.JobDone {
+			j.Finish(client.JobFailed,
+				fmt.Sprintf("training run %d (%s): %s: %s", i, child.ID(), doc.Status, doc.Error), nil)
+			c.watchers.Done()
+			return
+		}
+	}
+	c.seedFitOwner(j.Doc().Key, children)
 
 	// The training inputs are in place; place and track the fit job like
-	// any other. watch owns watchers.Done and close(j.done).
-	c.watch(j)
+	// any other. watch owns watchers.Done.
+	c.watch(j, client.AnalyzeRequest{}, req)
 }
 
 // seedFitOwner copies each training run's cache entry from the node
@@ -98,7 +103,7 @@ func (c *Coordinator) watchFit(j *proxyJob, trainReqs []client.AnalyzeRequest) {
 // its contexts are rooted here.
 //
 //reuse:ctx-root
-func (c *Coordinator) seedFitOwner(modelKey string, children []*proxyJob) {
+func (c *Coordinator) seedFitOwner(modelKey string, children []*server.Job) {
 	owners := c.ring.Successors(modelKey, 1)
 	if len(owners) == 0 {
 		return
@@ -108,7 +113,7 @@ func (c *Coordinator) seedFitOwner(modelKey string, children []*proxyJob) {
 		return
 	}
 	for _, child := range children {
-		doc := child.snapshot()
+		doc := child.Doc()
 		if doc.Node == owner.url {
 			continue
 		}

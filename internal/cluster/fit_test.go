@@ -169,9 +169,7 @@ func TestCoordinatorPrunesTerminalJobs(t *testing.T) {
 	c, _, cl := newCluster(t, 1, server.Config{Workers: 1, SimulateLatency: 200 * time.Millisecond}, Config{})
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
-	c.mu.Lock()
-	c.maxJobs = 3
-	c.mu.Unlock()
+	c.jobs.SetMax(3)
 
 	var finished []string
 	for i := int64(0); i < 3; i++ {
@@ -218,5 +216,52 @@ func TestCoordinatorPrunesTerminalJobs(t *testing.T) {
 	}
 	if done.Status != client.JobDone {
 		t.Fatalf("fit: %s (%s)", done.Status, done.Error)
+	}
+}
+
+// TestCoordinatorFitCancelCancelsTraining: cancelling a fit in its
+// training phase cancels its live training jobs, and the fit ends
+// canceled at once instead of waiting out the training runs.
+func TestCoordinatorFitCancelCancelsTraining(t *testing.T) {
+	const latency = 2 * time.Second
+	_, _, cl := newCluster(t, 1, server.Config{Workers: 1, SimulateLatency: latency}, Config{})
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+
+	fit, err := cl.Fit(ctx, fig2FitReq())
+	if err != nil {
+		t.Fatal(err)
+	}
+	children := []string{fit.ID + "-t0", fit.ID + "-t1", fit.ID + "-t2"}
+	waitFor(t, 10*time.Second, "a training job to run", func() bool {
+		for _, id := range children {
+			if j, err := cl.Job(ctx, id); err == nil && j.Status == client.JobRunning {
+				return true
+			}
+		}
+		return false
+	})
+	start := time.Now()
+	if _, err := cl.Cancel(ctx, fit.ID); err != nil {
+		t.Fatal(err)
+	}
+	done, err := cl.Wait(ctx, fit.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if done.Status != client.JobCanceled {
+		t.Fatalf("fit: %s (%s) after cancel, want canceled", done.Status, done.Error)
+	}
+	for _, id := range children {
+		child, err := cl.Wait(ctx, id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if child.Status != client.JobCanceled {
+			t.Errorf("training job %s: %s after its fit was canceled, want canceled", id, child.Status)
+		}
+	}
+	if elapsed := time.Since(start); elapsed >= latency {
+		t.Fatalf("the fit and its training jobs ended %s after the cancel: it waited out a %s training run", elapsed, latency)
 	}
 }

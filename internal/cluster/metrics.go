@@ -1,11 +1,12 @@
 package cluster
 
 import (
-	"fmt"
 	"io"
 	"sort"
 	"sync/atomic"
 	"time"
+
+	"reusetool/internal/server"
 )
 
 // Metrics is the coordinator's counter registry, rendered on
@@ -53,21 +54,17 @@ type NodeGauge struct {
 // Per-node series are emitted in sorted node order so consecutive
 // scrapes of an unchanged cluster are byte-identical.
 func (m *Metrics) WriteText(w io.Writer, nodes []NodeGauge) {
-	counter := func(name, help string, v uint64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-	}
-	fmt.Fprintf(w, "# HELP reusetoold_cluster_uptime_seconds Seconds since the coordinator started.\n"+
-		"# TYPE reusetoold_cluster_uptime_seconds gauge\nreusetoold_cluster_uptime_seconds %g\n",
-		time.Since(m.start).Seconds())
-	counter("reusetoold_cluster_jobs_proxied_total", "Jobs accepted and forwarded to a worker.", m.JobsProxied.Load())
-	counter("reusetoold_cluster_jobs_rerouted_total", "Jobs moved to another worker after a node failure.", m.JobsRerouted.Load())
-	counter("reusetoold_cluster_submit_retries_total", "Submit attempts beyond the first.", m.SubmitRetries.Load())
-	counter("reusetoold_cluster_probe_failures_total", "Failed worker health probes.", m.ProbeFailures.Load())
-	counter("reusetoold_cluster_nodes_evicted_total", "Workers evicted from the ring after consecutive probe failures.", m.NodesEvicted.Load())
-	counter("reusetoold_cluster_nodes_rejoined_total", "Evicted workers re-admitted after a successful probe.", m.NodesRejoined.Load())
-	counter("reusetoold_cluster_fits_proxied_total", "Model-fit submissions accepted and scheduled.", m.FitsProxied.Load())
-	counter("reusetoold_cluster_predicts_proxied_total", "What-if predictions forwarded to a worker.", m.PredictsProxied.Load())
-	counter("reusetoold_cluster_training_jobs_total", "Training analyses scheduled as related jobs for fits.", m.TrainingJobsScheduled.Load())
+	e := server.Exposition{W: w}
+	e.Gauge("reusetoold_cluster_uptime_seconds", "Seconds since the coordinator started.", time.Since(m.start).Seconds())
+	e.Counter("reusetoold_cluster_jobs_proxied_total", "Jobs accepted and forwarded to a worker.", m.JobsProxied.Load())
+	e.Counter("reusetoold_cluster_jobs_rerouted_total", "Jobs moved to another worker after a node failure.", m.JobsRerouted.Load())
+	e.Counter("reusetoold_cluster_submit_retries_total", "Submit attempts beyond the first.", m.SubmitRetries.Load())
+	e.Counter("reusetoold_cluster_probe_failures_total", "Failed worker health probes.", m.ProbeFailures.Load())
+	e.Counter("reusetoold_cluster_nodes_evicted_total", "Workers evicted from the ring after consecutive probe failures.", m.NodesEvicted.Load())
+	e.Counter("reusetoold_cluster_nodes_rejoined_total", "Evicted workers re-admitted after a successful probe.", m.NodesRejoined.Load())
+	e.Counter("reusetoold_cluster_fits_proxied_total", "Model-fit submissions accepted and scheduled.", m.FitsProxied.Load())
+	e.Counter("reusetoold_cluster_predicts_proxied_total", "What-if predictions forwarded to a worker.", m.PredictsProxied.Load())
+	e.Counter("reusetoold_cluster_training_jobs_total", "Training analyses scheduled as related jobs for fits.", m.TrainingJobsScheduled.Load())
 
 	sorted := append([]NodeGauge(nil), nodes...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Node < sorted[j].Node })
@@ -77,11 +74,9 @@ func (m *Metrics) WriteText(w io.Writer, nodes []NodeGauge) {
 			healthy++
 		}
 	}
-	fmt.Fprintf(w, "# HELP reusetoold_cluster_nodes_healthy Workers currently in the ring.\n"+
-		"# TYPE reusetoold_cluster_nodes_healthy gauge\nreusetoold_cluster_nodes_healthy %d\n", healthy)
-	fmt.Fprintf(w, "# HELP reusetoold_cluster_node_inflight Jobs this coordinator has in flight per worker.\n"+
-		"# TYPE reusetoold_cluster_node_inflight gauge\n")
+	e.Gauge("reusetoold_cluster_nodes_healthy", "Workers currently in the ring.", healthy)
+	e.Family("reusetoold_cluster_node_inflight", "gauge", "Jobs this coordinator has in flight per worker.")
 	for _, n := range sorted {
-		fmt.Fprintf(w, "reusetoold_cluster_node_inflight{node=%q} %d\n", n.Node, n.Inflight)
+		e.Sample("reusetoold_cluster_node_inflight", "node", n.Node, n.Inflight)
 	}
 }

@@ -150,22 +150,26 @@ func Save(w io.Writer, d *Dataset) error {
 	return nil
 }
 
-// SaveFile writes the dataset to path atomically: the stream is written
-// to a temporary file in the same directory and renamed into place only
-// once complete. Concurrent readers therefore always observe either the
-// previous complete artifact or the new one — never a torn stream — and
-// concurrent writers of the same path each land a complete artifact,
-// with one of them winning. This is the primitive the daemon's on-disk
-// result cache builds on.
+// SaveFile writes the dataset to path atomically, through WriteFile.
 func SaveFile(path string, d *Dataset) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".persist-*.tmp")
+	return WriteFile(path, func(w io.Writer) error { return Save(w, d) })
+}
+
+// WriteFile writes path atomically: write fills a temporary file in the
+// same directory, which is renamed into place only once complete.
+// Concurrent readers therefore always observe either the previous
+// complete file or the new one — never a torn stream — and concurrent
+// writers of the same path each land a complete file, with one of them
+// winning. SaveFile and the daemon's on-disk result cache both write
+// through it.
+func WriteFile(path string, write func(io.Writer) error) error {
+	tmp, err := os.CreateTemp(filepath.Dir(path), ".persist-*.tmp")
 	if err != nil {
 		return fmt.Errorf("persist: %w", err)
 	}
 	// Clean the temp file up on any failure path; harmless after rename.
 	defer os.Remove(tmp.Name())
-	if err := Save(tmp, d); err != nil {
+	if err := write(tmp); err != nil {
 		tmp.Close()
 		return err
 	}

@@ -11,6 +11,8 @@ import (
 	"path/filepath"
 	"testing"
 	"time"
+
+	"reusetool/pkg/client"
 )
 
 // drainedServer starts a daemon that is drained when the test ends,
@@ -71,18 +73,18 @@ func gobBytes(t *testing.T, v any) []byte {
 
 // submitJob posts an analyze or fit request and requires it to be
 // queued (202, not a cache hit), then waits for it to finish.
-func submitJob(t *testing.T, ts *httptest.Server, path string, req any) *JobJSON {
+func submitJob(t *testing.T, ts *httptest.Server, path string, req any) *client.Job {
 	t.Helper()
 	status, env, body := postJSON(t, ts, path, req)
 	if status != http.StatusAccepted {
 		t.Fatalf("POST %s: status %d (%s), want 202", path, status, env.Err.Message)
 	}
-	var j JobJSON
+	var j client.Job
 	if err := json.Unmarshal(body, &j); err != nil {
 		t.Fatal(err)
 	}
 	done := pollDone(t, ts, j.ID)
-	if done.Status != JobDone || done.CacheHit {
+	if done.Status != client.JobDone || done.CacheHit {
 		t.Fatalf("POST %s: job %s (hit %v): %s", path, done.Status, done.CacheHit, done.Error)
 	}
 	return done
@@ -97,9 +99,9 @@ func submitJob(t *testing.T, ts *httptest.Server, path string, req any) *JobJSON
 func TestByteFlipRefusedAtEveryEntryPoint(t *testing.T) {
 	ctx := context.Background()
 	src, srcTS := drainedServer(t, Config{})
-	analyze := AnalyzeRequest{Workload: "fig2"}
+	analyze := client.AnalyzeRequest{Workload: "fig2"}
 	fit := fig2Fit()
-	genuine := map[string]*JobJSON{
+	genuine := map[string]*client.Job{
 		"/v1/analyze": submitJob(t, srcTS, "/v1/analyze", analyze),
 		"/v1/fit":     submitJob(t, srcTS, "/v1/fit", fit),
 	}

@@ -114,6 +114,17 @@ func DecodeRequest(w http.ResponseWriter, r *http.Request, v any) bool {
 	return true
 }
 
+// WriteHealth answers GET /v1/health (and /healthz) with h: status "ok"
+// and 200, or "draining" and 503 once the role has begun to drain.
+func WriteHealth(w http.ResponseWriter, draining bool, h client.Health) {
+	h.APIVersion, h.Status = client.APIVersion, "ok"
+	code := http.StatusOK
+	if draining {
+		h.Status, code = "draining", http.StatusServiceUnavailable
+	}
+	WriteJSON(w, code, h)
+}
+
 // StateFilter parses GET /v1/jobs' optional ?state= filter. An unknown
 // state is refused with 400, and StateFilter reports false once it has
 // written the refusal.

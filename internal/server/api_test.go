@@ -50,7 +50,7 @@ func TestJobListEndpoint(t *testing.T) {
 	// queried, so every job carries a synthetic 2s latency; the first one
 	// is cancelled to reach a terminal state without waiting it out.
 	_, ts := newTestServer(t, Config{SimulateLatency: 2 * time.Second})
-	first, status := postAnalyze(t, ts, AnalyzeRequest{Workload: "fig2"})
+	first, status := postAnalyze(t, ts, client.AnalyzeRequest{Workload: "fig2"})
 	if status != http.StatusAccepted {
 		t.Fatalf("first analyze status %d", status)
 	}
@@ -64,7 +64,7 @@ func TestJobListEndpoint(t *testing.T) {
 		resp.Body.Close()
 	}
 	waitStatus(t, ts, first.ID, "canceled")
-	second, status := postAnalyze(t, ts, AnalyzeRequest{Workload: "fig1a"})
+	second, status := postAnalyze(t, ts, client.AnalyzeRequest{Workload: "fig1a"})
 	if status != http.StatusAccepted {
 		t.Fatalf("second analyze status %d", status)
 	}
@@ -168,18 +168,16 @@ func TestHealthAliasesAgree(t *testing.T) {
 // past its cap answers GET /v1/jobs/{id} with 404, like any unknown ID.
 func TestPrunedJobsAnswerNotFound(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
-	s.sched.mu.Lock()
-	s.sched.maxJobs = 2
-	s.sched.mu.Unlock()
+	s.sched.jobs.SetMax(2)
 
-	first, status := postAnalyze(t, ts, AnalyzeRequest{Workload: "fig2"})
+	first, status := postAnalyze(t, ts, client.AnalyzeRequest{Workload: "fig2"})
 	if status != http.StatusAccepted {
 		t.Fatalf("cold analyze status %d", status)
 	}
 	pollDone(t, ts, first.ID)
-	var last *JobJSON
+	var last *client.Job
 	for i := 0; i < 2; i++ {
-		if last, status = postAnalyze(t, ts, AnalyzeRequest{Workload: "fig2"}); status != http.StatusOK {
+		if last, status = postAnalyze(t, ts, client.AnalyzeRequest{Workload: "fig2"}); status != http.StatusOK {
 			t.Fatalf("warm analyze status %d", status)
 		}
 	}

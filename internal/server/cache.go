@@ -150,9 +150,11 @@ type CacheOptions struct {
 	// WriteBehindDepth bounds the async queue feeding the remote tier
 	// (default 64).
 	WriteBehindDepth int
-	// DiskQueueDepth bounds the async disk-writer queue (default 64).
-	DiskQueueDepth int
 }
+
+// diskQueueDepth bounds the async disk-writer queue; past it, Put
+// writes the entry inline.
+const diskQueueDepth = 64
 
 // ResultCache is the three-tier content-addressed store in front of
 // the scheduler: a bounded in-memory LRU, an optional on-disk artifact
@@ -194,9 +196,6 @@ func NewResultCache(opts CacheOptions, m *Metrics) (*ResultCache, error) {
 	if opts.MaxEntries <= 0 {
 		opts.MaxEntries = 128
 	}
-	if opts.DiskQueueDepth <= 0 {
-		opts.DiskQueueDepth = 64
-	}
 	if m == nil {
 		m = NewMetrics()
 	}
@@ -214,7 +213,7 @@ func NewResultCache(opts CacheOptions, m *Metrics) (*ResultCache, error) {
 		remote:  opts.Remote,
 	}
 	if c.dir != "" {
-		c.diskq = make(chan *CacheEntry, opts.DiskQueueDepth)
+		c.diskq = make(chan *CacheEntry, diskQueueDepth)
 		c.diskWG.Add(1)
 		go c.diskWriter()
 	}
@@ -435,19 +434,7 @@ func (c *ResultCache) saveDisk(e *CacheEntry) error {
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return err
 	}
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".entry-*.tmp")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name())
-	if err := gob.NewEncoder(tmp).Encode(e); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
+	return persist.WriteFile(path, func(w io.Writer) error { return gob.NewEncoder(w).Encode(e) })
 }
 
 // loadDisk reads and admits the disk entry for key. A file that does

@@ -189,7 +189,7 @@ func TestCacheConcurrentAccess(t *testing.T) {
 
 // analyzeEntry analyzes req cold, the way the daemon does, and returns
 // the entry it would cache.
-func analyzeEntry(tb testing.TB, req AnalyzeRequest) *CacheEntry {
+func analyzeEntry(tb testing.TB, req client.AnalyzeRequest) *CacheEntry {
 	tb.Helper()
 	rr, err := resolve(req, 0)
 	if err != nil {
@@ -228,7 +228,7 @@ func TestMemoryHitDoesNotDecode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, e := range []*CacheEntry{analyzeEntry(t, AnalyzeRequest{Workload: "sweep3d", Mode: "static"}), model} {
+	for _, e := range []*CacheEntry{analyzeEntry(t, client.AnalyzeRequest{Workload: "sweep3d", Mode: "static"}), model} {
 		c, err := NewResultCache(CacheOptions{}, nil)
 		if err != nil {
 			t.Fatal(err)
@@ -334,7 +334,7 @@ func TestTornDiskFilesAreRemoved(t *testing.T) {
 // as a client sees it: the request through the daemon's handler on
 // loopback, its job document written, read and decoded by pkg/client.
 func BenchmarkCacheHit(b *testing.B) {
-	req := AnalyzeRequest{Workload: "sweep3d"}
+	req := client.AnalyzeRequest{Workload: "sweep3d"}
 	e := analyzeEntry(b, req)
 	ctx := context.Background()
 	b.Run("memory", func(b *testing.B) {

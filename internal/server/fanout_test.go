@@ -7,6 +7,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"reusetool/pkg/client"
 )
 
 // atLeastTwoCPUs raises GOMAXPROCS to 2 for the rest of the test when it
@@ -25,7 +27,7 @@ func atLeastTwoCPUs(t *testing.T) {
 func TestFanOutGrantKeepsEntriesIdentical(t *testing.T) {
 	atLeastTwoCPUs(t)
 	ctx := context.Background()
-	for _, req := range []AnalyzeRequest{
+	for _, req := range []client.AnalyzeRequest{
 		{Workload: "fig2"},
 		{Workload: "transpose", Hierarchy: "opteron"},
 		{Workload: "stencil", SampleRate: 8},
@@ -84,10 +86,7 @@ func TestSchedulerGrantsFanOutToIdleCPUs(t *testing.T) {
 	// the running count each one starts at is fixed.
 	start := func(block bool) (*Job, bool) {
 		t.Helper()
-		j := s.NewJob("k", 0, run(block))
-		if err := s.Submit(j); err != nil {
-			t.Fatal(err)
-		}
+		j := submit(t, s, "k", 0, run(block))
 		select {
 		case g := <-grants:
 			return j, g
@@ -133,37 +132,32 @@ func TestGrantedJobDeadline(t *testing.T) {
 	defer s.Drain(context.Background())
 	base := runtime.NumGoroutine()
 
-	big, err := resolve(AnalyzeRequest{Workload: "sweep3d", Params: map[string]int64{"it": 40, "jt": 40, "kt": 40}}, 0)
+	big, err := resolve(client.AnalyzeRequest{Workload: "sweep3d", Params: map[string]int64{"it": 40, "jt": 40, "kt": 40}}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	small, err := resolve(AnalyzeRequest{Workload: "fig2"}, 0)
+	small, err := resolve(client.AnalyzeRequest{Workload: "fig2"}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	granted := make(chan bool, 1)
-	slow := s.NewJob(big.cacheKey(), 100*time.Millisecond, func(ctx context.Context, parallel bool) (*CacheEntry, error) {
+	slow := submit(t, s, big.cacheKey(), 100*time.Millisecond, func(ctx context.Context, parallel bool) (*CacheEntry, error) {
 		granted <- parallel
 		return big.execute(ctx, parallel)
 	})
-	next := s.NewJob(small.cacheKey(), 0, func(ctx context.Context, parallel bool) (*CacheEntry, error) {
+	next := submit(t, s, small.cacheKey(), 0, func(ctx context.Context, parallel bool) (*CacheEntry, error) {
 		return small.execute(ctx, parallel)
 	})
-	for _, j := range []*Job{slow, next} {
-		if err := s.Submit(j); err != nil {
-			t.Fatal(err)
-		}
-	}
 
-	snap := waitJob(t, slow)
+	doc := waitJob(t, slow)
 	if !<-granted {
 		t.Error("lone job on an idle daemon was not granted the fan-out")
 	}
-	if snap.Status != JobCanceled || !strings.Contains(snap.Err, context.DeadlineExceeded.Error()) {
-		t.Errorf("job past its deadline: %s (%s), want canceled with %q", snap.Status, snap.Err, context.DeadlineExceeded)
+	if doc.Status != client.JobCanceled || !strings.Contains(doc.Error, context.DeadlineExceeded.Error()) {
+		t.Errorf("job past its deadline: %s (%s), want canceled with %q", doc.Status, doc.Error, context.DeadlineExceeded)
 	}
-	if snap := waitJob(t, next); snap.Status != JobDone || snap.Result == nil {
-		t.Fatalf("job after the deadline: %s (%s), want done", snap.Status, snap.Err)
+	if doc := waitJob(t, next); doc.Status != client.JobDone || len(doc.Result) == 0 {
+		t.Fatalf("job after the deadline: %s (%s), want done", doc.Status, doc.Error)
 	}
 	// The worker is parked on the queue again; a joined consumer may
 	// not have returned yet, so give it a moment to leave the count.

@@ -53,7 +53,7 @@ func TestFitPredictThroughAPI(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 
 	// Pre-run one training input so the fit gets a warm hit.
-	j, status := postAnalyze(t, ts, AnalyzeRequest{Workload: "fig2", Params: map[string]int64{"N": 64}})
+	j, status := postAnalyze(t, ts, client.AnalyzeRequest{Workload: "fig2", Params: map[string]int64{"N": 64}})
 	if status != http.StatusAccepted {
 		t.Fatalf("training pre-run status %d", status)
 	}
@@ -63,12 +63,12 @@ func TestFitPredictThroughAPI(t *testing.T) {
 	if status != http.StatusAccepted {
 		t.Fatalf("fit status %d: %s", status, body)
 	}
-	var job JobJSON
+	var job client.Job
 	if err := json.Unmarshal(body, &job); err != nil {
 		t.Fatal(err)
 	}
 	d := pollDone(t, ts, job.ID)
-	if d.Status != JobDone {
+	if d.Status != client.JobDone {
 		t.Fatalf("fit job: %s (%s)", d.Status, d.Error)
 	}
 	if !strings.Contains(d.Report, "Cross-input scaling model") {
@@ -83,7 +83,7 @@ func TestFitPredictThroughAPI(t *testing.T) {
 	if status != http.StatusOK {
 		t.Fatalf("warm fit status %d: %s", status, body)
 	}
-	var warmJob JobJSON
+	var warmJob client.Job
 	if err := json.Unmarshal(body, &warmJob); err != nil {
 		t.Fatal(err)
 	}
@@ -131,9 +131,9 @@ func TestFitPredictThroughAPI(t *testing.T) {
 	}
 
 	// Compare against the exact analysis at N=2048.
-	j, _ = postAnalyze(t, ts, AnalyzeRequest{Workload: "fig2", Params: map[string]int64{"N": 2048}})
+	j, _ = postAnalyze(t, ts, client.AnalyzeRequest{Workload: "fig2", Params: map[string]int64{"N": 2048}})
 	exact := pollDone(t, ts, j.ID)
-	if exact.Status != JobDone {
+	if exact.Status != client.JobDone {
 		t.Fatalf("exact run: %s (%s)", exact.Status, exact.Error)
 	}
 	var doc struct {

@@ -20,10 +20,9 @@ import (
 )
 
 // hitDocument is the job document serve answers a memory hit on e with.
-func hitDocument(s *Server, e *CacheEntry) *JobJSON {
-	j := s.sched.NewJob(e.Key, 0, nil)
-	s.sched.Complete(j, e, true)
-	return jobJSON(j)
+func hitDocument(s *Server, e *CacheEntry) *client.Job {
+	doc := s.sched.jobs.Add(e.Key, e).Doc()
+	return &doc
 }
 
 // requireSameJobBytes writes doc with WriteJSON, the specification, and
@@ -68,7 +67,7 @@ func FuzzWriteJobMatchesEncoder(f *testing.F) {
 			d.Error, d.Submitted, d.Started, d.Finished, d.Report, d.Result)
 	}
 	for _, workload := range []string{"fig2", "stencil"} {
-		add(hitDocument(s, analyzeEntry(f, AnalyzeRequest{Workload: workload})))
+		add(hitDocument(s, analyzeEntry(f, client.AnalyzeRequest{Workload: workload})))
 	}
 	const (
 		key   = "6f1c0e93a2b4d5c6e7f8091a2b3c4d5e6f708192a3b4c5d6e7f8091a2b3c4d5e"
@@ -120,9 +119,9 @@ func TestWriteJobMatchesEncoderOnEveryProgram(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Drain(context.Background())
-	reqs := map[string]AnalyzeRequest{}
+	reqs := map[string]client.AnalyzeRequest{}
 	for _, name := range workloads.Names() {
-		reqs[name] = AnalyzeRequest{Workload: name}
+		reqs[name] = client.AnalyzeRequest{Workload: name}
 	}
 	files, err := filepath.Glob(filepath.Join("..", "..", "programs", "*.loop"))
 	if err != nil || len(files) == 0 {
@@ -133,7 +132,7 @@ func TestWriteJobMatchesEncoderOnEveryProgram(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		reqs[filepath.Base(path)] = AnalyzeRequest{Program: string(src)}
+		reqs[filepath.Base(path)] = client.AnalyzeRequest{Program: string(src)}
 	}
 	for name, req := range reqs {
 		requireSameJobBytes(t, name, http.StatusOK, hitDocument(s, analyzeEntry(t, req)))
@@ -187,7 +186,7 @@ func TestMemoryHitAllocation(t *testing.T) {
 	}
 	defer s.Drain(context.Background())
 	for _, workload := range []string{"sweep3d", "gtc"} {
-		req := AnalyzeRequest{Workload: workload}
+		req := client.AnalyzeRequest{Workload: workload}
 		s.cache.Put(analyzeEntry(t, req))
 		body, err := json.Marshal(req)
 		if err != nil {
@@ -230,7 +229,7 @@ func TestMemoryHitSendsContentLength(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	ctx := context.Background()
 	cl := client.New(ts.URL)
-	req := AnalyzeRequest{Workload: "fig2"}
+	req := client.AnalyzeRequest{Workload: "fig2"}
 	cold, err := cl.Analyze(ctx, req)
 	if err != nil {
 		t.Fatal(err)

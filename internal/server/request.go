@@ -21,18 +21,12 @@ import (
 	"reusetool/pkg/client"
 )
 
-// AnalyzeRequest is the POST /v1/analyze body. The wire type lives in
-// pkg/client — the public client package is the source of truth for
-// the v1 protocol — and the server aliases it so resolve() and the
-// handlers cannot drift from what clients send.
-type AnalyzeRequest = client.AnalyzeRequest
-
 // CacheKeyFor validates a request and computes its content-addressed
 // cache key without executing anything. The cluster coordinator shards
 // jobs across workers with it: the key a worker would compute for the
 // same request is identical, so routing by key gives every worker an
 // effectively private slice of the keyspace.
-func CacheKeyFor(req AnalyzeRequest) (string, error) {
+func CacheKeyFor(req client.AnalyzeRequest) (string, error) {
 	rr, err := resolve(req, 0)
 	if err != nil {
 		return "", err
@@ -43,7 +37,7 @@ func CacheKeyFor(req AnalyzeRequest) (string, error) {
 // resolved is a validated request, ready to key and execute: the
 // program is parsed/built, the hierarchy picked, defaults applied.
 type resolved struct {
-	req       AnalyzeRequest
+	req       client.AnalyzeRequest
 	prog      *ir.Program
 	init      func(*interp.Machine) error
 	canonical string // canonical IR bytes (lang.Format of the program)
@@ -59,7 +53,7 @@ type resolved struct {
 }
 
 // resolve validates a request and normalizes it into executable form.
-func resolve(req AnalyzeRequest, maxTimeout time.Duration) (*resolved, error) {
+func resolve(req client.AnalyzeRequest, maxTimeout time.Duration) (*resolved, error) {
 	r := &resolved{req: req}
 
 	nSources := 0

@@ -4,6 +4,8 @@ import (
 	"net/http"
 	"strings"
 	"testing"
+
+	"reusetool/pkg/client"
 )
 
 // TestSamplingCacheKeysDistinct is the key-canonicalization contract:
@@ -13,7 +15,7 @@ import (
 // numbers match exact), while spelling the default seed explicitly
 // keys the same as leaving it zero.
 func TestSamplingCacheKeysDistinct(t *testing.T) {
-	reqs := map[string]AnalyzeRequest{
+	reqs := map[string]client.AnalyzeRequest{
 		"exact":    {Workload: "fig2"},
 		"rate1":    {Workload: "fig2", SampleRate: 1},
 		"rate8":    {Workload: "fig2", SampleRate: 8},
@@ -37,7 +39,7 @@ func TestSamplingCacheKeysDistinct(t *testing.T) {
 
 	// Normalization: seed 0 and the explicit default seed are the same
 	// sample, so they must share a key.
-	explicit, err := CacheKeyFor(AnalyzeRequest{
+	explicit, err := CacheKeyFor(client.AnalyzeRequest{
 		Workload: "fig2", SampleRate: 8, SampleSeed: 0x9E3779B97F4A7C15,
 	})
 	if err != nil {
@@ -55,25 +57,25 @@ func TestSamplingCacheKeysDistinct(t *testing.T) {
 func TestAnalyzeSampledEndToEnd(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 
-	exact, status := postAnalyze(t, ts, AnalyzeRequest{Workload: "fig2"})
+	exact, status := postAnalyze(t, ts, client.AnalyzeRequest{Workload: "fig2"})
 	if status != http.StatusAccepted {
 		t.Fatalf("exact status %d", status)
 	}
 	exactDone := pollDone(t, ts, exact.ID)
-	if exactDone.Status != JobDone {
+	if exactDone.Status != client.JobDone {
 		t.Fatalf("exact job: %s (%s)", exactDone.Status, exactDone.Error)
 	}
 	if strings.Contains(exactDone.Report, "Sampling:") {
 		t.Fatal("exact report carries a sampling footer")
 	}
 
-	sampled := AnalyzeRequest{Workload: "fig2", SampleRate: 8}
+	sampled := client.AnalyzeRequest{Workload: "fig2", SampleRate: 8}
 	cold, status := postAnalyze(t, ts, sampled)
 	if status != http.StatusAccepted {
 		t.Fatalf("sampled cold status %d, want 202 (a sampled submission must not hit the exact entry)", status)
 	}
 	coldDone := pollDone(t, ts, cold.ID)
-	if coldDone.Status != JobDone {
+	if coldDone.Status != client.JobDone {
 		t.Fatalf("sampled job: %s (%s)", coldDone.Status, coldDone.Error)
 	}
 	if coldDone.Key == exactDone.Key {
@@ -110,7 +112,7 @@ func TestAnalyzeSampledEndToEnd(t *testing.T) {
 func TestAnalyzeSamplingRejected(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	e := collectEntry(t, key(1))
-	for name, req := range map[string]AnalyzeRequest{
+	for name, req := range map[string]client.AnalyzeRequest{
 		"bad rate":          {Workload: "fig1a", SampleRate: 3},
 		"rate too high":     {Workload: "fig1a", SampleRate: 1 << 21},
 		"tiny cap":          {Workload: "fig1a", SampleMaxBlocks: 4},

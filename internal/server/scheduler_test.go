@@ -4,19 +4,32 @@ import (
 	"context"
 	"errors"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"reusetool/pkg/client"
 )
 
-func waitJob(t *testing.T, j *Job) Snapshot {
+func waitJob(t *testing.T, j *Job) client.Job {
 	t.Helper()
 	select {
 	case <-j.Done():
 	case <-time.After(10 * time.Second):
-		t.Fatalf("job %s never finished", j.ID)
+		t.Fatalf("job %s never finished", j.ID())
 	}
-	return j.Snapshot()
+	return j.Doc()
+}
+
+// submit queues run as a job for key, failing the test on a refusal.
+func submit(t *testing.T, s *Scheduler, key string, timeout time.Duration, run func(context.Context, bool) (*CacheEntry, error)) *Job {
+	t.Helper()
+	j, err := s.Submit(key, timeout, run)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return j
 }
 
 func TestSchedulerRunsJobsFIFO(t *testing.T) {
@@ -28,20 +41,15 @@ func TestSchedulerRunsJobsFIFO(t *testing.T) {
 	jobs := make([]*Job, 3)
 	for i := range jobs {
 		id := string(rune('a' + i))
-		jobs[i] = s.NewJob("k"+id, 0, func(ctx context.Context, _ bool) (*CacheEntry, error) {
+		jobs[i] = submit(t, s, "k"+id, 0, func(ctx context.Context, _ bool) (*CacheEntry, error) {
 			order = append(order, id) // single worker: no data race
 			return &CacheEntry{Key: "k" + id}, nil
 		})
 	}
 	for _, j := range jobs {
-		if err := s.Submit(j); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, j := range jobs {
-		snap := waitJob(t, j)
-		if snap.Status != JobDone {
-			t.Fatalf("job %s: %s (%s)", j.ID, snap.Status, snap.Err)
+		doc := waitJob(t, j)
+		if doc.Status != client.JobDone {
+			t.Fatalf("job %s: %s (%s)", j.ID(), doc.Status, doc.Error)
 		}
 	}
 	if len(order) != 3 || order[0] != "a" || order[1] != "b" || order[2] != "c" {
@@ -57,13 +65,10 @@ func TestSchedulerQueueBound(t *testing.T) {
 	defer s.Drain(context.Background())
 
 	release := make(chan struct{})
-	blocker := s.NewJob("blocker", 0, func(ctx context.Context, _ bool) (*CacheEntry, error) {
+	submit(t, s, "blocker", 0, func(ctx context.Context, _ bool) (*CacheEntry, error) {
 		<-release
 		return nil, nil
 	})
-	if err := s.Submit(blocker); err != nil {
-		t.Fatal(err)
-	}
 	// Wait until the blocker occupies the worker so the queue is empty.
 	deadline := time.Now().Add(5 * time.Second)
 	for s.Running() == 0 {
@@ -73,16 +78,13 @@ func TestSchedulerQueueBound(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	// One fits in the queue; the next must be rejected, not block.
-	q := s.NewJob("queued", 0, func(ctx context.Context, _ bool) (*CacheEntry, error) { return nil, nil })
-	if err := s.Submit(q); err != nil {
-		t.Fatal(err)
-	}
-	rej := s.NewJob("rejected", 0, func(ctx context.Context, _ bool) (*CacheEntry, error) { return nil, nil })
-	if err := s.Submit(rej); !errors.Is(err, ErrQueueFull) {
+	q := submit(t, s, "queued", 0, func(ctx context.Context, _ bool) (*CacheEntry, error) { return nil, nil })
+	rej, err := s.Submit("rejected", 0, func(ctx context.Context, _ bool) (*CacheEntry, error) { return nil, nil })
+	if !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("err = %v, want ErrQueueFull", err)
 	}
-	if snap := rej.Snapshot(); snap.Status != JobFailed {
-		t.Fatalf("rejected job status %s", snap.Status)
+	if doc := rej.Doc(); doc.Status != client.JobFailed || doc.Error != ErrQueueFull.Error() {
+		t.Fatalf("rejected job: %s (%s)", doc.Status, doc.Error)
 	}
 	close(release)
 	waitJob(t, q)
@@ -92,7 +94,7 @@ func TestSchedulerPerJobDeadline(t *testing.T) {
 	s := NewScheduler(1, 4, time.Minute, NewMetrics())
 	defer s.Drain(context.Background())
 
-	j := s.NewJob("slow", 20*time.Millisecond, func(ctx context.Context, _ bool) (*CacheEntry, error) {
+	j := submit(t, s, "slow", 20*time.Millisecond, func(ctx context.Context, _ bool) (*CacheEntry, error) {
 		select {
 		case <-ctx.Done():
 			return nil, ctx.Err()
@@ -100,12 +102,9 @@ func TestSchedulerPerJobDeadline(t *testing.T) {
 			return nil, errors.New("deadline did not fire")
 		}
 	})
-	if err := s.Submit(j); err != nil {
-		t.Fatal(err)
-	}
-	snap := waitJob(t, j)
-	if snap.Status != JobCanceled {
-		t.Fatalf("status %s (%s), want canceled", snap.Status, snap.Err)
+	doc := waitJob(t, j)
+	if doc.Status != client.JobCanceled {
+		t.Fatalf("status %s (%s), want canceled", doc.Status, doc.Error)
 	}
 }
 
@@ -114,35 +113,29 @@ func TestSchedulerCancelQueuedAndRunning(t *testing.T) {
 	defer s.Drain(context.Background())
 
 	release := make(chan struct{})
-	running := s.NewJob("running", 0, func(ctx context.Context, _ bool) (*CacheEntry, error) {
+	running := submit(t, s, "running", 0, func(ctx context.Context, _ bool) (*CacheEntry, error) {
 		close(release)
 		<-ctx.Done()
 		return nil, ctx.Err()
 	})
-	if err := s.Submit(running); err != nil {
-		t.Fatal(err)
-	}
-	queued := s.NewJob("queued", 0, func(ctx context.Context, _ bool) (*CacheEntry, error) {
+	queued := submit(t, s, "queued", 0, func(ctx context.Context, _ bool) (*CacheEntry, error) {
 		return nil, errors.New("canceled job ran")
 	})
-	if err := s.Submit(queued); err != nil {
-		t.Fatal(err)
-	}
 	<-release // running job is on the worker
-	if !s.Cancel(queued.ID) {
+	if !queued.Cancel() {
 		t.Fatal("cancel(queued) = false")
 	}
-	if !s.Cancel(running.ID) {
+	if !running.Cancel() {
 		t.Fatal("cancel(running) = false")
 	}
-	if snap := waitJob(t, running); snap.Status != JobCanceled {
-		t.Fatalf("running job status %s", snap.Status)
+	if doc := waitJob(t, running); doc.Status != client.JobCanceled {
+		t.Fatalf("running job status %s", doc.Status)
 	}
-	if snap := waitJob(t, queued); snap.Status != JobCanceled {
-		t.Fatalf("queued job status %s", snap.Status)
+	if doc := waitJob(t, queued); doc.Status != client.JobCanceled {
+		t.Fatalf("queued job status %s", doc.Status)
 	}
-	if s.Cancel("nope") {
-		t.Fatal("cancel of unknown job succeeded")
+	if running.Cancel() {
+		t.Fatal("cancel of a terminal job succeeded")
 	}
 }
 
@@ -150,16 +143,12 @@ func TestSchedulerDrain(t *testing.T) {
 	s := NewScheduler(2, 8, time.Minute, NewMetrics())
 
 	var ran atomic.Int32
-	jobs := make([]*Job, 5)
-	for i := range jobs {
-		jobs[i] = s.NewJob("k", 0, func(ctx context.Context, _ bool) (*CacheEntry, error) {
+	for range 5 {
+		submit(t, s, "k", 0, func(ctx context.Context, _ bool) (*CacheEntry, error) {
 			time.Sleep(5 * time.Millisecond)
 			ran.Add(1)
 			return nil, nil
 		})
-		if err := s.Submit(jobs[i]); err != nil {
-			t.Fatal(err)
-		}
 	}
 	if err := s.Drain(context.Background()); err != nil {
 		t.Fatal(err)
@@ -168,8 +157,7 @@ func TestSchedulerDrain(t *testing.T) {
 		t.Fatalf("drain finished %d of 5 jobs", got)
 	}
 	// Post-drain submissions are refused.
-	late := s.NewJob("late", 0, func(ctx context.Context, _ bool) (*CacheEntry, error) { return nil, nil })
-	if err := s.Submit(late); !errors.Is(err, ErrDraining) {
+	if _, err := s.Submit("late", 0, func(ctx context.Context, _ bool) (*CacheEntry, error) { return nil, nil }); !errors.Is(err, ErrDraining) {
 		t.Fatalf("err = %v, want ErrDraining", err)
 	}
 	// Drain is idempotent.
@@ -181,22 +169,19 @@ func TestSchedulerDrain(t *testing.T) {
 func TestSchedulerDrainDeadlineCancelsStragglers(t *testing.T) {
 	s := NewScheduler(1, 4, time.Minute, NewMetrics())
 	started := make(chan struct{})
-	j := s.NewJob("straggler", 0, func(ctx context.Context, _ bool) (*CacheEntry, error) {
+	j := submit(t, s, "straggler", 0, func(ctx context.Context, _ bool) (*CacheEntry, error) {
 		close(started)
 		<-ctx.Done()
 		return nil, ctx.Err()
 	})
-	if err := s.Submit(j); err != nil {
-		t.Fatal(err)
-	}
 	<-started
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
 	if err := s.Drain(ctx); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("drain err = %v", err)
 	}
-	if snap := waitJob(t, j); snap.Status != JobCanceled {
-		t.Fatalf("straggler status %s", snap.Status)
+	if doc := waitJob(t, j); doc.Status != client.JobCanceled {
+		t.Fatalf("straggler status %s", doc.Status)
 	}
 }
 
@@ -208,36 +193,28 @@ func TestSchedulerPrunesOldestTerminalJobs(t *testing.T) {
 	defer s.Drain(context.Background())
 	release := make(chan struct{})
 	defer close(release) // runs before Drain
-	s.maxJobs = 3
+	s.jobs.SetMax(3)
 
-	done := func() *Job {
-		j := s.NewJob("done", 0, nil)
-		s.Complete(j, &CacheEntry{}, true)
-		return j
-	}
+	done := func() *Job { return s.jobs.Add("done", &CacheEntry{}) }
 	live := func() *Job {
-		j := s.NewJob("live", 0, func(ctx context.Context, _ bool) (*CacheEntry, error) {
+		return submit(t, s, "live", 0, func(ctx context.Context, _ bool) (*CacheEntry, error) {
 			<-release
 			return &CacheEntry{}, nil
 		})
-		if err := s.Submit(j); err != nil {
-			t.Fatal(err)
-		}
-		return j
 	}
 	d1, l1, d2, d3 := done(), live(), done(), done()
 	l2, l3, l4 := live(), live(), live()
 
 	for _, j := range []*Job{d1, d2, d3} {
-		if _, ok := s.Job(j.ID); ok {
-			t.Errorf("terminal job %s survived pruning", j.ID)
+		if _, ok := s.jobs.Lookup(j.ID()); ok {
+			t.Errorf("terminal job %s survived pruning", j.ID())
 		}
 	}
 	var got []string
-	for _, j := range s.Jobs() {
-		got = append(got, j.ID)
+	for _, j := range s.jobs.List() {
+		got = append(got, j.ID())
 	}
-	want := []string{l1.ID, l2.ID, l3.ID, l4.ID}
+	want := []string{l1.ID(), l2.ID(), l3.ID(), l4.ID()}
 	if len(got) != len(want) {
 		t.Fatalf("registry = %v, want %v", got, want)
 	}
@@ -256,31 +233,66 @@ func TestSchedulerPanicFailsOnlyItsJob(t *testing.T) {
 	s := NewScheduler(1, 8, time.Minute, m)
 	defer s.Drain(context.Background())
 
-	bad := s.NewJob("bad", 0, func(ctx context.Context, _ bool) (*CacheEntry, error) {
+	bad := submit(t, s, "bad", 0, func(ctx context.Context, _ bool) (*CacheEntry, error) {
 		panic("boom")
 	})
-	good := s.NewJob("good", 0, func(ctx context.Context, _ bool) (*CacheEntry, error) {
-		return &CacheEntry{Key: "good"}, nil
+	good := submit(t, s, "good", 0, func(ctx context.Context, _ bool) (*CacheEntry, error) {
+		return &CacheEntry{Key: "good", JSON: []byte(`"good"`)}, nil
 	})
-	for _, j := range []*Job{bad, good} {
-		if err := s.Submit(j); err != nil {
-			t.Fatal(err)
-		}
+	doc := waitJob(t, bad)
+	if doc.Status != client.JobFailed {
+		t.Fatalf("panicking job: %s, want failed", doc.Status)
 	}
-	snap := waitJob(t, bad)
-	if snap.Status != JobFailed {
-		t.Fatalf("panicking job: %s, want failed", snap.Status)
+	if !strings.Contains(doc.Error, "boom") || !strings.Contains(doc.Error, "scheduler_test.go") {
+		t.Fatalf("panicking job's error lacks the panic value or its stack:\n%s", doc.Error)
 	}
-	if !strings.Contains(snap.Err, "boom") || !strings.Contains(snap.Err, "scheduler_test.go") {
-		t.Fatalf("panicking job's error lacks the panic value or its stack:\n%s", snap.Err)
-	}
-	if snap := waitJob(t, good); snap.Status != JobDone || snap.Result == nil || snap.Result.Key != "good" {
-		t.Fatalf("job after the panic: %s (%s)", snap.Status, snap.Err)
+	if doc := waitJob(t, good); doc.Status != client.JobDone || string(doc.Result) != `"good"` {
+		t.Fatalf("job after the panic: %s (%s)", doc.Status, doc.Error)
 	}
 	if m.JobsFailed.Load() != 1 || m.JobsCompleted.Load() != 1 {
 		t.Fatalf("failed/completed = %d/%d, want 1/1", m.JobsFailed.Load(), m.JobsCompleted.Load())
 	}
 	if n := s.Running(); n != 0 {
 		t.Fatalf("running = %d after both jobs ended, want 0", n)
+	}
+}
+
+// TestRegistryConcurrentUse registers, cancels, finishes, looks up and
+// lists jobs from several goroutines at once past a small bound; once
+// they are done, the bound holds over the terminal jobs and every
+// listed job is found by its ID.
+func TestRegistryConcurrentUse(t *testing.T) {
+	r := NewRegistry("j%08d")
+	r.SetMax(16)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				if i%3 == 0 {
+					r.Add("hit", &CacheEntry{})
+					continue
+				}
+				j := r.Add("live", nil)
+				if i%2 == 0 {
+					j.Cancel()
+				}
+				j.Finish(client.JobDone, "", nil)
+				for _, l := range r.List() {
+					r.Lookup(l.ID())
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	list := r.List()
+	if len(list) > 16 {
+		t.Fatalf("registry holds %d terminal jobs past a bound of 16", len(list))
+	}
+	for _, j := range list {
+		if got, ok := r.Lookup(j.ID()); !ok || got != j {
+			t.Fatalf("listed job %s not found by its ID", j.ID())
+		}
 	}
 }

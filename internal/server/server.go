@@ -123,9 +123,9 @@ func New(cfg Config) (*Server, error) {
 	mux.HandleFunc("POST /v1/check", HandleCheck)
 	mux.HandleFunc("POST /v1/fit", s.handleFit)
 	mux.HandleFunc("POST /v1/predict", s.handlePredict)
-	mux.HandleFunc("GET /v1/jobs", s.handleJobList)
-	mux.HandleFunc("GET /v1/jobs/{id}", s.handleJobGet)
-	mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleJobCancel)
+	mux.HandleFunc("GET /v1/jobs", s.sched.jobs.HandleList)
+	mux.HandleFunc("GET /v1/jobs/{id}", s.sched.jobs.HandleGet)
+	mux.HandleFunc("DELETE /v1/jobs/{id}", s.sched.jobs.HandleCancel)
 	mux.HandleFunc("GET /v1/cache/{key}", s.handleCacheGet)
 	mux.HandleFunc("PUT /v1/cache/{key}", s.handleCachePut)
 	mux.HandleFunc("GET /v1/health", s.handleHealth)
@@ -156,38 +156,8 @@ func (s *Server) Drain(ctx context.Context) error {
 	return err
 }
 
-// JobJSON is the wire form of a job in API responses, defined by the
-// public client package.
-type JobJSON = client.Job
-
-func jobJSON(j *Job) *JobJSON {
-	snap := j.Snapshot()
-	out := &JobJSON{
-		APIVersion: client.APIVersion,
-		ID:         snap.ID,
-		Status:     snap.Status,
-		Key:        snap.Key,
-		CacheHit:   snap.CacheHit,
-		Error:      snap.Err,
-	}
-	stamp := func(t time.Time) string {
-		if t.IsZero() {
-			return ""
-		}
-		return t.UTC().Format(time.RFC3339Nano)
-	}
-	out.Submitted = stamp(snap.Submitted)
-	out.Started = stamp(snap.Started)
-	out.Finished = stamp(snap.Finished)
-	if snap.Status == JobDone && snap.Result != nil {
-		out.Report = string(snap.Result.Report)
-		out.Result = []byte(snap.Result.JSON)
-	}
-	return out
-}
-
 func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
-	var req AnalyzeRequest
+	var req client.AnalyzeRequest
 	if !DecodeRequest(w, r, &req) {
 		return
 	}
@@ -228,13 +198,12 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 // 429 when the queue is full and 503 while the daemon drains.
 func (s *Server) serve(w http.ResponseWriter, key string, timeout time.Duration, hit *CacheEntry, run func(context.Context, bool) (*CacheEntry, error)) {
 	if hit != nil {
-		j := s.sched.NewJob(key, timeout, nil)
-		s.sched.Complete(j, hit, true)
-		WriteJob(w, http.StatusOK, jobJSON(j))
+		doc := s.sched.jobs.Add(key, hit).Doc()
+		WriteJob(w, http.StatusOK, &doc)
 		return
 	}
-	j := s.sched.NewJob(key, timeout, run)
-	if err := s.sched.Submit(j); err != nil {
+	j, err := s.sched.Submit(key, timeout, run)
+	if err != nil {
 		status, code := http.StatusServiceUnavailable, client.CodeDraining
 		if err == ErrQueueFull {
 			status, code = http.StatusTooManyRequests, client.CodeQueueFull
@@ -242,51 +211,8 @@ func (s *Server) serve(w http.ResponseWriter, key string, timeout time.Duration,
 		WriteError(w, status, code, "%v", err)
 		return
 	}
-	WriteJob(w, http.StatusAccepted, jobJSON(j))
-}
-
-func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.sched.Job(r.PathValue("id"))
-	if !ok {
-		WriteError(w, http.StatusNotFound, client.CodeNotFound, "unknown job %q", r.PathValue("id"))
-		return
-	}
-	WriteJob(w, http.StatusOK, jobJSON(j))
-}
-
-// handleJobList serves GET /v1/jobs: job summaries in submission
-// order, optionally filtered with ?state=queued|running|done|failed|canceled.
-// Summaries omit the report and result payloads — fetch a job by ID
-// for those.
-func (s *Server) handleJobList(w http.ResponseWriter, r *http.Request) {
-	state, ok := StateFilter(w, r)
-	if !ok {
-		return
-	}
-	list := client.JobList{APIVersion: client.APIVersion, Jobs: []client.Job{}}
-	for _, j := range s.sched.Jobs() {
-		doc := jobJSON(j)
-		if state != "" && doc.Status != state {
-			continue
-		}
-		doc.Report, doc.Result = "", nil
-		list.Jobs = append(list.Jobs, *doc)
-	}
-	WriteJSON(w, http.StatusOK, list)
-}
-
-func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	if _, ok := s.sched.Job(id); !ok {
-		WriteError(w, http.StatusNotFound, client.CodeNotFound, "unknown job %q", id)
-		return
-	}
-	if !s.sched.Cancel(id) {
-		WriteError(w, http.StatusConflict, client.CodeConflict, "job %s is not cancelable", id)
-		return
-	}
-	j, _ := s.sched.Job(id)
-	WriteJob(w, http.StatusOK, jobJSON(j))
+	doc := j.Doc()
+	WriteJob(w, http.StatusAccepted, &doc)
 }
 
 // handleCacheGet serves the shared-tier peer protocol: an admitted
@@ -333,15 +259,7 @@ func (s *Server) handleCachePut(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
-	status := "ok"
-	code := http.StatusOK
-	if s.sched.Draining() {
-		status = "draining"
-		code = http.StatusServiceUnavailable
-	}
-	WriteJSON(w, code, client.Health{
-		APIVersion: client.APIVersion,
-		Status:     status,
+	WriteHealth(w, s.sched.Draining(), client.Health{
 		Role:       "worker",
 		Workers:    s.cfg.Workers,
 		QueueDepth: s.sched.QueueDepth(),

@@ -29,7 +29,7 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	return s, ts
 }
 
-func postAnalyze(t *testing.T, ts *httptest.Server, req AnalyzeRequest) (*JobJSON, int) {
+func postAnalyze(t *testing.T, ts *httptest.Server, req client.AnalyzeRequest) (*client.Job, int) {
 	t.Helper()
 	body, err := json.Marshal(req)
 	if err != nil {
@@ -50,36 +50,36 @@ func postAnalyze(t *testing.T, ts *httptest.Server, req AnalyzeRequest) (*JobJSO
 		if env.Err.Code == "" {
 			t.Fatalf("status %d response missing error code", resp.StatusCode)
 		}
-		return &JobJSON{Error: env.Err.Message}, resp.StatusCode
+		return &client.Job{Error: env.Err.Message}, resp.StatusCode
 	}
-	var j JobJSON
+	var j client.Job
 	if err := json.NewDecoder(resp.Body).Decode(&j); err != nil {
 		t.Fatalf("decode response (status %d): %v", resp.StatusCode, err)
 	}
 	return &j, resp.StatusCode
 }
 
-func getJob(t *testing.T, ts *httptest.Server, id string) *JobJSON {
+func getJob(t *testing.T, ts *httptest.Server, id string) *client.Job {
 	t.Helper()
 	resp, err := http.Get(ts.URL + "/v1/jobs/" + id)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var j JobJSON
+	var j client.Job
 	if err := json.NewDecoder(resp.Body).Decode(&j); err != nil {
 		t.Fatal(err)
 	}
 	return &j
 }
 
-func pollDone(t *testing.T, ts *httptest.Server, id string) *JobJSON {
+func pollDone(t *testing.T, ts *httptest.Server, id string) *client.Job {
 	t.Helper()
 	deadline := time.Now().Add(60 * time.Second)
 	for {
 		j := getJob(t, ts, id)
 		switch j.Status {
-		case JobDone, JobFailed, JobCanceled:
+		case client.JobDone, client.JobFailed, client.JobCanceled:
 			return j
 		}
 		if time.Now().After(deadline) {
@@ -121,13 +121,13 @@ func metricValue(t *testing.T, ts *httptest.Server, name string) float64 {
 func TestAnalyzeWarmCacheSkipsInterpreter(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	for i, workload := range []string{"fig1a", "fig2", "sweep3d"} {
-		req := AnalyzeRequest{Workload: workload}
+		req := client.AnalyzeRequest{Workload: workload}
 		cold, status := postAnalyze(t, ts, req)
 		if status != http.StatusAccepted {
 			t.Fatalf("%s: cold status %d", workload, status)
 		}
 		coldDone := pollDone(t, ts, cold.ID)
-		if coldDone.Status != JobDone {
+		if coldDone.Status != client.JobDone {
 			t.Fatalf("%s: cold job %s: %s", workload, coldDone.Status, coldDone.Error)
 		}
 		if coldDone.CacheHit {
@@ -141,7 +141,7 @@ func TestAnalyzeWarmCacheSkipsInterpreter(t *testing.T) {
 		if status != http.StatusOK {
 			t.Fatalf("%s: warm status %d, want 200", workload, status)
 		}
-		if !warm.CacheHit || warm.Status != JobDone {
+		if !warm.CacheHit || warm.Status != client.JobDone {
 			t.Fatalf("%s: warm submission not served from cache (%+v)", workload, warm)
 		}
 		if warm.Report != coldDone.Report {
@@ -165,11 +165,11 @@ func TestAnalyzeWarmCacheSkipsInterpreter(t *testing.T) {
 func TestAnalyzeColdRunsDeterministic(t *testing.T) {
 	_, ts1 := newTestServer(t, Config{})
 	_, ts2 := newTestServer(t, Config{})
-	req := AnalyzeRequest{Workload: "fig2"}
+	req := client.AnalyzeRequest{Workload: "fig2"}
 	j1, _ := postAnalyze(t, ts1, req)
 	j2, _ := postAnalyze(t, ts2, req)
 	d1, d2 := pollDone(t, ts1, j1.ID), pollDone(t, ts2, j2.ID)
-	if d1.Status != JobDone || d2.Status != JobDone {
+	if d1.Status != client.JobDone || d2.Status != client.JobDone {
 		t.Fatalf("jobs: %s / %s", d1.Status, d2.Status)
 	}
 	if d1.Report != d2.Report || !bytes.Equal(d1.Result, d2.Result) {
@@ -203,12 +203,12 @@ routine main {
 	messy = strings.Replace(messy, "access A[i]", "access   A[ i ]  # same access", 1)
 	messy += "# trailing comment, no newline"
 
-	j1, _ := postAnalyze(t, ts, AnalyzeRequest{Program: src})
+	j1, _ := postAnalyze(t, ts, client.AnalyzeRequest{Program: src})
 	d1 := pollDone(t, ts, j1.ID)
-	if d1.Status != JobDone {
+	if d1.Status != client.JobDone {
 		t.Fatalf("cold program job: %s (%s)", d1.Status, d1.Error)
 	}
-	j2, status := postAnalyze(t, ts, AnalyzeRequest{Program: messy})
+	j2, status := postAnalyze(t, ts, client.AnalyzeRequest{Program: messy})
 	if status != http.StatusOK || !j2.CacheHit {
 		t.Fatalf("reformatted source missed the cache (status %d, hit %v)", status, j2.CacheHit)
 	}
@@ -221,11 +221,11 @@ routine main {
 // the key: same program, different params/hierarchy/level must miss.
 func TestAnalyzeOptionsChangeKey(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	base := AnalyzeRequest{Workload: "fig2"}
+	base := client.AnalyzeRequest{Workload: "fig2"}
 	j, _ := postAnalyze(t, ts, base)
 	pollDone(t, ts, j.ID)
 
-	variants := []AnalyzeRequest{
+	variants := []client.AnalyzeRequest{
 		{Workload: "fig2", Hierarchy: "full"},
 		{Workload: "fig2", Level: "TLB"},
 		{Workload: "fig2", MinShare: 0.5},
@@ -243,12 +243,12 @@ func TestAnalyzeOptionsChangeKey(t *testing.T) {
 // TestAnalyzeStaticMode runs the symbolic pipeline through the API.
 func TestAnalyzeStaticMode(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	j, status := postAnalyze(t, ts, AnalyzeRequest{Workload: "fig1a", Mode: "static"})
+	j, status := postAnalyze(t, ts, client.AnalyzeRequest{Workload: "fig1a", Mode: "static"})
 	if status != http.StatusAccepted {
 		t.Fatalf("status %d", status)
 	}
 	d := pollDone(t, ts, j.ID)
-	if d.Status != JobDone {
+	if d.Status != client.JobDone {
 		t.Fatalf("static job: %s (%s)", d.Status, d.Error)
 	}
 	if !strings.Contains(d.Report, "MISSES") {
@@ -259,7 +259,7 @@ func TestAnalyzeStaticMode(t *testing.T) {
 // TestAnalyzeBadRequests covers the 400 paths.
 func TestAnalyzeBadRequests(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	for name, req := range map[string]AnalyzeRequest{
+	for name, req := range map[string]client.AnalyzeRequest{
 		"no source":        {},
 		"two sources":      {Workload: "fig1a", Program: "program p\nroutine main {}\n"},
 		"unknown workload": {Workload: "nope"},
@@ -289,7 +289,7 @@ func TestAnalyzeBadRequests(t *testing.T) {
 // timeout_ms and expects a canceled job, not a hung daemon.
 func TestJobDeadlineThroughAPI(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	j, status := postAnalyze(t, ts, AnalyzeRequest{
+	j, status := postAnalyze(t, ts, client.AnalyzeRequest{
 		Workload:  "sweep3d",
 		Params:    map[string]int64{"it": 40, "jt": 40, "kt": 40, "ts": 8},
 		TimeoutMS: 25,
@@ -298,7 +298,7 @@ func TestJobDeadlineThroughAPI(t *testing.T) {
 		t.Fatalf("status %d", status)
 	}
 	d := pollDone(t, ts, j.ID)
-	if d.Status != JobCanceled {
+	if d.Status != client.JobCanceled {
 		t.Fatalf("status %s (%s), want canceled", d.Status, d.Error)
 	}
 }
@@ -306,7 +306,7 @@ func TestJobDeadlineThroughAPI(t *testing.T) {
 // TestCancelRunningJobThroughAPI exercises DELETE /v1/jobs/{id}.
 func TestCancelRunningJobThroughAPI(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1})
-	j, _ := postAnalyze(t, ts, AnalyzeRequest{
+	j, _ := postAnalyze(t, ts, client.AnalyzeRequest{
 		Workload: "sweep3d",
 		Params:   map[string]int64{"it": 40, "jt": 40, "kt": 40, "ts": 8},
 	})
@@ -323,7 +323,7 @@ func TestCancelRunningJobThroughAPI(t *testing.T) {
 		t.Fatalf("cancel status %d", resp.StatusCode)
 	}
 	d := pollDone(t, ts, j.ID)
-	if d.Status != JobCanceled {
+	if d.Status != client.JobCanceled {
 		t.Fatalf("status %s, want canceled", d.Status)
 	}
 }
@@ -351,7 +351,7 @@ func TestHealthzAndDrain(t *testing.T) {
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("draining healthz status %d", resp.StatusCode)
 	}
-	if _, status := postAnalyze(t, ts, AnalyzeRequest{Workload: "fig1a"}); status != http.StatusServiceUnavailable {
+	if _, status := postAnalyze(t, ts, client.AnalyzeRequest{Workload: "fig1a"}); status != http.StatusServiceUnavailable {
 		t.Fatalf("draining analyze status %d", status)
 	}
 }
@@ -363,12 +363,12 @@ func TestArtifactSubmission(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	// Produce an artifact via a dynamic run.
 	e := collectEntry(t, key(1))
-	j, status := postAnalyze(t, ts, AnalyzeRequest{Workload: "fig2", Artifact: e.Artifact})
+	j, status := postAnalyze(t, ts, client.AnalyzeRequest{Workload: "fig2", Artifact: e.Artifact})
 	if status != http.StatusAccepted {
 		t.Fatalf("status %d", status)
 	}
 	d := pollDone(t, ts, j.ID)
-	if d.Status != JobDone {
+	if d.Status != client.JobDone {
 		t.Fatalf("artifact job: %s (%s)", d.Status, d.Error)
 	}
 	if !strings.Contains(d.Report, "MISSES") {
@@ -415,7 +415,7 @@ func TestMalformedArtifactsRefused(t *testing.T) {
 
 	// Two granularities, but one reference set and one clock.
 	unequal := craftArtifact(t, fig2, func(d *persist.Dataset) { d.Refs, d.Clocks = d.Refs[:1], d.Clocks[:1] })
-	body, err := json.Marshal(AnalyzeRequest{Workload: "fig2", Artifact: unequal})
+	body, err := json.Marshal(client.AnalyzeRequest{Workload: "fig2", Artifact: unequal})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -450,20 +450,20 @@ func TestMalformedArtifactsRefused(t *testing.T) {
 			d.Refs[0][0].Patterns[p.Key] = p
 		}
 	})
-	j, status := postAnalyze(t, ts, AnalyzeRequest{Workload: "fig2", Artifact: foreign})
+	j, status := postAnalyze(t, ts, client.AnalyzeRequest{Workload: "fig2", Artifact: foreign})
 	if status != http.StatusAccepted {
 		t.Fatalf("foreign-scope artifact: status %d (%s)", status, j.Error)
 	}
-	if d := pollDone(t, ts, j.ID); d.Status != JobFailed || !strings.Contains(d.Error, "unknown scope") {
+	if d := pollDone(t, ts, j.ID); d.Status != client.JobFailed || !strings.Contains(d.Error, "unknown scope") {
 		t.Fatalf("foreign-scope artifact: job %s (%s), want failed on an unknown scope", d.Status, d.Error)
 	}
 
 	// The daemon still analyzes.
-	j, status = postAnalyze(t, ts, AnalyzeRequest{Workload: "fig2"})
+	j, status = postAnalyze(t, ts, client.AnalyzeRequest{Workload: "fig2"})
 	if status != http.StatusAccepted {
 		t.Fatalf("fig2 after the malformed artifacts: status %d (%s)", status, j.Error)
 	}
-	if d := pollDone(t, ts, j.ID); d.Status != JobDone {
+	if d := pollDone(t, ts, j.ID); d.Status != client.JobDone {
 		t.Fatalf("fig2 after the malformed artifacts: %s (%s)", d.Status, d.Error)
 	}
 }
